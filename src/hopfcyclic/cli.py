@@ -251,13 +251,26 @@ def resolve_module(ref: str, h):
             raise InputError(str(exc)) from exc
     else:
         doc = _load_doc(ref)
-        try:
-            return crossed_from_json(h, doc), doc
-        except KeyError as exc:
-            raise InputError(
-                f"module document {ref} is missing field {exc}"
-            ) from exc
+        return _module_from_doc(h, doc, ref), doc
     return m, crossed_to_json(m)
+
+
+def _module_from_doc(h, doc, ref: str):
+    """crossed_from_json behind the document-shape checks it does not make."""
+    if not isinstance(doc, dict):
+        raise InputError(f"module document {_ref_label(ref)} is not a JSON object")
+    dim = doc.get("dim", 0)  # a missing dim is reported as a missing field
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
+        raise InputError(
+            f"module document {_ref_label(ref)}: dim must be a non-negative "
+            f"integer, not {dim!r}"
+        )
+    try:
+        return crossed_from_json(h, doc)
+    except KeyError as exc:
+        raise InputError(
+            f"module document {ref} is missing field {exc}"
+        ) from exc
 
 
 def resolve_extension(ref: str, field):
@@ -417,17 +430,12 @@ def _cmd_verify(args, field, inputs, checks, tables) -> None:
         checks += _check_entries(verify_hopf(h))
     elif kind == "crossed":
         doc = _load_doc(refs[0])
-        if "base" not in doc:
+        if not isinstance(doc, dict) or "base" not in doc:
             raise InputError("crossed documents must carry a 'base' Hopf algebra")
         base = doc["base"]
         h, _ = resolve_hopf(base if isinstance(base, str) else _canonical(base),
                             field)
-        try:
-            m = crossed_from_json(h, doc)
-        except KeyError as exc:
-            raise InputError(
-                f"module document {refs[0]} is missing field {exc}"
-            ) from exc
+        m = _module_from_doc(h, doc, refs[0])
         inputs[f"crossed {_ref_label(refs[0])}"] = _sha(_canonical(doc))
         checks += _check_entries(verify_crossed(m))
         checks += _check_entries(verify_modular(m))

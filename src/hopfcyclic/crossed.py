@@ -15,6 +15,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
 from .linalg import (
+    LinAlgError,
     QuotientSpace,
     SparseMatrix,
     Subspace,
@@ -180,16 +181,6 @@ def verify_modular(m: CrossedModule) -> CheckReport:
                 break
     rep.add("modularity (u = id)", ok, witness)
     return rep
-
-
-def is_h_linear(m1: CrossedModule, m2: CrossedModule, f: SparseMatrix) -> bool:
-    idh = SparseMatrix.identity(m1.h.dim, m1.field)
-    return f @ m1.action == m2.action @ idh.kron(f)
-
-
-def is_h_colinear(m1: CrossedModule, m2: CrossedModule, f: SparseMatrix) -> bool:
-    idh = SparseMatrix.identity(m1.h.dim, m1.field)
-    return m2.coaction @ f == f.kron(idh) @ m1.coaction
 
 
 # ---------------------------------------------------------------------------
@@ -995,7 +986,8 @@ def associated_graded(m: CrossedModule, filt: Filtration) -> list:
             rel = []
             for v in prev.basis:
                 coords = solve(bmat, v)
-                assert coords is not None, "filtration steps not nested"
+                if coords is None:
+                    raise LinAlgError(f"filtration step {p - 1} is not inside step {p}")
                 rel.append(coords)
         q = QuotientSpace(step.dim, f, rel)
         # induced action in the coordinates of F_p
@@ -1005,7 +997,8 @@ def associated_graded(m: CrossedModule, filt: Filtration) -> list:
             for t, v in enumerate(step.basis):
                 img = m.act_vec({i: f.one}, v)
                 coords = solve(bmat, img)
-                assert coords is not None
+                if coords is None:
+                    raise LinAlgError(f"filtration step {p} is not action-stable")
                 if coords:
                     cols[t] = coords
             inner = SparseMatrix(step.dim, step.dim, f, cols)

@@ -20,7 +20,6 @@ number of nonzero entries of the result.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -842,7 +841,3 @@ def group_to_json(g: FiniteGroup) -> dict:
 
 def group_from_json(doc: dict) -> FiniteGroup:
     return FiniteGroup(doc["table"], doc.get("elements"))
-
-
-def hopf_json_dumps(h: HopfAlgebra) -> str:
-    return json.dumps(hopf_to_json(h), sort_keys=True)

@@ -26,7 +26,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class LinAlgError(ValueError):
@@ -457,11 +457,16 @@ def _normalize_int_row(row: dict) -> dict:
 class Echelon:
     """Result of row elimination: retired rows with their pivot columns.
 
-    rows[t] has zero coefficient in pivots[s] for every s < t.  Over Q the
-    retired rows hold ints; over GF(p) they hold GFElement.
+    Triangular invariant: rows[t] has zero coefficient in pivots[s] for
+    every s < t.  Reducing by rows[t] therefore never brings back an earlier
+    pivot column, so ``reduce`` can visit steps through a min-heap holding
+    only the pivots a vector actually meets and still perform the same
+    updates, in the same order, as a scan over every retired row.  Over Q
+    the retired rows hold ints; over GF(p) they hold GFElement.
     """
 
-    __slots__ = ("field", "ncols", "pivots", "rows", "_pivot_set", "_leftovers")
+    __slots__ = ("field", "ncols", "pivots", "rows", "_pivot_set", "_leftovers",
+                 "_step_of")
 
     def __init__(self, field: Field, ncols: int, pivots: list, rows: list):
         self.field = field
@@ -470,6 +475,7 @@ class Echelon:
         self.rows = rows
         self._pivot_set = set(pivots)
         self._leftovers: list = []
+        self._step_of: dict | None = None  # pivot column -> step, on first reduce
 
     @property
     def rank(self) -> int:
@@ -486,48 +492,37 @@ class Echelon:
     def reduce(self, v: Vec) -> Vec:
         """Eliminate all pivot columns from v; the residual is supported on
         free columns and is zero iff v lies in the row span."""
+        step_of = self._step_of
+        if step_of is None:
+            step_of = self._step_of = {pc: t for t, pc in enumerate(self.pivots)}
         v = dict(v)
-        fld = self.field
-        rational = fld.characteristic == 0
-        for pc, row in zip(self.pivots, self.rows):
+        heap = [t for t in map(step_of.get, v) if t is not None]
+        heapq.heapify(heap)
+        pivots, rows = self.pivots, self.rows
+        rational = self.field.characteristic == 0
+        push, pop = heapq.heappush, heapq.heappop
+        while heap:
+            t = pop(heap)
+            pc = pivots[t]
             c = v.get(pc)
-            if c:
-                pv = row[pc]
-                factor = (
-                    -Fraction(c) / pv if rational else -(c / fld.coerce(pv))
-                )
-                coerce = Fraction if rational else fld.coerce
-                for j, x in row.items():
-                    w = v.get(j, fld.zero) + factor * coerce(x)
+            if not c:  # cancelled since it was queued, or a duplicate entry
+                continue
+            row = rows[t]
+            factor = -Fraction(c) / row[pc] if rational else -(c / row[pc])
+            for j, x in row.items():
+                w = v.get(j)
+                if w is None:
+                    v[j] = factor * x
+                    s = step_of.get(j)
+                    if s is not None:
+                        push(heap, s)
+                else:
+                    w = w + factor * x
                     if w:
                         v[j] = w
-                    elif j in v:
+                    else:
                         del v[j]
         return v
-
-    def coords(self, v: Vec):
-        """Coefficients c with v = sum c[t] * rows[t], or None if not in span."""
-        v = dict(v)
-        fld = self.field
-        rational = fld.characteristic == 0
-        coerce = Fraction if rational else fld.coerce
-        out = []
-        for pc, row in zip(self.pivots, self.rows):
-            c = v.get(pc)
-            if c:
-                factor = coerce(c) / coerce(row[pc])
-                out.append(factor)
-                for j, x in row.items():
-                    w = v.get(j, fld.zero) - factor * coerce(x)
-                    if w:
-                        v[j] = w
-                    elif j in v:
-                        del v[j]
-            else:
-                out.append(fld.zero)
-        if v:
-            return None
-        return out
 
     def kernel_basis(self) -> list:
         """Canonical basis of {x : Rx = 0 for every retired row R}."""
@@ -959,12 +954,14 @@ def smith_normal_form(m: Sequence[Sequence[int]]):
         t += 1
 
     d = [[a[i][j] if i == j else 0 for j in range(nc)] for i in range(nr)]
-    # sanity: the loop really produced a diagonal divisibility chain
-    assert a == d, "SNF reduction left off-diagonal residue"
+    # certify: the loop really produced a diagonal divisibility chain
+    if a != d:
+        raise LinAlgError("SNF reduction left off-diagonal residue")
     for k in range(min(nr, nc) - 1):
         if d[k][k] and d[k + 1][k + 1] % d[k][k]:
-            raise AssertionError("SNF divisibility chain violated")
-    assert abs(int_det(u)) == 1 and abs(int_det(v)) == 1
+            raise LinAlgError("SNF divisibility chain violated")
+    if abs(int_det(u)) != 1 or abs(int_det(v)) != 1:
+        raise LinAlgError("SNF transforms are not unimodular")
     return u, d, v
 
 
@@ -1191,14 +1188,3 @@ def quasi_iso_check(
         induced = rank(stacked) - d.boundary_rank(n + 1)
         degrees.append(DegreeComparison(n, hc, hd, induced))
     return QuasiIsoReport(chain_ok, degrees, witness)
-
-
-def parallel_map(fn: Callable, items: Sequence, jobs: int = 1) -> list:
-    """Map preserving order; uses a thread pool when jobs > 1 (results are
-    identical either way -- all workloads here are pure functions)."""
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))

@@ -278,6 +278,17 @@ def test_unknown_builtin_is_an_input_error():
     assert "no such file or builtin" in err
 
 
+@pytest.mark.parametrize("doc, message", [
+    ('{"dim": -1, "action": [], "coaction": []}', "non-negative integer"),
+    ('{"dim": "1", "action": [], "coaction": []}', "non-negative integer"),
+    ("[1,2]", "not a JSON object"),
+])
+def test_malformed_module_document_is_an_input_error(doc, message):
+    rc, out, err = run(["hh", "z2", doc, "--max-degree", "2"])
+    assert rc == 2 and out == ""
+    assert message in err and len(err.splitlines()) == 1
+
+
 def test_sign_character_resolution():
     rc, rep = run_json(["hh", "z2", "sign", "--max-degree", "2"])
     assert rc == 0

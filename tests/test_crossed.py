@@ -6,6 +6,7 @@ import pytest
 
 from hopfcyclic.crossed import (
     CrossedModule,
+    Filtration,
     adjoint,
     associated_graded,
     coadjoint,
@@ -30,7 +31,7 @@ from hopfcyclic.hopf import (
     group_algebra,
     group_subalgebra,
 )
-from hopfcyclic.linalg import QQ, SparseMatrix
+from hopfcyclic.linalg import QQ, LinAlgError, SparseMatrix, Subspace
 
 
 @pytest.fixture(scope="module")
@@ -264,6 +265,22 @@ def test_associated_graded_of_trivial_coaction(ks3):
     assert len(graded) == 1
     assert graded[0].dim == 1
     assert verify_crossed(graded[0]).ok
+
+
+@pytest.mark.parametrize("swap, spans, message", [
+    (False, [[{1: QQ.one}], [{0: QQ.one}]], "not inside"),
+    (True, [[{0: QQ.one}]], "not action-stable"),
+])
+def test_associated_graded_rejects_bad_filtration(kz2, swap, spans, message):
+    # these raise, rather than assert, so that they also hold under python -O;
+    # the module is k^2 with trivial coaction m -> m (x) 1, and g swaps or fixes
+    g = {2: {1: QQ.one}, 3: {0: QQ.one}} if swap else {2: {0: QQ.one}, 3: {1: QQ.one}}
+    action = SparseMatrix(2, 4, QQ, {0: {0: QQ.one}, 1: {1: QQ.one}, **g})
+    coaction = SparseMatrix(4, 2, QQ, {0: {0: QQ.one}, 1: {2: QQ.one}})
+    m = CrossedModule(kz2, 2, action, coaction)
+    filt = Filtration([Subspace(2, QQ, vs) for vs in spans], len(spans) - 1, False)
+    with pytest.raises(LinAlgError, match=message):
+        associated_graded(m, filt)
 
 
 def test_crossed_json_roundtrip(kz3):

@@ -17,6 +17,7 @@ from hopfcyclic.linalg import (
     Subspace,
     TruncationError,
     WellDefinednessError,
+    echelonize,
     flip_matrix,
     homology_dims,
     int_det,
@@ -29,6 +30,7 @@ from hopfcyclic.linalg import (
     solve,
     solve_matrix,
     total_complex,
+    vec_iadd_scaled,
 )
 
 GF5 = PrimeField(5)
@@ -175,6 +177,61 @@ def test_quotient_induced_operator_well_definedness():
     bad = dense([[1, 0], [0, 0]])
     with pytest.raises(WellDefinednessError):
         q.induced_matrix(bad)
+
+
+def full_scan_reduce(ech, v):
+    """Reference reduce: visit every retired row in step order."""
+    v = dict(v)
+    rational = ech.field.characteristic == 0
+    for pc, row in zip(ech.pivots, ech.rows):
+        c = v.get(pc)
+        if c:
+            factor = -Fraction(c) / row[pc] if rational else -(c / row[pc])
+            for j, x in row.items():
+                w = v.get(j, ech.field.zero) + factor * x
+                if w:
+                    v[j] = w
+                elif j in v:
+                    del v[j]
+    return v
+
+
+@st.composite
+def echelon_and_vector(draw):
+    field = draw(st.sampled_from([QQ, GF5]))
+    ncols = draw(st.integers(1, 10))
+    entry = st.integers(-3, 3)
+    rows = draw(st.lists(
+        st.dictionaries(st.integers(0, ncols - 1), entry, max_size=ncols),
+        max_size=8,
+    ))
+    rows = [{j: field.coerce(x) for j, x in r.items() if x} for r in rows]
+    coeffs = draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+    noise = draw(st.dictionaries(
+        st.integers(0, ncols - 1),
+        st.tuples(entry, st.integers(1, 3)),
+        max_size=3,
+    ))
+    v: dict = {}
+    for c, r in zip(coeffs, rows):
+        vec_iadd_scaled(v, r, field.from_int(c))
+    noise_vec = {j: field.coerce(Fraction(a, b)) for j, (a, b) in noise.items()}
+    vec_iadd_scaled(v, {j: x for j, x in noise_vec.items() if x}, field.one)
+    return field, ncols, rows, v
+
+
+@settings(max_examples=300, deadline=None)
+@given(echelon_and_vector())
+def test_reduce_matches_full_scan(case):
+    field, ncols, rows, v = case
+    ech = echelonize(rows, field, ncols)
+    got = ech.reduce(v)
+    want = full_scan_reduce(ech, v)
+    assert list(got.items()) == list(want.items())
+    assert [repr(x) for x in got.values()] == [repr(x) for x in want.values()]
+    assert set(got) <= set(ech.free_cols())
+    in_span = echelonize(rows + [v], field, ncols).rank == ech.rank
+    assert (not got) == in_span
 
 
 def test_subspace_membership_and_coords():
