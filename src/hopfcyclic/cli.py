@@ -73,7 +73,7 @@ from .hopf import (
     hopf_to_json,
     verify_hopf,
 )
-from .linalg import QQ, PrimeField, SparseMatrix, TruncationError
+from .linalg import QQ, PrimeField, ScalarError, SparseMatrix, TruncationError
 from .qtorus import TorusCocycle, box_check, degree_lattice, torus_homology
 from .reporting import CheckReport
 
@@ -131,6 +131,15 @@ def _load_doc(ref: str):
         ) from exc
 
 
+def _load_object(ref, what: str) -> dict:
+    """_load_doc for documents that must be JSON objects."""
+    doc = _load_doc(ref) if isinstance(ref, str) else ref
+    if not isinstance(doc, dict):
+        label = _ref_label(ref) if isinstance(ref, str) else "<embedded>"
+        raise InputError(f"{what} document {label} is not a JSON object")
+    return doc
+
+
 def resolve_field(spec: str):
     if spec == "q":
         return QQ
@@ -150,7 +159,7 @@ def resolve_group(ref):
         if build is not None:
             g = build()
             return g, group_to_json(g)
-    doc = ref if isinstance(ref, dict) else _load_doc(ref)
+    doc = _load_object(ref, "group")
     try:
         return group_from_json(doc), doc
     except (KeyError, ValueError) as exc:
@@ -164,7 +173,7 @@ def resolve_hopf(ref, field):
         h = group_algebra(_GROUP_BUILDERS[ref](), field, name=f"k[{ref}]")
         return h, hopf_to_json(h)
     label = _ref_label(ref) if isinstance(ref, str) else "<embedded>"
-    doc = ref if isinstance(ref, dict) else _load_doc(ref)
+    doc = _load_object(ref, "hopf")
     try:
         h = hopf_from_json(doc, field, name=doc.get("name", label))
     except KeyError as exc:
@@ -180,7 +189,7 @@ def resolve_algebra(ref, field):
     ):
         h, _ = resolve_hopf(ref, field)
         return underlying_algebra(h)
-    doc = ref if isinstance(ref, dict) else _load_doc(ref)
+    doc = _load_object(ref, "algebra")
     if "comult" in doc:
         h, _ = resolve_hopf(doc, field)
         return underlying_algebra(h)
@@ -255,16 +264,36 @@ def resolve_module(ref: str, h):
     return m, crossed_to_json(m)
 
 
+def _is_index(x, bound: int) -> bool:
+    return not isinstance(x, bool) and isinstance(x, int) and 0 <= x < bound
+
+
 def _module_from_doc(h, doc, ref: str):
     """crossed_from_json behind the document-shape checks it does not make."""
+    label = _ref_label(ref)
     if not isinstance(doc, dict):
-        raise InputError(f"module document {_ref_label(ref)} is not a JSON object")
+        raise InputError(f"module document {label} is not a JSON object")
     dim = doc.get("dim", 0)  # a missing dim is reported as a missing field
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
         raise InputError(
-            f"module document {_ref_label(ref)}: dim must be a non-negative "
+            f"module document {label}: dim must be a non-negative "
             f"integer, not {dim!r}"
         )
+    # action [i, j, k, c]: e_i . m_j contains c m_k;
+    # coaction [j, k, i, c]: rho(m_j) contains c m_k (x) e_i
+    for key, bounds in (("action", (h.dim, dim, dim)),
+                        ("coaction", (dim, dim, h.dim))):
+        entries = doc.get(key, [])
+        if not isinstance(entries, list):
+            raise InputError(f"module document {label}: {key} must be a list")
+        for e in entries:
+            if not (isinstance(e, list) and len(e) == 4
+                    and all(map(_is_index, e, bounds))):
+                raise InputError(
+                    f"module document {label}: {key} entry {e!r} is not "
+                    f"[index, index, index, scalar] with indices below "
+                    f"{list(bounds)}"
+                )
     try:
         return crossed_from_json(h, doc)
     except KeyError as exc:
@@ -312,7 +341,7 @@ def resolve_extension(ref: str, field):
             }
         }
         return ca, doc
-    doc = _load_doc(ref)
+    doc = _load_object(ref, "extension")
     if "grading" in doc:
         alg = resolve_algebra(doc["algebra"], field)
         g, _ = resolve_group(doc["grading"]["group"])
@@ -512,7 +541,7 @@ def _cmd_burghelea(args, field, inputs, checks, tables) -> None:
 
 
 def _cmd_qtorus(args, field, inputs, checks, tables) -> None:
-    doc = _load_doc(args.document)
+    doc = _load_object(args.document, "torus")
     inputs["torus"] = _sha(_canonical(doc))
     try:
         order = doc.get("q_order")
@@ -626,7 +655,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (CharacteristicError, TruncationError) as exc:
+    except (CharacteristicError, TruncationError, ScalarError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

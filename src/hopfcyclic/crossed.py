@@ -23,19 +23,11 @@ from .linalg import (
     rank,
     rank_kernel,
     solve,
+    vec_add_at,
     vec_iadd_scaled,
 )
 from .hopf import HopfAlgebra, HopfSubalgebra, FiniteGroup, group_subalgebra, op_cop
 from .reporting import CheckReport
-
-
-def _add(col: dict, key: int, val) -> None:
-    cur = col.get(key)
-    new = val if cur is None else cur + val
-    if new:
-        col[key] = new
-    elif cur is not None:
-        del col[key]
 
 
 class CrossedModule:
@@ -140,7 +132,7 @@ def verify_crossed(m: CrossedModule) -> CheckReport:
                         for p1, c1 in h.mult_pairs(c, j1):
                             for s_idx, cs in sa.items():
                                 for p2, c2 in h.mult_pairs(p1, s_idx):
-                                    _add(col, jm * hd + p2, cleg * cco * cact * c1 * cs * c2)
+                                    vec_add_at(col, jm * hd + p2, cleg * cco * cact * c1 * cs * c2)
             if col:
                 cols[i * md + j] = col
     rhs = SparseMatrix(md * hd, hd * md, f, cols)
@@ -162,7 +154,7 @@ def u_map(m: CrossedModule) -> SparseMatrix:
         col: dict = {}
         for (j0, i1), c in m.coact_pairs(j):
             for k, c2 in m.act_pairs(i1, j0):
-                _add(col, k, c * c2)
+                vec_add_at(col, k, c * c2)
         if col:
             cols[j] = col
     return SparseMatrix(m.dim, m.dim, m.field, cols)
@@ -201,7 +193,7 @@ def adjoint(h: HopfAlgebra) -> CrossedModule:
                 for s_idx, cs in h.antipode_of(a).items():
                     for p1, c1 in h.mult_pairs(j, s_idx):
                         for p2, c2 in h.mult_pairs(b, p1):
-                            _add(col, p2, c * cs * c1 * c2)
+                            vec_add_at(col, p2, c * cs * c1 * c2)
             if col:
                 cols[i * d + j] = col
     action = SparseMatrix(d, d * d, h.field, cols)
@@ -220,7 +212,7 @@ def coadjoint(h: HopfAlgebra) -> CrossedModule:
         for (a, b, c3), c in h.sweedler(j, 3):
             for s_idx, cs in h.antipode_of(a).items():
                 for p, cp in h.mult_pairs(c3, s_idx):
-                    _add(col, b * d + p, c * cs * cp)
+                    vec_add_at(col, b * d + p, c * cs * cp)
         if col:
             cols[j] = col
     coaction = SparseMatrix(d * d, d, h.field, cols)
@@ -305,7 +297,7 @@ def modular_pair_module(
             if not da:
                 continue
             for s_idx, cs in h.antipode_of(b).items():
-                _add(col, s_idx, c * da * cs)
+                vec_add_at(col, s_idx, c * da * cs)
         if col:
             cols[j] = col
     s_delta = SparseMatrix(h.dim, h.dim, f, cols)
@@ -316,7 +308,7 @@ def modular_pair_module(
         col: dict = {}
         for s_idx, cs in sig_inv.items():
             for p, cp in h.mult_pairs(s_idx, j):
-                _add(col, p, cs * cp)
+                vec_add_at(col, p, cs * cp)
         cols[j] = col
     translate = SparseMatrix(h.dim, h.dim, f, cols)
     tw = translate @ s_delta
@@ -365,7 +357,7 @@ def from_yetter_drinfeld(
                 (k, c) for k, c in action.cols.get(i * dim + j, {}).items()
             ):
                 for (m1, m0), cco in yd_pairs(k):
-                    _add(col, m1 * dim + m0, cact * cco)
+                    vec_add_at(col, m1 * dim + m0, cact * cco)
             if col:
                 lhs_cols[i * dim + j] = col
             col = {}
@@ -375,7 +367,7 @@ def from_yetter_drinfeld(
                         for s_idx, cs in h.antipode_of(c3).items():
                             for p2, c2 in h.mult_pairs(p1, s_idx):
                                 for k, cact in action.cols.get(b * dim + m0, {}).items():
-                                    _add(col, p2 * dim + k, cleg * cco * c1 * cs * c2 * cact)
+                                    vec_add_at(col, p2 * dim + k, cleg * cco * c1 * cs * c2 * cact)
             if col:
                 rhs_cols[i * dim + j] = col
     if lhs_cols != rhs_cols:
@@ -386,7 +378,7 @@ def from_yetter_drinfeld(
         col: dict = {}
         for (m1, m0), c in yd_pairs(j):
             for s_idx, cs in h.antipode_of(m1).items():
-                _add(col, m0 * hd + s_idx, c * cs)
+                vec_add_at(col, m0 * hd + s_idx, c * cs)
         if col:
             cols[j] = col
     coaction = SparseMatrix(dim * hd, dim, f, cols)
@@ -425,9 +417,9 @@ def induce(sub: HopfSubalgebra, ambient: HopfAlgebra, n: CrossedModule) -> Cross
             for jm in range(nd):
                 vec: dict = {}
                 for p, cp in prod.items():
-                    _add(vec, p * nd + jm, cp)
+                    vec_add_at(vec, p * nd + jm, cp)
                 for jm2, ca in n.act_pairs(jk, jm):
-                    _add(vec, ih * nd + jm2, -ca)
+                    vec_add_at(vec, ih * nd + jm2, -ca)
                 if vec:
                     relators.append(vec)
     q = QuotientSpace(hd * nd, f, relators)
@@ -472,7 +464,7 @@ def induce(sub: HopfSubalgebra, ambient: HopfAlgebra, n: CrossedModule) -> Cross
                     ):
                         for s_idx, cs in sa.items():
                             for p2, c2 in h.mult_pairs(p1, s_idx):
-                                _add(
+                                vec_add_at(
                                     col,
                                     (b * nd + j0) * hd + p2,
                                     cleg * cco * c1 * cs * c2,
@@ -485,8 +477,7 @@ def induce(sub: HopfSubalgebra, ambient: HopfAlgebra, n: CrossedModule) -> Cross
     proj_h = proj.kron(SparseMatrix.identity(hd, f))
     # well-definedness: relator span must map into (relator span) (x) H
     for rvec in q.relator_span_vectors():
-        image = amb_co.apply({i: f.coerce(v) for i, v in rvec.items()})
-        if proj_h.apply(image):
+        if proj_h.apply(amb_co.apply(rvec)):
             raise ValueError("induced coaction is not well defined")
     coaction = proj_h @ amb_co @ sec
     basis = tuple(
@@ -515,10 +506,10 @@ def restrict(sub: HopfSubalgebra, ambient: HopfAlgebra, m: CrossedModule) -> Cro
         for jk in range(kd):
             col: dict = {}
             for (j0, i1), c in m.coact_pairs(jm):
-                _add(col, (j0 * hd + i1) * kd + jk, c)
+                vec_add_at(col, (j0 * hd + i1) * kd + jk, c)
             for (a, b), c in k.sweedler(jk, 2):
                 for ia, ca in sub.inclusion.column(a).items():
-                    _add(col, (jm * hd + ia) * kd + b, -(c * ca))
+                    vec_add_at(col, (jm * hd + ia) * kd + b, -(c * ca))
             if col:
                 cols[jm * kd + jk] = col
     eq = SparseMatrix(md * hd * kd, md * kd, f, cols)
@@ -540,7 +531,7 @@ def restrict(sub: HopfSubalgebra, ambient: HopfAlgebra, m: CrossedModule) -> Cro
                             for sk, cs in k.antipode_of(a).items():
                                 for p1, c1 in k.mult_pairs(jk, sk):
                                     for p2, c2 in k.mult_pairs(c3, p1):
-                                        _add(
+                                        vec_add_at(
                                             col,
                                             jm2 * kd + p2,
                                             cleg * cb * cact * cs * c1 * c2,
@@ -554,7 +545,7 @@ def restrict(sub: HopfSubalgebra, ambient: HopfAlgebra, m: CrossedModule) -> Cro
             if coords is None:
                 raise ValueError("restriction action does not preserve the cotensor")
             for s, c in coords.items():
-                _add(act_cols.setdefault(ik * carrier.dim + t, {}), s, c)
+                vec_add_at(act_cols.setdefault(ik * carrier.dim + t, {}), s, c)
     action = SparseMatrix(
         carrier.dim, kd * carrier.dim, f,
         {key: col for key, col in act_cols.items() if col},
@@ -617,7 +608,7 @@ def decompose_group_case(m: CrossedModule) -> GroupDecomposition:
         cols = {}
         for j in range(md):
             col = dict(m.coaction.cols.get(j, {}))
-            _add(col, j * hd + x, -f.one)
+            vec_add_at(col, j * hd + x, -f.one)
             if col:
                 cols[j] = col
         diff = SparseMatrix(md * hd, md, f, cols)
@@ -748,7 +739,7 @@ def crossed_from_module(h: HopfAlgebra, dim: int, action: SparseMatrix,
                         for sk, cs in h.antipode_of(a).items():
                             for p1, c1 in h.mult_pairs(jx, sk):
                                 for p2, c2 in h.mult_pairs(c3, p1):
-                                    _add(col, n2 * hd + p2, cleg * cact * cs * c1 * c2)
+                                    vec_add_at(col, n2 * hd + p2, cleg * cact * cs * c1 * c2)
                 if col:
                     cols[i * (dim * hd) + jn * hd + jx] = col
     act = SparseMatrix(dim * hd, hd * dim * hd, f, cols)
@@ -834,7 +825,7 @@ def crossed_from_comodule(h: HopfAlgebra, dim: int, coaction: SparseMatrix,
                     for p1, c1 in h.mult_pairs(c3, n1):
                         for sk, cs in h.antipode_of(a).items():
                             for p2, c2 in h.mult_pairs(p1, sk):
-                                _add(col, (b * dim + n0) * hd + p2,
+                                vec_add_at(col, (b * dim + n0) * hd + p2,
                                      cleg * cco * c1 * cs * c2)
             if col:
                 co_cols[jx * dim + jn] = col
@@ -864,8 +855,7 @@ def gh_functor(h: HopfAlgebra, dim: int, coaction: SparseMatrix) -> CrossedModul
     action = SparseMatrix(q.dim, hd * q.dim, f, act_cols)
     proj_h = q.projection_matrix().kron(SparseMatrix.identity(hd, f))
     for rvec in q.relator_span_vectors():
-        image = env.coaction.apply({i: f.coerce(v) for i, v in rvec.items()})
-        if proj_h.apply(image):
+        if proj_h.apply(env.coaction.apply(rvec)):
             raise ValueError("coaction does not descend to the u-coinvariants")
     coact = proj_h @ env.coaction @ q.section_matrix()
     out = CrossedModule(h, q.dim, action, coact, name="GH(N)")
@@ -1023,7 +1013,7 @@ def associated_graded(m: CrossedModule, filt: Filtration) -> list:
             resid = m.coaction.apply(lift)
             for b, c in lift.items():
                 for i, cu in h.unit.items():
-                    _add(resid, b * hd + i, -(c * cu))
+                    vec_add_at(resid, b * hd + i, -(c * cu))
             if resid and not prev_h.contains(resid):
                 raise ValueError(f"graded piece {p} does not have trivial coaction")
         co_cols = {}
@@ -1096,10 +1086,10 @@ def crossed_from_json(h: HopfAlgebra, doc: dict) -> CrossedModule:
     dim = int(doc["dim"])
     act_cols: dict = {}
     for i, j, k, c in doc["action"]:
-        _add(act_cols.setdefault(int(i) * dim + int(j), {}), int(k), f.coerce(c))
+        vec_add_at(act_cols.setdefault(int(i) * dim + int(j), {}), int(k), f.coerce(c))
     co_cols: dict = {}
     for j, k, i, c in doc["coaction"]:
-        _add(co_cols.setdefault(int(j), {}), int(k) * h.dim + int(i), f.coerce(c))
+        vec_add_at(co_cols.setdefault(int(j), {}), int(k) * h.dim + int(i), f.coerce(c))
     m = CrossedModule(
         h,
         dim,

@@ -36,6 +36,7 @@ from .linalg import (
     homology_dims,
     solve_matrix,
     total_complex,
+    vec_add_at,
     vec_iadd_scaled,
 )
 from .reporting import CheckReport
@@ -412,13 +413,7 @@ def build_aux_cyclic(h: HopfAlgebra, max_degree: int, check: str = "sample") -> 
         slots = unflat(n, col)
         out: Vec = {}
         for (a, b), c in h.comult_pairs(slots[i]):
-            key = flat(slots[:i] + [a, b] + slots[i + 1:])
-            cur = out.get(key)
-            new = c if cur is None else cur + c
-            if new:
-                out[key] = new
-            elif cur is not None:
-                del out[key]
+            vec_add_at(out, flat(slots[:i] + [a, b] + slots[i + 1:]), c)
         return out
 
     def cyclic_fn(n, col):
@@ -489,12 +484,7 @@ def aux_resolution_report(z: CyclicObject, max_degree: int | None = None) -> Che
         eps = h.counit_of(c)
         if eps:
             for u, cu in h.unit.items():
-                cur = rhs.get(u)
-                new = (cur if cur is not None else z.field.zero) - eps * cu
-                if new:
-                    rhs[u] = new
-                elif cur is not None:
-                    del rhs[u]
+                vec_add_at(rhs, u, -(eps * cu))
         if lhs != rhs:
             ok, witness = False, f"column {c}"
             break
@@ -555,14 +545,6 @@ def build_cyclic(
             r = r * hd + s
         return r * md + mi
 
-    def _vadd(out, key, val):
-        cur = out.get(key)
-        new = val if cur is None else cur + val
-        if new:
-            out[key] = new
-        elif cur is not None:
-            del out[key]
-
     def face_fn(n, i, col):
         slots, mi = unflat(n, col)
         if i < n:
@@ -585,7 +567,7 @@ def build_cyclic(
                 partial = new
             for tup, cc in partial:
                 for mj, ca in m.act_pairs(legs[n - 1], mi):
-                    _vadd(out, flat(list(tup), mj), cc * ca)
+                    vec_add_at(out, flat(list(tup), mj), cc * ca)
         return out
 
     def degen_fn(n, i, col):
@@ -593,10 +575,10 @@ def build_cyclic(
         out: Vec = {}
         if i < n:
             for (a, b), c in h.comult_pairs(slots[i]):
-                _vadd(out, flat(slots[:i] + [a, b] + slots[i + 1:], mi), c)
+                vec_add_at(out, flat(slots[:i] + [a, b] + slots[i + 1:], mi), c)
         else:
             for u, cu in h.unit.items():
-                _vadd(out, flat(slots + [u], mi), cu)
+                vec_add_at(out, flat(slots + [u], mi), cu)
         return out
 
     def cyclic_fn(n, col):
@@ -605,7 +587,7 @@ def build_cyclic(
         if n == 0:
             for (m0, m1), c in m.coact_pairs(mi):
                 for mj, ca in m.act_pairs(m1, m0):
-                    _vadd(out, mj, c * ca)
+                    vec_add_at(out, mj, c * ca)
             return out
         last = slots[n - 1]
         for legs, cleg in h.sweedler(last, n + 1):
@@ -624,7 +606,7 @@ def build_cyclic(
                     partial = new
                 for tup, cc in partial:
                     for mj, ca in m.act_pairs(legs[n], m0):
-                        _vadd(out, flat(list(tup), mj), cc * ca)
+                        vec_add_at(out, flat(list(tup), mj), cc * ca)
         return out
 
     z = CyclicObject(f, max_degree, dim_fn, face_fn, degen_fn, cyclic_fn,
@@ -700,10 +682,7 @@ def connes_data(z: CyclicObject, top: int):
         relators = []
         for c in range(z.dim(n)):
             col = {k: -(sign * v) for k, v in t.column(c).items()}
-            cur = col.get(c)
-            col[c] = f.one if cur is None else cur + f.one
-            if not col[c]:
-                del col[c]
+            vec_add_at(col, c, f.one)
             if col:
                 relators.append(col)
         quotients.append(QuotientSpace(z.dim(n), f, relators))
@@ -831,21 +810,10 @@ def bar_complex(h: HopfAlgebra, mdim: int, action: SparseMatrix, top: int) -> Ch
                 sign = -1 if i % 2 else 1
                 for p, cp in h.mult_pairs(slots[i - 1], slots[i]):
                     key = flat(slots[: i - 1] + [p] + slots[i + 1:], mi)
-                    cur = acc.get(key)
-                    new = sign * cp + (cur if cur is not None else f.zero)
-                    if new:
-                        acc[key] = new
-                    elif cur is not None:
-                        del acc[key]
+                    vec_add_at(acc, key, sign * cp)
             sign = -1 if n % 2 else 1
             for mj, ca in action.cols.get(slots[n - 1] * mdim + mi, {}).items():
-                key = flat(slots[: n - 1], mj)
-                cur = acc.get(key)
-                new = sign * ca + (cur if cur is not None else f.zero)
-                if new:
-                    acc[key] = new
-                elif cur is not None:
-                    del acc[key]
+                vec_add_at(acc, flat(slots[: n - 1], mj), sign * ca)
             if acc:
                 cols[c] = acc
         diffs.append(SparseMatrix(dims[n - 1], dims[n], f, cols))
@@ -1033,12 +1001,7 @@ def separability_idempotent(k: HopfAlgebra) -> Vec:
                 for p, cp in k.mult_pairs(x, a):
                     col[p * kd + b] = cp
                 for p, cp in k.mult_pairs(b, x):
-                    cur = col.get(a * kd + p)
-                    new = (cur if cur is not None else f.zero) - cp
-                    if new:
-                        col[a * kd + p] = new
-                    elif cur is not None:
-                        del col[a * kd + p]
+                    vec_add_at(col, a * kd + p, -cp)
                 if col:
                     cols[a * kd + b] = col
         rows.extend(SparseMatrix(kd * kd, kd * kd, f, cols).rows().values())
@@ -1087,12 +1050,7 @@ def semisimple_reduction(
         eps_a = k.counit_of(a)
         for j in range(m.dim):
             vec = m.act_vec(inc_a, {j: f.one})
-            cur = vec.get(j)
-            new = (cur if cur is not None else f.zero) - eps_a
-            if new:
-                vec[j] = new
-            elif cur is not None:
-                del vec[j]
+            vec_add_at(vec, j, -eps_a)
             if vec:
                 relators.append(vec)
     qm = QuotientSpace(m.dim, f, relators)
@@ -1133,8 +1091,7 @@ def semisimple_reduction(
     # coaction descends through both projections
     proj_both = qm.projection_matrix().kron(proj)
     for rvec in qm.relator_span_vectors():
-        image = m.coaction.apply({i: f.coerce(v) for i, v in rvec.items()})
-        if proj_both.apply(image):
+        if proj_both.apply(m.coaction.apply(rvec)):
             raise ValueError("the coaction does not descend to the reduced module")
     coaction = proj_both @ m.coaction @ qm.section_matrix()
     mbar = CrossedModule(hbar, qm.dim, action, coaction, name=f"{m.name}/aug")

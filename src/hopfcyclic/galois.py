@@ -635,7 +635,7 @@ def galois_check(ca: ComoduleAlgebra) -> GaloisExtension:
                 amb_cols[x * d + y] = col
     amb_beta = SparseMatrix(d * hd, d * d, f, amb_cols)
     for r in bal_gens:
-        if amb_beta.apply({k: f.coerce(c) for k, c in r.items()}):
+        if amb_beta.apply(r):
             raise WellDefinednessError(
                 "the Galois map does not kill a balancing relator"
             )
@@ -945,7 +945,7 @@ def ab_crossed_module(g: GaloisExtension) -> CrossedModule:
     eye_h = SparseMatrix.identity(hd, f)
     amb_co = q.projection_matrix().kron(eye_h) @ ca.coaction
     for rvec in q.relator_span_vectors():
-        if amb_co.apply({k: f.coerce(c) for k, c in rvec.items()}):
+        if amb_co.apply(rvec):
             raise WellDefinednessError(
                 "the coaction does not descend to the commutator quotient"
             )
@@ -1105,11 +1105,7 @@ def relative_cyclic(ca: AlgebraData, base: BaseData, m: Bimodule | None = None,
         # instead of one per raw generator
         got = spans.get(n)
         if got is None:
-            got = [
-                {k: f.coerce(c) for k, c in row.items()}
-                for row in carrier(n)[0].relator_span_vectors()
-            ]
-            spans[n] = got
+            got = spans[n] = carrier(n)[0].relator_span_vectors()
         return got
 
     def _ensure(kind: str, n: int) -> None:
@@ -1479,7 +1475,7 @@ def _separability_element(ca: AlgebraData, middle: BaseData,
             balg.right_mult_matrix({x: one})
         )
         for rvec in gens:
-            if q.project_vec(move.apply({k: f.coerce(c) for k, c in rvec.items()})):
+            if q.project_vec(move.apply(rvec)):
                 raise WellDefinednessError(
                     "a centrality constraint does not descend to the balanced square"
                 )

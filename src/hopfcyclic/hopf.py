@@ -32,6 +32,7 @@ from .linalg import (
     Subspace,
     Vec,
     flip_matrix,
+    vec_add_at,
     vec_iadd_scaled,
 )
 from .reporting import CheckReport
@@ -366,13 +367,7 @@ class HopfAlgebra:
             acc: dict = {}
             for tup, c in prev:
                 for (a, b), c2 in self.comult_pairs(tup[0]):
-                    new = (a, b) + tup[1:]
-                    cur = acc.get(new)
-                    val = c * c2 if cur is None else cur + c * c2
-                    if val:
-                        acc[new] = val
-                    elif cur is not None:
-                        del acc[new]
+                    vec_add_at(acc, (a, b) + tup[1:], c * c2)
             out = list(acc.items())
         self._sweedler_cache[key] = out
         return out

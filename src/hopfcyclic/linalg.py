@@ -1,10 +1,13 @@
 """Exact sparse linear algebra over Q and over prime fields.
 
 All homological computations in this package reduce to exact rank / kernel /
-quotient computations on sparse matrices.  Everything here is exact: rational
-work uses integer rows (denominators cleared once per row, content divided
-out after each update), prime-field work uses ints mod p wrapped in a tiny
-element class so that generic code can use ordinary operators.
+quotient computations on sparse matrices.  Everything here is exact.  Over Q
+a scalar is a plain Python rational in one canonical form: an ``int`` when
+the value is integral and a ``fractions.Fraction`` only when its denominator
+is not 1, so the +-1 entries that fill most operators cost int arithmetic.
+Elimination keeps integer rows (denominators cleared once per row, content
+divided out after each update).  Prime-field work uses ints mod p wrapped in
+a tiny element class so that generic code can use ordinary operators.
 
 Conventions
 -----------
@@ -12,6 +15,8 @@ Conventions
 * A SparseMatrix is column-major: ``cols[j][i]`` is the (i, j) entry.  A
   matrix of shape (m, n) represents a linear map k^n -> k^m acting on column
   vectors.
+* Every division goes through ``field.div``: ``int / int`` would give a
+  float, and over Q the quotient must come back in canonical form.
 * Elimination works on rows, selects pivots from the sparsest active column
   (Markowitz-style, preferring unit entries), and -- over Q -- keeps rows as
   content-reduced integer vectors, which preserves rank, kernel and row span.
@@ -39,6 +44,11 @@ class TruncationError(ValueError):
 
 class WellDefinednessError(ValueError):
     """An operator does not descend to the requested quotient."""
+
+
+class ScalarError(ValueError):
+    """A value is not a scalar of the field: a bad literal, a zero
+    denominator, or a denominator divisible by the characteristic."""
 
 
 # ---------------------------------------------------------------------------
@@ -89,31 +99,47 @@ class GFElement:
         return f"{self.v}"
 
 
+def _parse_rational(x) -> Fraction:
+    """An int or a literal like "2/3" as a Fraction; ScalarError otherwise."""
+    if isinstance(x, bool) or not isinstance(x, (int, str, Fraction)):
+        raise ScalarError(
+            f"{x!r} is not a scalar: use an integer or a string like \"2/3\""
+        )
+    try:
+        return Fraction(x)
+    except ValueError as exc:
+        raise ScalarError(f"{x!r} is not a rational literal") from exc
+    except ZeroDivisionError as exc:
+        raise ScalarError(f"{x!r} has a zero denominator") from exc
+
+
 class RationalField:
-    """The rationals; scalars are fractions.Fraction."""
+    """The rationals.  A scalar is an ``int`` when it is integral and a
+    ``Fraction`` only when its denominator is not 1; ``coerce`` and ``div``
+    return that canonical form, and ``int`` arithmetic keeps it."""
 
     characteristic = 0
     name = "Q"
+    zero = 0
+    one = 1
 
-    @property
-    def zero(self) -> Fraction:
-        return _F0
+    def from_int(self, n: int) -> int:
+        return n
 
-    @property
-    def one(self) -> Fraction:
-        return _F1
-
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
-
-    def coerce(self, x) -> Fraction:
-        if isinstance(x, Fraction):
+    def coerce(self, x) -> int | Fraction:
+        if type(x) is int:
             return x
-        if isinstance(x, int):
-            return Fraction(x)
-        if isinstance(x, str):
-            return Fraction(x)
-        raise TypeError(f"cannot coerce {x!r} into Q")
+        q = _parse_rational(x)
+        return q.numerator if q.denominator == 1 else q
+
+    def div(self, a, b) -> int | Fraction:
+        """a / b in canonical form; ZeroDivisionError when b is zero."""
+        if type(a) is int and type(b) is int:
+            q, r = divmod(a, b)
+            if not r:
+                return q
+        q = Fraction(a, b)
+        return q.numerator if q.denominator == 1 else q
 
     def __repr__(self):
         return "QQ"
@@ -126,7 +152,7 @@ class RationalField:
 
 
 class PrimeField:
-    """GF(p) for prime p; scalars are GFElement."""
+    """GF(p) for prime p; scalars are GFElement and ``div`` is ``a / b``."""
 
     def __init__(self, p: int):
         if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
@@ -145,14 +171,15 @@ class PrimeField:
             if x.p != self.p:
                 raise TypeError("mixed prime fields")
             return x
-        if isinstance(x, int):
+        if type(x) is int:
             return GFElement(x, self.p)
-        if isinstance(x, str):
-            f = Fraction(x)
-            return GFElement(f.numerator, self.p) / GFElement(f.denominator, self.p)
-        if isinstance(x, Fraction):
-            return GFElement(x.numerator, self.p) / GFElement(x.denominator, self.p)
-        raise TypeError(f"cannot coerce {x!r} into GF({self.p})")
+        q = _parse_rational(x)
+        if q.denominator % self.p == 0:
+            raise ScalarError(f"{x!r} has a denominator divisible by {self.p}")
+        return GFElement(q.numerator, self.p) / GFElement(q.denominator, self.p)
+
+    def div(self, a: GFElement, b: GFElement) -> GFElement:
+        return a / b
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -163,9 +190,6 @@ class PrimeField:
     def __hash__(self):
         return hash(("GF", self.p))
 
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 
 QQ = RationalField()
 
@@ -195,6 +219,16 @@ def vec_iadd_scaled(target: Vec, src: Vec, c) -> Vec:
     return target
 
 
+def vec_add_at(v: Vec, key, val) -> None:
+    """v[key] += val, in place, dropping the entry when the sum is zero."""
+    cur = v.get(key)
+    new = val if cur is None else cur + val
+    if new:
+        v[key] = new
+    elif cur is not None:
+        del v[key]
+
+
 def vec_scale(v: Vec, c) -> Vec:
     if not c:
         return {}
@@ -220,8 +254,8 @@ def canonical_vec(v: Vec, field: Field) -> Vec:
             g = gcd(g, x)
         if ints[lead] < 0:
             g = -g
-        return {i: Fraction(x // g) for i, x in ints.items()}
-    return vec_scale(v, field.one / v[lead])
+        return {i: x // g for i, x in ints.items()}
+    return vec_scale(v, field.div(field.one, v[lead]))
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +285,7 @@ class SparseMatrix:
                 continue
             if not (0 <= i < nrows and 0 <= j < ncols):
                 raise LinAlgError(f"entry ({i},{j}) outside shape ({nrows},{ncols})")
-            col = cols.setdefault(j, {})
-            cur = col.get(i)
-            new = val if cur is None else cur + val
-            if new:
-                col[i] = new
-            elif cur is not None:
-                del col[i]
+            vec_add_at(cols.setdefault(j, {}), i, val)
         for j in [j for j, c in cols.items() if not c]:
             del cols[j]
         return cls(nrows, ncols, field, cols)
@@ -429,7 +457,7 @@ def flip_matrix(d1: int, d2: int, field: Field) -> SparseMatrix:
 
 
 def _int_row(row: Vec) -> dict:
-    """Clear denominators and content from a Fraction row; integer values."""
+    """Clear denominators and content from a row over Q; integer values."""
     den = 1
     for x in row.values():
         den = den * x.denominator // gcd(den, x.denominator)
@@ -462,7 +490,9 @@ class Echelon:
     pivot column, so ``reduce`` can visit steps through a min-heap holding
     only the pivots a vector actually meets and still perform the same
     updates, in the same order, as a scan over every retired row.  Over Q
-    the retired rows hold ints; over GF(p) they hold GFElement.
+    the retired rows hold ints; over GF(p) they hold GFElement.  The
+    factor of each update is ``field.div(c, pivot entry)``, and over Q the
+    residual comes back in canonical form (an int where integral).
     """
 
     __slots__ = ("field", "ncols", "pivots", "rows", "_pivot_set", "_leftovers",
@@ -498,8 +528,7 @@ class Echelon:
         v = dict(v)
         heap = [t for t in map(step_of.get, v) if t is not None]
         heapq.heapify(heap)
-        pivots, rows = self.pivots, self.rows
-        rational = self.field.characteristic == 0
+        pivots, rows, div = self.pivots, self.rows, self.field.div
         push, pop = heapq.heappush, heapq.heappop
         while heap:
             t = pop(heap)
@@ -508,7 +537,7 @@ class Echelon:
             if not c:  # cancelled since it was queued, or a duplicate entry
                 continue
             row = rows[t]
-            factor = -Fraction(c) / row[pc] if rational else -(c / row[pc])
+            factor = -div(c, row[pc])
             for j, x in row.items():
                 w = v.get(j)
                 if w is None:
@@ -522,13 +551,15 @@ class Echelon:
                         v[j] = w
                     else:
                         del v[j]
+        if self.field.characteristic == 0:
+            for j, w in v.items():  # Fraction sums can land on integers
+                if type(w) is Fraction and w.denominator == 1:
+                    v[j] = w.numerator
         return v
 
     def kernel_basis(self) -> list:
         """Canonical basis of {x : Rx = 0 for every retired row R}."""
         fld = self.field
-        rational = fld.characteristic == 0
-        coerce = Fraction if rational else fld.coerce
         order = list(range(len(self.pivots)))
         basis = []
         for f in self.free_cols():
@@ -541,9 +572,9 @@ class Echelon:
                     if j != pc:
                         xc = x.get(j)
                         if xc:
-                            s = s + coerce(val) * xc
+                            s = s + val * xc
                 if s:
-                    x[pc] = -s / coerce(row[pc])
+                    x[pc] = fld.div(-s, row[pc])
             basis.append(canonical_vec(x, fld))
         return basis
 
@@ -625,7 +656,7 @@ def echelonize(rows: Iterable[Vec], field: Field, ncols: int, pivot_limit: int |
                 vec_iadd_scaled(vrow, prow, -cb)
                 _normalize_int_row(vrow)
             else:
-                vec_iadd_scaled(vrow, prow, -(vval / pval))
+                vec_iadd_scaled(vrow, prow, -field.div(vval, pval))
             del active[vrid]
             if vrow:
                 register(vrid, vrow)
@@ -671,8 +702,6 @@ def solve_matrix(a: SparseMatrix, rhs: SparseMatrix):
     ech = echelonize(merged, field, n + rhs.ncols, pivot_limit=n)
     if any(left for left in ech._leftovers):  # equations 0 = nonzero rhs
         return None
-    rational = field.characteristic == 0
-    coerce = Fraction if rational else field.coerce
     cols = {}
     order = list(range(ech.rank))
     for jrhs in range(rhs.ncols):
@@ -680,13 +709,13 @@ def solve_matrix(a: SparseMatrix, rhs: SparseMatrix):
         for t in reversed(order):
             row = ech.rows[t]
             pc = ech.pivots[t]
-            acc = coerce(row[n + jrhs]) if (n + jrhs) in row else field.zero
+            acc = row.get(n + jrhs, field.zero)
             for j, val in row.items():
                 if j != pc and j < n:
                     xc = x.get(j)
                     if xc:
-                        acc = acc - coerce(val) * xc
-            val = acc / coerce(row[pc])
+                        acc = acc - val * xc
+            val = field.div(acc, row[pc])
             if val:
                 x[pc] = val
         if x:
@@ -821,12 +850,7 @@ class QuotientSpace:
             raise LinAlgError("operator shape does not match ambient spaces")
         if check:
             for rvec in src._ech.rows:
-                image = op.apply(
-                    {j: Fraction(v) for j, v in rvec.items()}
-                    if self.field.characteristic == 0
-                    else {j: self.field.coerce(v) for j, v in rvec.items()}
-                )
-                if self._ech.reduce(image):
+                if self._ech.reduce(op.apply(rvec)):
                     raise WellDefinednessError(
                         f"{what} does not preserve the relator span"
                     )

@@ -282,10 +282,41 @@ def test_unknown_builtin_is_an_input_error():
     ('{"dim": -1, "action": [], "coaction": []}', "non-negative integer"),
     ('{"dim": "1", "action": [], "coaction": []}', "non-negative integer"),
     ("[1,2]", "not a JSON object"),
+    ('{"dim": 1, "action": [[0, 0, 0, "1/0"]], "coaction": []}',
+     "zero denominator"),
+    ('{"dim": 1, "action": [[0, 0, 0, "abc"]], "coaction": []}',
+     "not a rational literal"),
+    ('{"dim": 1, "action": [[0, 0, 0, 0.5]], "coaction": []}',
+     "is not a scalar"),
+    ('{"dim": 1, "action": [[0, 0]], "coaction": []}', "action entry [0, 0]"),
+    ('{"dim": 1, "action": [[0, 0, 7, "1"]], "coaction": []}',
+     "action entry [0, 0, 7"),
+    ('{"dim": 1, "action": [[0, true, 0, "1"]], "coaction": []}',
+     "action entry [0, True"),
+    ('{"dim": 1, "action": [], "coaction": [[0, 0, 2, "1"]]}',
+     "coaction entry [0, 0, 2"),
 ])
 def test_malformed_module_document_is_an_input_error(doc, message):
     rc, out, err = run(["hh", "z2", doc, "--max-degree", "2"])
     assert rc == 2 and out == ""
+    assert err.startswith("input error: ")
+    assert message in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["hh", "z2", '{"dim": 1, "action": [[0, 0, 0, "1/5"]], "coaction": []}',
+      "--field", "f5"], "divisible by 5"),
+    (["hh", "[1,2]", "adjoint"], "hopf document <inline> is not a JSON object"),
+    (["galois", "[1,2]"], "extension document <inline> is not a JSON object"),
+    (["galois", '{"algebra": [1], "grading": {"group": "z2", "blocks": {}}}'],
+     "algebra document <embedded> is not a JSON object"),
+    (["qtorus", "[1]"], "torus document <inline> is not a JSON object"),
+], ids=["denominator-divisible-by-p", "hopf-list", "extension-list",
+        "algebra-list", "torus-list"])
+def test_bad_input_is_an_input_error(argv, message):
+    rc, out, err = run(argv + ["--max-degree", "2"])
+    assert rc == 2 and out == ""
+    assert err.startswith("input error: ")
     assert message in err and len(err.splitlines()) == 1
 
 

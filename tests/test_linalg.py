@@ -180,20 +180,21 @@ def test_quotient_induced_operator_well_definedness():
 
 
 def full_scan_reduce(ech, v):
-    """Reference reduce: visit every retired row in step order."""
+    """Reference reduce: visit every retired row in step order; the result
+    in canonical form (coerce turns an integral Fraction into an int)."""
     v = dict(v)
-    rational = ech.field.characteristic == 0
+    field = ech.field
     for pc, row in zip(ech.pivots, ech.rows):
         c = v.get(pc)
         if c:
-            factor = -Fraction(c) / row[pc] if rational else -(c / row[pc])
+            factor = -field.div(c, row[pc])
             for j, x in row.items():
-                w = v.get(j, ech.field.zero) + factor * x
+                w = v.get(j, field.zero) + factor * x
                 if w:
                     v[j] = w
                 elif j in v:
                     del v[j]
-    return v
+    return {j: field.coerce(w) for j, w in v.items()}
 
 
 @st.composite
