@@ -20,7 +20,6 @@ from hopfcyclic.hopf import FiniteGroup, conjugacy_data, group_algebra
 @dataclass
 class SurveyConfig:
     max_degree: int = 3
-    jobs: int = 1
     groups: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -48,9 +47,9 @@ def survey(cfg: SurveyConfig) -> None:
         h = group_algebra(g, name=f"k[{name}]")
         m = adjoint(h)
         z = build_cyclic(h, m, n + 1)
-        hh = hochschild(z, 0, n, jobs=cfg.jobs)
-        hcd = hc(z, 0, n, method="both", jobs=cfg.jobs)
-        fold = burghelea_finite(g, m, 0, n, jobs=cfg.jobs)
+        hh = hochschild(z, 0, n)
+        hcd = hc(z, 0, n, method="both")
+        fold = burghelea_finite(g, m, 0, n)
         fold.report.require(name)
         c = len(conjugacy_data(g).classes)
         expect = [c if k % 2 == 0 else 0 for k in range(n + 1)]
@@ -66,9 +65,8 @@ def survey(cfg: SurveyConfig) -> None:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-degree", type=int, default=3)
-    ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args()
-    survey(SurveyConfig(max_degree=args.max_degree, jobs=args.jobs))
+    survey(SurveyConfig(max_degree=args.max_degree))
 
 
 if __name__ == "__main__":

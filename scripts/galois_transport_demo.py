@@ -29,7 +29,6 @@ from hopfcyclic.linalg import QQ
 class DemoConfig:
     extension: str = "s3"  # s3 | klein
     max_degree: int = 3
-    jobs: int = 1
 
 
 def build_extension(cfg: DemoConfig):
@@ -68,7 +67,7 @@ def run(cfg: DemoConfig) -> None:
     show(ext.report)
 
     t0 = time.monotonic()
-    lam = lambda_iso(ext, max_degree=cfg.max_degree, jobs=cfg.jobs)
+    lam = lambda_iso(ext, max_degree=cfg.max_degree)
     print(f"\nslot-product comparison ({time.monotonic() - t0:.2f}s)")
     print("    relative dims:",
           [lam.relative.dim(k) for k in range(cfg.max_degree + 1)])
@@ -76,7 +75,7 @@ def run(cfg: DemoConfig) -> None:
     print("    HC transported:", lam.hc_hopf)
 
     t0 = time.monotonic()
-    fold = burghelea_graded(ext, 0, cfg.max_degree, jobs=cfg.jobs)
+    fold = burghelea_graded(ext, 0, cfg.max_degree)
     print(f"\ngraded class folding ({time.monotonic() - t0:.2f}s)")
     print("    direct:", fold.direct)
     print("    folded:", fold.folded)
@@ -90,9 +89,8 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--extension", choices=("s3", "klein"), default="s3")
     ap.add_argument("--max-degree", type=int, default=3)
-    ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args()
-    run(DemoConfig(args.extension, args.max_degree, args.jobs))
+    run(DemoConfig(args.extension, args.max_degree))
 
 
 if __name__ == "__main__":

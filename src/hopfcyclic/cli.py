@@ -16,11 +16,12 @@ qtorus    quantum-torus degree lattice and homology point counts
 Inputs are builtin names (groups ``z2 z3 z4 z2xz2 s3 d4``, modules
 ``adjoint coadjoint trivial sign modular_pair:<g>``, extensions
 ``s3_over_a3 kz4_over_kz2 twisted_klein``), file paths, or inline JSON.
-Reports carry a ``schema`` version, sha256 hashes of every input, one entry
-per check with a witness on failure, and the homology tables; timings live
-in a segregated block so the rest of the report is byte-stable for fixed
-input and configuration.  Exit codes: 0 all checks pass, 1 a mathematical
-check failed, 2 input or configuration error.
+Reports carry ``schema`` 2, the ``config`` keys ``max_degree``, ``field`` and
+``method``, sha256 hashes of every input, one entry per check with a witness
+on failure, and the homology tables; timings live in a segregated block so
+the rest of the report is byte-stable for fixed input and configuration.
+Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 input or
+configuration error.
 """
 
 from __future__ import annotations
@@ -268,6 +269,41 @@ def _is_index(x, bound: int) -> bool:
     return not isinstance(x, bool) and isinstance(x, int) and 0 <= x < bound
 
 
+def _entries(val, bounds: tuple, what: str) -> list:
+    """A list of [index, ..., scalar] entries, one index per bound."""
+    if not isinstance(val, list):
+        raise InputError(f"{what} must be a list")
+    for e in val:
+        if not (isinstance(e, list) and len(e) == len(bounds) + 1
+                and all(map(_is_index, e, bounds))):
+            raise InputError(
+                f"{what} entry {e!r} is not [{'index, ' * len(bounds)}scalar] "
+                f"with indices below {list(bounds)}"
+            )
+    return val
+
+
+def _member(doc: dict, key: str, what: str, is_object: bool = False):
+    """doc[key] for a field of a nested document: it must be present and,
+    with `is_object`, a JSON object."""
+    if key not in doc:
+        raise InputError(f"{what} is missing field {key!r}")
+    val = doc[key]
+    if is_object and not isinstance(val, dict):
+        raise InputError(f"{what}: {key!r} must be a JSON object")
+    return val
+
+
+def _element(key: str, order: int, what: str) -> int:
+    """The group element an object key names by its index."""
+    key = key.strip()
+    if not (key.isdecimal() and int(key) < order):
+        raise InputError(
+            f"{what}: {key!r} is not a group element index below {order}"
+        )
+    return int(key)
+
+
 def _module_from_doc(h, doc, ref: str):
     """crossed_from_json behind the document-shape checks it does not make."""
     label = _ref_label(ref)
@@ -283,17 +319,7 @@ def _module_from_doc(h, doc, ref: str):
     # coaction [j, k, i, c]: rho(m_j) contains c m_k (x) e_i
     for key, bounds in (("action", (h.dim, dim, dim)),
                         ("coaction", (dim, dim, h.dim))):
-        entries = doc.get(key, [])
-        if not isinstance(entries, list):
-            raise InputError(f"module document {label}: {key} must be a list")
-        for e in entries:
-            if not (isinstance(e, list) and len(e) == 4
-                    and all(map(_is_index, e, bounds))):
-                raise InputError(
-                    f"module document {label}: {key} entry {e!r} is not "
-                    f"[index, index, index, scalar] with indices below "
-                    f"{list(bounds)}"
-                )
+        _entries(doc.get(key, []), bounds, f"module document {label}: {key}")
     try:
         return crossed_from_json(h, doc)
     except KeyError as exc:
@@ -342,18 +368,25 @@ def resolve_extension(ref: str, field):
         }
         return ca, doc
     doc = _load_object(ref, "extension")
+    what = f"extension document {_ref_label(ref)}"
     if "grading" in doc:
-        alg = resolve_algebra(doc["algebra"], field)
-        g, _ = resolve_group(doc["grading"]["group"])
-        try:
-            blocks = {int(k): v for k, v in doc["grading"]["blocks"].items()}
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise InputError(f"bad grading blocks: {exc}") from exc
+        grading = _member(doc, "grading", what, is_object=True)
+        alg = resolve_algebra(_member(doc, "algebra", what), field)
+        g, _ = resolve_group(_member(grading, "group", what))
+        blocks = {}
+        for key, idxs in _member(grading, "blocks", what, is_object=True).items():
+            if not (isinstance(idxs, list)
+                    and all(_is_index(i, alg.dim) for i in idxs)):
+                raise InputError(
+                    f"{what}: block {key!r} is not a list of basis indices "
+                    f"below {alg.dim}"
+                )
+            blocks[_element(key, g.order, what)] = idxs
         return strongly_graded(g, alg, blocks, name=alg.name), doc
     if "crossed_product" in doc:
-        spec = doc["crossed_product"]
-        g, _ = resolve_group(spec["group"])
-        base_ref = spec["base"]
+        spec = _member(doc, "crossed_product", what, is_object=True)
+        g, _ = resolve_group(_member(spec, "group", what))
+        base_ref = _member(spec, "base", what)
         if base_ref == "k":
             base = AlgebraData(
                 field, ("1",),
@@ -363,32 +396,38 @@ def resolve_extension(ref: str, field):
         else:
             h, _ = resolve_hopf(base_ref, field)
             base = underlying_algebra(h)
+        bd = base.dim
         action = None
         if "action" in spec:
             action = {}
-            for key, triples in spec["action"].items():
+            for key, triples in _member(spec, "action", what, is_object=True).items():
                 cols: dict = {}
-                for i, j, c in triples:
-                    cols.setdefault(int(j), {})[int(i)] = field.coerce(c)
-                action[int(key)] = SparseMatrix(
-                    base.dim, base.dim, field, cols
+                for i, j, c in _entries(triples, (bd, bd), f"{what}: action {key!r}"):
+                    cols.setdefault(j, {})[i] = field.coerce(c)
+                action[_element(key, g.order, what)] = SparseMatrix(bd, bd, field, cols)
+            missing = [x for x in range(g.order) if x not in action]
+            if missing:
+                raise InputError(
+                    f"{what}: the action has no matrix for group element {missing[0]}"
                 )
         cocycle = None
         if "cocycle" in spec:
             cocycle = {}
-            for key, entries in spec["cocycle"].items():
-                x, y = (int(t) for t in key.split(","))
+            for key, entries in _member(spec, "cocycle", what, is_object=True).items():
+                pair = key.split(",")
+                if len(pair) != 2:
+                    raise InputError(f"{what}: cocycle key {key!r} is not 'x,y'")
+                x, y = (_element(t, g.order, what) for t in pair)
                 cocycle[(x, y)] = {
-                    int(i): field.coerce(c) for i, c in entries
+                    i: field.coerce(c)
+                    for i, c in _entries(entries, (bd,), f"{what}: cocycle {key!r}")
                 }
         return (
             crossed_product(base, g, action=action, cocycle=cocycle,
                             name=doc.get("name")),
             doc,
         )
-    raise InputError(
-        f"extension document {ref} needs a 'grading' or 'crossed_product' entry"
-    )
+    raise InputError(f"{what} needs a 'grading' or 'crossed_product' entry")
 
 
 # ---------------------------------------------------------------------------
@@ -495,19 +534,18 @@ def _cmd_homology(args, field, inputs, checks, tables) -> None:
     n = args.max_degree
     z = build_cyclic(m.h, m, n + 1)
     if not want_hc:
-        tables["hh"] = hochschild(z, 0, n, jobs=args.jobs)
+        tables["hh"] = hochschild(z, 0, n)
         return
     if args.method == "both":
-        a = hc_connes(z, 0, n, jobs=args.jobs)
-        b = hc_bicomplex(z, 0, n, jobs=args.jobs)
+        a = hc_connes(z, 0, n)
+        b = hc_bicomplex(z, 0, n)
         tables["hc (lambda)"] = a
         tables["hc (bicomplex)"] = b
         checks.append(
             {"name": "the two cyclic routes agree", "passed": a == b}
         )
     else:
-        tables[f"hc ({args.method})"] = hc(z, 0, n, method=args.method,
-                                           jobs=args.jobs)
+        tables[f"hc ({args.method})"] = hc(z, 0, n, method=args.method)
 
 
 def _cmd_galois(args, field, inputs, checks, tables) -> None:
@@ -517,8 +555,7 @@ def _cmd_galois(args, field, inputs, checks, tables) -> None:
     g = galois_check(ca)
     checks += _check_entries(g.report)
     compare = field.characteristic == 0
-    lc = lambda_iso(g, max_degree=args.max_degree, compare_hc=compare,
-                    jobs=args.jobs)
+    lc = lambda_iso(g, max_degree=args.max_degree, compare_hc=compare)
     checks += _check_entries(lc.report)
     tables["relative dims"] = [lc.relative.dim(k) for k in range(args.max_degree + 1)]
     if lc.hc_relative is not None:
@@ -533,7 +570,7 @@ def _cmd_burghelea(args, field, inputs, checks, tables) -> None:
     m, mdoc = resolve_module(args.module, h)
     inputs[f"group {_ref_label(args.group)}"] = _sha(_canonical(gdoc))
     inputs[f"module {_ref_label(args.module)}"] = _sha(_canonical(mdoc))
-    bf = burghelea_finite(g, m, 0, args.max_degree, jobs=args.jobs)
+    bf = burghelea_finite(g, m, 0, args.max_degree)
     checks += _check_entries(bf.report)
     tables["hc (direct)"] = bf.direct
     tables["hc (folded)"] = bf.folded
@@ -595,8 +632,6 @@ def _parser() -> argparse.ArgumentParser:
                         default="lambda", help="cyclic homology route")
     common.add_argument("--format", choices=("json", "table"), default="table",
                         dest="fmt", help="report format")
-    common.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker parallelism over degrees")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", parents=[common],
@@ -642,9 +677,6 @@ def main(argv=None) -> int:
     if args.max_degree < 1:
         print("input error: --max-degree must be at least 1", file=sys.stderr)
         return 2
-    if args.jobs < 1:
-        print("input error: --jobs must be at least 1", file=sys.stderr)
-        return 2
     started = time.monotonic()
     inputs: dict = {}
     checks: list = []
@@ -674,13 +706,12 @@ def main(argv=None) -> int:
     else:
         echo += [args.document]
     report = {
-        "schema": 1,
+        "schema": 2,
         "command": echo,
         "config": {
             "max_degree": args.max_degree,
             "field": args.field,
             "method": args.method,
-            "jobs": args.jobs,
         },
         "inputs": inputs,
         "checks": checks,

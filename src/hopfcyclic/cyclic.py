@@ -21,10 +21,11 @@ with the staircase double complex as an independent cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from .crossed import CrossedModule, decompose_group_case, induce, u_map, verify_crossed
-from .hopf import FiniteGroup, HopfAlgebra, HopfSubalgebra, augmentation_ideal_vectors, conjugacy_data, group_algebra, quotient_by_normal
+from .hopf import FiniteGroup, HopfAlgebra, HopfSubalgebra, TensorIndex, augmentation_ideal_vectors, conjugacy_data, group_algebra, quotient_by_normal
 from .linalg import (
     Bicomplex,
     ChainComplex,
@@ -377,64 +378,54 @@ def _sample_columns(z: CyclicObject):
 # ---------------------------------------------------------------------------
 
 
-def build_aux_cyclic(h: HopfAlgebra, max_degree: int, check: str = "sample") -> CyclicObject:
+def build_aux_cyclic(h: HopfAlgebra, max_degree: int, check: bool = True) -> CyclicObject:
     """Cyclic object with carrier H^{(x)(n+1)} in degree n: faces drop a slot
     through the counit, degeneracies comultiply a slot, the cyclic operator
     rotates the last slot to the front.  Carries the extra degeneracy
-    (insert the unit in front) used to contract the boundary."""
+    (insert the unit in front) used to contract the boundary.  `check` runs
+    the identity suite through degree 2."""
     f = h.field
     hd = h.dim
+
+    @lru_cache(maxsize=None)
+    def index(n):
+        return TensorIndex([hd] * (n + 1))
 
     def dim_fn(n):
         return hd ** (n + 1)
 
-    def unflat(n, col):
-        slots = [0] * (n + 1)
-        for k in range(n, -1, -1):
-            slots[k] = col % hd
-            col //= hd
-        return slots
-
-    def flat(slots):
-        r = 0
-        for s in slots:
-            r = r * hd + s
-        return r
-
     def face_fn(n, i, col):
-        slots = unflat(n, col)
+        slots = index(n).unflatten(col)
         c = h.counit_of(slots[i])
         if not c:
             return {}
-        del slots[i]
-        return {flat(slots): c}
+        return {index(n - 1).flatten(slots[:i] + slots[i + 1:]): c}
 
     def degen_fn(n, i, col):
-        slots = unflat(n, col)
+        slots = index(n).unflatten(col)
+        tgt = index(n + 1)
         out: Vec = {}
         for (a, b), c in h.comult_pairs(slots[i]):
-            vec_add_at(out, flat(slots[:i] + [a, b] + slots[i + 1:]), c)
+            vec_add_at(out, tgt.flatten(slots[:i] + (a, b) + slots[i + 1:]), c)
         return out
 
     def cyclic_fn(n, col):
-        slots = unflat(n, col)
-        return {flat(slots[-1:] + slots[:-1]): f.one}
+        ti = index(n)
+        slots = ti.unflatten(col)
+        return {ti.flatten(slots[-1:] + slots[:-1]): f.one}
 
     def extra_degen_fn(n, col):
         out: Vec = {}
-        base = col
         for u, cu in h.unit.items():
-            out[u * (hd ** (n + 1)) + base] = cu
+            out[u * index(n).size + col] = cu
         return out
 
     z = CyclicObject(f, max_degree, dim_fn, face_fn, degen_fn, cyclic_fn,
                      name=f"Z~({h.name})")
     z.hopf = h
     z.extra_degen_fn = extra_degen_fn
-    if check == "sample":
+    if check:
         verify_cyclic_identities(z, min(max_degree, 2)).require(z.name)
-    elif check == "full":
-        verify_cyclic_identities(z).require(z.name)
     return z
 
 
@@ -502,7 +493,7 @@ def build_cyclic(
     m: CrossedModule,
     max_degree: int,
     require_modular: bool = True,
-    check: str = "sample",
+    check: bool = True,
 ) -> CyclicObject:
     """Cyclic object with degree-n carrier H^{(x)n} (x) M in the normal form
     where the free model's last leg is absorbed into the module.
@@ -514,6 +505,8 @@ def build_cyclic(
     identity exactly when the module is modular -- so non-modular
     coefficients are refused unless `require_modular=False` is passed for
     diagnostic runs (the identity suite then pinpoints the failure).
+    `check` runs the identity suite through degree 2, on sampled columns
+    once the degree-2 carrier exceeds 256; diagnostic builds skip it.
     """
     if m.h is not h and m.h.basis != h.basis:
         raise ValueError("module is not over the given Hopf algebra")
@@ -527,34 +520,25 @@ def build_cyclic(
                 "pass require_modular=False for a diagnostic build"
             )
 
+    # a degree-n basis tuple is (h^0, ..., h^{n-1}, m): the module index last
+    @lru_cache(maxsize=None)
+    def index(n):
+        return TensorIndex([hd] * n + [md])
+
     def dim_fn(n):
         return hd**n * md
 
-    def unflat(n, col):
-        mi = col % md
-        col //= md
-        slots = [0] * n
-        for k in range(n - 1, -1, -1):
-            slots[k] = col % hd
-            col //= hd
-        return slots, mi
-
-    def flat(slots, mi):
-        r = 0
-        for s in slots:
-            r = r * hd + s
-        return r * md + mi
-
     def face_fn(n, i, col):
-        slots, mi = unflat(n, col)
+        slots = index(n).unflatten(col)
+        tgt = index(n - 1)
         if i < n:
             c = h.counit_of(slots[i])
             if not c:
                 return {}
-            return {flat(slots[:i] + slots[i + 1:], mi): c}
+            return {tgt.flatten(slots[:i] + slots[i + 1:]): c}
         # last face: fan the final slot out through the antipode
         out: Vec = {}
-        last = slots[n - 1]
+        last, mi = slots[n - 1], slots[n]
         for legs, cleg in h.sweedler(last, n):
             partial = [((), cleg)]
             for k in range(n - 1):
@@ -567,22 +551,25 @@ def build_cyclic(
                 partial = new
             for tup, cc in partial:
                 for mj, ca in m.act_pairs(legs[n - 1], mi):
-                    vec_add_at(out, flat(list(tup), mj), cc * ca)
+                    vec_add_at(out, tgt.flatten(tup + (mj,)), cc * ca)
         return out
 
     def degen_fn(n, i, col):
-        slots, mi = unflat(n, col)
+        slots = index(n).unflatten(col)
+        tgt = index(n + 1)
         out: Vec = {}
         if i < n:
             for (a, b), c in h.comult_pairs(slots[i]):
-                vec_add_at(out, flat(slots[:i] + [a, b] + slots[i + 1:], mi), c)
+                vec_add_at(out, tgt.flatten(slots[:i] + (a, b) + slots[i + 1:]), c)
         else:
             for u, cu in h.unit.items():
-                vec_add_at(out, flat(slots + [u], mi), cu)
+                vec_add_at(out, tgt.flatten(slots[:n] + (u,) + slots[n:]), cu)
         return out
 
     def cyclic_fn(n, col):
-        slots, mi = unflat(n, col)
+        ti = index(n)
+        slots = ti.unflatten(col)
+        mi = slots[n]
         out: Vec = {}
         if n == 0:
             for (m0, m1), c in m.coact_pairs(mi):
@@ -606,24 +593,20 @@ def build_cyclic(
                     partial = new
                 for tup, cc in partial:
                     for mj, ca in m.act_pairs(legs[n], m0):
-                        vec_add_at(out, flat(list(tup), mj), cc * ca)
+                        vec_add_at(out, ti.flatten(tup + (mj,)), cc * ca)
         return out
 
     z = CyclicObject(f, max_degree, dim_fn, face_fn, degen_fn, cyclic_fn,
                      name=f"Z({h.name};{m.name})")
     z.hopf = h
     z.module = m
-    if check == "sample" and not require_modular:
-        # diagnostic build: hand the object back so the identity suite can
-        # pinpoint which axiom fails instead of raising here
-        check = "none"
-    if check == "sample":
+    # a diagnostic build hands the object back so the identity suite can
+    # pinpoint which axiom fails instead of raising here
+    if check and require_modular:
         verify_cyclic_identities(
             z, min(max_degree, 2),
             columns=_sample_columns(z) if hd**2 * md > 256 else None,
         ).require(z.name)
-    elif check == "full":
-        verify_cyclic_identities(z).require(z.name)
     return z
 
 
@@ -632,17 +615,17 @@ def build_cyclic(
 # ---------------------------------------------------------------------------
 
 
-def hochschild(z: CyclicObject, low: int, high: int, jobs: int = 1) -> list:
+def hochschild(z: CyclicObject, low: int, high: int) -> list:
     """Homology of the alternating-face-sum complex, degrees low..high."""
     if high + 1 > z.top:
         raise TruncationError(
             f"homology at degree {high} needs boundaries through degree "
             f"{high + 1}, but the object is truncated at {z.top}"
         )
-    return homology_dims(z.chain_complex(high + 1), low, high, jobs=jobs)
+    return homology_dims(z.chain_complex(high + 1), low, high)
 
 
-def norm_complex_homology(z: CyclicObject, low: int, high: int, jobs: int = 1) -> list:
+def norm_complex_homology(z: CyclicObject, low: int, high: int) -> list:
     """Homology of the last-face-omitted complex (expected to vanish; the
     staircase double complex relies on these columns being acyclic)."""
     if high + 1 > z.top:
@@ -652,7 +635,7 @@ def norm_complex_homology(z: CyclicObject, low: int, high: int, jobs: int = 1) -
         [z.norm_boundary(n) for n in range(1, high + 2)],
         z.field,
     )
-    return homology_dims(c, low, high, jobs=jobs)
+    return homology_dims(c, low, high)
 
 
 def _gate_characteristic(z: CyclicObject) -> None:
@@ -701,10 +684,10 @@ def connes_data(z: CyclicObject, top: int):
     return quotients, complex_
 
 
-def hc_connes(z: CyclicObject, low: int, high: int, jobs: int = 1) -> list:
+def hc_connes(z: CyclicObject, low: int, high: int) -> list:
     """Cyclic homology via the cyclic-coinvariant quotient complex."""
     _, c = connes_data(z, high + 1)
-    return homology_dims(c, low, high, jobs=jobs)
+    return homology_dims(c, low, high)
 
 
 def tsygan_bicomplex(z: CyclicObject, max_total: int | None = None) -> Bicomplex:
@@ -743,23 +726,23 @@ def tsygan_bicomplex(z: CyclicObject, max_total: int | None = None) -> Bicomplex
     return Bicomplex(cells, horiz, vert, f)
 
 
-def hc_bicomplex(z: CyclicObject, low: int, high: int, jobs: int = 1) -> list:
+def hc_bicomplex(z: CyclicObject, low: int, high: int) -> list:
     b = tsygan_bicomplex(z, high)
     c = total_complex(b, high)
-    return homology_dims(c, low, high, jobs=jobs)
+    return homology_dims(c, low, high)
 
 
-def hc(z: CyclicObject, low: int, high: int, method: str = "lambda", jobs: int = 1) -> list:
+def hc(z: CyclicObject, low: int, high: int, method: str = "lambda") -> list:
     """Cyclic homology dims, degrees low..high.  method: "lambda" (quotient
     complex), "bicomplex" (staircase total complex), or "both" (compute both
     and require exact agreement)."""
     if method == "lambda":
-        return hc_connes(z, low, high, jobs=jobs)
+        return hc_connes(z, low, high)
     if method == "bicomplex":
-        return hc_bicomplex(z, low, high, jobs=jobs)
+        return hc_bicomplex(z, low, high)
     if method == "both":
-        a = hc_connes(z, low, high, jobs=jobs)
-        b = hc_bicomplex(z, low, high, jobs=jobs)
+        a = hc_connes(z, low, high)
+        b = hc_bicomplex(z, low, high)
         if a != b:
             raise ValueError(
                 f"cyclic homology routes disagree: quotient complex {a}, "
@@ -779,53 +762,38 @@ def bar_complex(h: HopfAlgebra, mdim: int, action: SparseMatrix, top: int) -> Ch
     slot, merge adjacent slots, act with the last slot."""
     f = h.field
     hd = h.dim
-
-    def unflat(n, col):
-        mi = col % mdim
-        col //= mdim
-        slots = [0] * n
-        for k in range(n - 1, -1, -1):
-            slots[k] = col % hd
-            col //= hd
-        return slots, mi
-
-    def flat(slots, mi):
-        r = 0
-        for s in slots:
-            r = r * hd + s
-        return r * mdim + mi
-
-    dims = [hd**n * mdim for n in range(top + 1)]
+    index = [TensorIndex([hd] * n + [mdim]) for n in range(top + 1)]
+    dims = [ti.size for ti in index]
     diffs = []
     for n in range(1, top + 1):
+        src, tgt = index[n], index[n - 1]
         cols = {}
         for c in range(dims[n]):
-            slots, mi = unflat(n, c)
+            slots = src.unflatten(c)
             acc: Vec = {}
             eps = h.counit_of(slots[0])
             if eps:
-                key = flat(slots[1:], mi)
-                acc[key] = eps
+                acc[tgt.flatten(slots[1:])] = eps
             for i in range(1, n):
                 sign = -1 if i % 2 else 1
                 for p, cp in h.mult_pairs(slots[i - 1], slots[i]):
-                    key = flat(slots[: i - 1] + [p] + slots[i + 1:], mi)
+                    key = tgt.flatten(slots[: i - 1] + (p,) + slots[i + 1:])
                     vec_add_at(acc, key, sign * cp)
             sign = -1 if n % 2 else 1
-            for mj, ca in action.cols.get(slots[n - 1] * mdim + mi, {}).items():
-                vec_add_at(acc, flat(slots[: n - 1], mj), sign * ca)
+            for mj, ca in action.cols.get(slots[n - 1] * mdim + slots[n], {}).items():
+                vec_add_at(acc, tgt.flatten(slots[: n - 1] + (mj,)), sign * ca)
             if acc:
                 cols[c] = acc
         diffs.append(SparseMatrix(dims[n - 1], dims[n], f, cols))
     return ChainComplex(dims, diffs, f)
 
 
-def tor_oracle(h: HopfAlgebra, m: CrossedModule, low: int, high: int, jobs: int = 1) -> list:
+def tor_oracle(h: HopfAlgebra, m: CrossedModule, low: int, high: int) -> list:
     """Tor over H of the counit field against the module underlying m,
     computed by the bar resolution -- an oracle independent of the cyclic
     carrier construction."""
     c = bar_complex(h, m.dim, m.action, high + 1)
-    return homology_dims(c, low, high, jobs=jobs)
+    return homology_dims(c, low, high)
 
 
 def group_homology(
@@ -906,7 +874,7 @@ class FoldingComparison:
 
 
 def cocommutative_folding_check(
-    h: HopfAlgebra, m: CrossedModule, low: int, high: int, jobs: int = 1
+    h: HopfAlgebra, m: CrossedModule, low: int, high: int
 ) -> FoldingComparison:
     """For a cocommutative Hopf algebra and a trivial-coaction module, the
     cyclic homology is the even-shifted fold of the bar-resolution Tor.
@@ -923,8 +891,8 @@ def cocommutative_folding_check(
     if m.coaction != SparseMatrix(m.dim * h.dim, m.dim, f, triv_cols):
         raise ValueError("the module does not have trivial coaction")
     z = build_cyclic(h, m, high + 1)
-    hcd = hc_connes(z, low, high, jobs=jobs)
-    tor = tor_oracle(h, m, 0, high, jobs=jobs)
+    hcd = hc_connes(z, low, high)
+    tor = tor_oracle(h, m, 0, high)
     folded = [_fold(tor, n) for n in range(low, high + 1)]
     rep = CheckReport(f"folding comparison for ({h.name}, {m.name})")
     for k, n in enumerate(range(low, high + 1)):
@@ -947,7 +915,6 @@ class InductionComparison:
 
 def shapiro_check(
     sub: HopfSubalgebra, h: HopfAlgebra, n: CrossedModule, low: int, high: int,
-    jobs: int = 1,
 ) -> InductionComparison:
     """Hochschild and cyclic homology are invariant under induction along a
     Hopf subalgebra inclusion (the ambient algebra is free over the
@@ -957,10 +924,10 @@ def shapiro_check(
     ind = induce(sub, h, n)
     z_big = build_cyclic(h, ind, high + 1)
     z_small = build_cyclic(sub.sub, n, high + 1)
-    hh_big = hochschild(z_big, low, high, jobs=jobs)
-    hh_small = hochschild(z_small, low, high, jobs=jobs)
-    hc_big = hc_connes(z_big, low, high, jobs=jobs)
-    hc_small = hc_connes(z_small, low, high, jobs=jobs)
+    hh_big = hochschild(z_big, low, high)
+    hh_small = hochschild(z_small, low, high)
+    hc_big = hc_connes(z_big, low, high)
+    hc_small = hc_connes(z_small, low, high)
     rep = CheckReport(f"induction invariance for {n.name} along {sub.sub.name} in {h.name}")
     for k, deg in enumerate(range(low, high + 1)):
         rep.add(
@@ -1030,7 +997,6 @@ class ReductionComparison:
 
 def semisimple_reduction(
     h: HopfAlgebra, sub: HopfSubalgebra, m: CrossedModule, low: int, high: int,
-    jobs: int = 1,
 ) -> ReductionComparison:
     """Collapse a normal separable Hopf subalgebra: homology of (H, M) equals
     homology of (H/K+H, M/K+M).  Separability is certified by actually
@@ -1099,8 +1065,8 @@ def semisimple_reduction(
 
     z_top = build_cyclic(h, m, high + 1, require_modular=False)
     z_red = build_cyclic(hbar, mbar, high + 1, require_modular=False)
-    hh_top = hochschild(z_top, low, high, jobs=jobs)
-    hh_red = hochschild(z_red, low, high, jobs=jobs)
+    hh_top = hochschild(z_top, low, high)
+    hh_red = hochschild(z_red, low, high)
     rep = CheckReport(f"reduction of ({h.name}, {m.name}) along {k.name}")
     for idx, deg in enumerate(range(low, high + 1)):
         rep.add(
@@ -1113,8 +1079,8 @@ def semisimple_reduction(
     modular = u_map(m) == SparseMatrix.identity(m.dim, f)
     modular_red = u_map(mbar) == SparseMatrix.identity(mbar.dim, f)
     if f.characteristic == 0 and modular and modular_red:
-        hc_top = hc_connes(z_top, low, high, jobs=jobs)
-        hc_red = hc_connes(z_red, low, high, jobs=jobs)
+        hc_top = hc_connes(z_top, low, high)
+        hc_red = hc_connes(z_red, low, high)
         for idx, deg in enumerate(range(low, high + 1)):
             rep.add(
                 f"degree {deg}: cyclic dims agree",
@@ -1137,7 +1103,7 @@ def semisimple_reduction(
         if not lands_in_k:
             break
     if lands_in_k and hbar.is_cocommutative() and hc_top is not None:
-        tor = tor_oracle(hbar, mbar, 0, high, jobs=jobs)
+        tor = tor_oracle(hbar, mbar, 0, high)
         folded = [_fold(tor, n) for n in range(low, high + 1)]
         for idx, deg in enumerate(range(low, high + 1)):
             rep.add(
@@ -1157,7 +1123,7 @@ class CentralizerFolding:
 
 
 def burghelea_finite(
-    g: FiniteGroup, m: CrossedModule, low: int, high: int, jobs: int = 1
+    g: FiniteGroup, m: CrossedModule, low: int, high: int
 ) -> CentralizerFolding:
     """Cyclic homology of a group algebra decomposes over conjugacy classes:
     fold the bar-resolution group homology of each centralizer quotient
@@ -1171,7 +1137,7 @@ def burghelea_finite(
         raise ValueError("coefficients are not modular")
 
     z = build_cyclic(h, m, high + 1)
-    direct = hc_connes(z, low, high, jobs=jobs)
+    direct = hc_connes(z, low, high)
 
     dec = decompose_group_case(m)
     dec.report.require("group decomposition")

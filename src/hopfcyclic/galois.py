@@ -69,6 +69,7 @@ from .linalg import (
     rank_kernel,
     solve,
     solve_matrix,
+    vec_add_at,
     vec_iadd_scaled,
 )
 from .reporting import CheckReport
@@ -545,12 +546,9 @@ def _balancing_relators(ca: AlgebraData, bvecs) -> list:
             for y in range(d):
                 r: Vec = {}
                 for k, c in xb[x].items():
-                    key = k * d + y
-                    r[key] = r.get(key, ca.field.zero) + c
+                    vec_add_at(r, k * d + y, c)
                 for k, c in by[y].items():
-                    key = x * d + k
-                    r[key] = r.get(key, ca.field.zero) - c
-                r = {k: v for k, v in r.items() if v}
+                    vec_add_at(r, x * d + k, -c)
                 if r:
                     gens.append(r)
     return gens
@@ -568,12 +566,9 @@ def _outer_relators(ca: AlgebraData, bvecs) -> list:
             for y in range(d):
                 r: Vec = {}
                 for k, c in bx[x].items():
-                    key = k * d + y
-                    r[key] = r.get(key, ca.field.zero) + c
+                    vec_add_at(r, k * d + y, c)
                 for k, c in yb[y].items():
-                    key = x * d + k
-                    r[key] = r.get(key, ca.field.zero) - c
-                r = {k: v for k, v in r.items() if v}
+                    vec_add_at(r, x * d + k, -c)
                 if r:
                     gens.append(r)
     return gens
@@ -585,7 +580,6 @@ def _pair_product(ca: AlgebraData, u: Vec, v: Vec) -> Vec:
     centralizer an algebra."""
     d = ca.dim
     out: Vec = {}
-    zero = ca.field.zero
     for p, c in u.items():
         x, y = divmod(p, d)
         for q, c2 in v.items():
@@ -593,12 +587,7 @@ def _pair_product(ca: AlgebraData, u: Vec, v: Vec) -> Vec:
             cc = c * c2
             for k, ck in ca.mult_pairs(x, x2):
                 for l, cl in ca.mult_pairs(y2, y):
-                    key = k * d + l
-                    val = out.get(key, zero) + cc * ck * cl
-                    if val:
-                        out[key] = val
-                    elif key in out:
-                        del out[key]
+                    vec_add_at(out, k * d + l, cc * ck * cl)
     return out
 
 
@@ -625,12 +614,7 @@ def galois_check(ca: ComoduleAlgebra) -> GaloisExtension:
             col: Vec = {}
             for (y0, y1), c in ca.coact_pairs(y):
                 for k, c2 in ca.mult_pairs(x, y0):
-                    key = k * hd + y1
-                    val = col.get(key, f.zero) + c * c2
-                    if val:
-                        col[key] = val
-                    elif key in col:
-                        del col[key]
+                    vec_add_at(col, k * hd + y1, c * c2)
             if col:
                 amb_cols[x * d + y] = col
     amb_beta = SparseMatrix(d * hd, d * d, f, amb_cols)
@@ -712,23 +696,13 @@ def galois_check(ca: ComoduleAlgebra) -> GaloisExtension:
         lhs: Vec = {}
         for (t1, t2), c in h.comult_pairs(t):
             for q, c2 in hat(kappa.column(t1)).items():
-                key = q * hd + t2
-                val = lhs.get(key, f.zero) + c * c2
-                if val:
-                    lhs[key] = val
-                elif key in lhs:
-                    del lhs[key]
+                vec_add_at(lhs, q * hd + t2, c * c2)
         rhs_vec: Vec = {}
         for p, c in kappa.cols.get(t, {}).items():
             i, j = divmod(p, d)
             for (j0, j1), c2 in ca.coact_pairs(j):
                 for q, cq in projhat.cols.get(i * d + j0, {}).items():
-                    key = q * hd + j1
-                    val = rhs_vec.get(key, f.zero) + c * c2 * cq
-                    if val:
-                        rhs_vec[key] = val
-                    elif key in rhs_vec:
-                        del rhs_vec[key]
+                    vec_add_at(rhs_vec, q * hd + j1, c * c2 * cq)
         if lhs != rhs_vec:
             ex1_ok, ex1_wit = False, f"h={h.basis[t]}"
             break
@@ -744,23 +718,13 @@ def galois_check(ca: ComoduleAlgebra) -> GaloisExtension:
             kt2 = hat(kappa.column(t2))
             for s, cs in anti.items():
                 for q, c2 in kt2.items():
-                    key = q * hd + s
-                    val = lhs.get(key, f.zero) + c * cs * c2
-                    if val:
-                        lhs[key] = val
-                    elif key in lhs:
-                        del lhs[key]
+                    vec_add_at(lhs, q * hd + s, c * cs * c2)
         rhs_vec = {}
         for p, c in kappa.cols.get(t, {}).items():
             i, j = divmod(p, d)
             for (i0, i1), c2 in ca.coact_pairs(i):
                 for q, cq in projhat.cols.get(i0 * d + j, {}).items():
-                    key = q * hd + i1
-                    val = rhs_vec.get(key, f.zero) + c * c2 * cq
-                    if val:
-                        rhs_vec[key] = val
-                    elif key in rhs_vec:
-                        del rhs_vec[key]
+                    vec_add_at(rhs_vec, q * hd + i1, c * c2 * cq)
         if lhs != rhs_vec:
             ex2_ok, ex2_wit = False, f"h={h.basis[t]}"
             break
@@ -986,7 +950,6 @@ def relative_cyclic(ca: AlgebraData, base: BaseData, m: Bimodule | None = None,
     md = bim.dim
     has_cyclic = m is None
     one = f.one
-    zero = f.zero
 
     bvecs = [base.inclusion.column(r) for r in range(base.dim)]
     scalar_base = base.dim == 1  # bases always contain the unit, so this is k.1
@@ -1005,15 +968,9 @@ def relative_cyclic(ca: AlgebraData, base: BaseData, m: Bimodule | None = None,
         if got is not None:
             return got
         tix = TensorIndex([md] + [ad] * n)
+        strides = tix.strides
         gens: list = []
         if not scalar_base:
-            # stride of position p: product of dimensions to its right
-            strides = []
-            acc = 1
-            dims = [md] + [ad] * n
-            for p in range(n, -1, -1):
-                strides.insert(0, acc)
-                acc *= dims[p]
             for bpos in range(len(bvecs)):
                 for idx in range(tix.size):
                     tup = tix.unflatten(idx)
@@ -1025,31 +982,25 @@ def relative_cyclic(ca: AlgebraData, base: BaseData, m: Bimodule | None = None,
                         r: Vec = {}
                         lbase = idx - tup[p] * strides[p]
                         for k, c in left_tab.items():
-                            key = lbase + k * strides[p]
-                            r[key] = r.get(key, zero) + c
+                            vec_add_at(r, lbase + k * strides[p], c)
                         rbase = idx - tup[p + 1] * strides[p + 1]
                         for k, c in right_tab.items():
-                            key = rbase + k * strides[p + 1]
-                            r[key] = r.get(key, zero) - c
-                        r = {k: v for k, v in r.items() if v}
+                            vec_add_at(r, rbase + k * strides[p + 1], -c)
                         if r:
                             gens.append(r)
                     r = {}
                     if n >= 1:
                         lbase = idx - tup[0] * strides[0]
                         for k, c in lb_m[bpos][tup[0]].items():
-                            key = lbase + k * strides[0]
-                            r[key] = r.get(key, zero) + c
+                            vec_add_at(r, lbase + k * strides[0], c)
                         rbase = idx - tup[n] * strides[n]
                         for k, c in rb_a[bpos][tup[n]].items():
-                            key = rbase + k * strides[n]
-                            r[key] = r.get(key, zero) - c
+                            vec_add_at(r, rbase + k * strides[n], -c)
                     else:
                         for k, c in lb_m[bpos][tup[0]].items():
-                            r[k] = r.get(k, zero) + c
+                            vec_add_at(r, k, c)
                         for k, c in rb_m[bpos][tup[0]].items():
-                            r[k] = r.get(k, zero) - c
-                    r = {k: v for k, v in r.items() if v}
+                            vec_add_at(r, k, -c)
                     if r:
                         gens.append(r)
         got = (QuotientSpace(tix.size, f, gens), gens, tix)
@@ -1199,7 +1150,6 @@ def _slot_matrix(ca: ComoduleAlgebra, bim: Bimodule, n: int, module_map,
     f = ca.field
     hd, ad, md = h.dim, ca.dim, bim.dim
     one = f.one
-    zero = f.zero
     tix = TensorIndex([md] + [ad] * n)
     it_cache: dict = {}
 
@@ -1255,12 +1205,7 @@ def _slot_matrix(ca: ComoduleAlgebra, bim: Bimodule, n: int, module_map,
                 ]
             for p, c in partial:
                 for k, ck in mq.items():
-                    key = p * target_mdim + k
-                    val = col.get(key, zero) + c * ck
-                    if val:
-                        col[key] = val
-                    elif key in col:
-                        del col[key]
+                    vec_add_at(col, p * target_mdim + k, c * ck)
         if col:
             cols[idx] = col
     return SparseMatrix(hd**n * target_mdim, tix.size, f, cols)
@@ -1306,12 +1251,7 @@ def _kappa_chain_matrix(g: GaloisExtension, z: CyclicObject, bim: Bimodule,
             acc = nxt
         for mvec, slots, c in acc:
             for mm, cm in mvec.items():
-                key = tn.flatten((mm,) + slots)
-                val = col.get(key, f.zero) + c * cm
-                if val:
-                    col[key] = val
-                elif key in col:
-                    del col[key]
+                vec_add_at(col, tn.flatten((mm,) + slots), c * cm)
         pr = carrier.project_vec(col)
         if pr:
             cols[sidx] = pr
@@ -1333,8 +1273,7 @@ class LambdaComparison:
 
 
 def lambda_iso(g: GaloisExtension, m: Bimodule | None = None,
-               max_degree: int = 3, compare_hc: bool = True,
-               jobs: int = 1) -> LambdaComparison:
+               max_degree: int = 3, compare_hc: bool = True) -> LambdaComparison:
     """Certify that the slot-product map is an isomorphism of (cyclic,
     or simplicial for general coefficients) objects in degrees up to
     `max_degree`: degreewise invertibility, cross-checked against the
@@ -1410,8 +1349,8 @@ def lambda_iso(g: GaloisExtension, m: Bimodule | None = None,
     rep.require()
     hc_rel = hc_hopf = None
     if compare_hc and m is None and f.characteristic == 0:
-        hc_rel = hc_connes(z, 0, max_degree, jobs=jobs)
-        hc_hopf = hc_connes(target, 0, max_degree, jobs=jobs)
+        hc_rel = hc_connes(z, 0, max_degree)
+        hc_hopf = hc_connes(target, 0, max_degree)
         rep.add(
             "cyclic homology agrees along the comparison",
             hc_rel == hc_hopf,
@@ -1515,7 +1454,7 @@ class BaseChangeComparison:
 
 def separable_base_change(ca: AlgebraData, middle: BaseData, inner: BaseData,
                           m: Bimodule | None = None, low: int = 0,
-                          high: int = 3, jobs: int = 1) -> BaseChangeComparison:
+                          high: int = 3) -> BaseChangeComparison:
     """When B is separable over C (inside A), the canonical collapse
     Z_*(A/C, M) -> Z_*(A/B, M) is a quasi-isomorphism.  The separability
     element is found by solving the bimodule splitting equations exactly,
@@ -1569,9 +1508,9 @@ def separable_base_change(ca: AlgebraData, middle: BaseData, inner: BaseData,
         inner.dim == 1 and m is None and low == 0
         and f.characteristic == 0
     ):
-        hh = hochschild(z_src, 0, high, jobs=jobs)
-        hc_src = hc_connes(z_src, 0, high, jobs=jobs)
-        hc_tgt = hc_connes(z_tgt, 0, high, jobs=jobs)
+        hh = hochschild(z_src, 0, high)
+        hc_src = hc_connes(z_src, 0, high)
+        hc_tgt = hc_connes(z_tgt, 0, high)
         rep.add(
             "cyclic homology is preserved by the base change",
             hc_src == hc_tgt,
@@ -1600,8 +1539,7 @@ class GradedFolding:
     report: CheckReport
 
 
-def burghelea_graded(g: GaloisExtension, low: int = 0, high: int = 3,
-                     jobs: int = 1) -> GradedFolding:
+def burghelea_graded(g: GaloisExtension, low: int = 0, high: int = 3) -> GradedFolding:
     """For a strong grading by a finite group, fold the group homology of
     each centralizer quotient acting on the graded commutator quotient
     \\bar A_x = A_x / [A_x, B] through the translation map, and compare with
@@ -1615,7 +1553,7 @@ def burghelea_graded(g: GaloisExtension, low: int = 0, high: int = 3,
     one = f.one
     top = high + 1
     z = relative_cyclic(ca, g.base, None, top)
-    direct = hc_connes(z, low, high, jobs=jobs)
+    direct = hc_connes(z, low, high)
 
     conj = conjugacy_data(gamma)
     per_class: dict = {}

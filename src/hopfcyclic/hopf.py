@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 from .linalg import (
@@ -254,9 +255,10 @@ def conjugacy_data(g: FiniteGroup) -> ConjugacyData:
 
 
 class TensorIndex:
-    """Row-major flattening of a mixed tensor basis."""
+    """Row-major flattening of a mixed tensor basis: the last slot varies
+    fastest, so slot k has stride dims[k+1] * ... * dims[-1]."""
 
-    __slots__ = ("dims", "size", "_strides")
+    __slots__ = ("dims", "size", "strides")
 
     def __init__(self, dims: Sequence[int]):
         self.dims = tuple(dims)
@@ -265,25 +267,18 @@ class TensorIndex:
         for d in reversed(self.dims):
             strides.append(s)
             s *= d
-        self._strides = tuple(reversed(strides))
+        self.strides = tuple(reversed(strides))
         self.size = s
 
     def flatten(self, tup: Sequence[int]) -> int:
-        return sum(i * s for i, s in zip(tup, self._strides))
+        return sum(map(mul, tup, self.strides))
 
     def unflatten(self, idx: int) -> tuple:
         out = []
-        for s in self._strides:
+        for s in self.strides:
             out.append(idx // s)
             idx %= s
         return tuple(out)
-
-    def tuples(self):
-        return itertools.product(*(range(d) for d in self.dims))
-
-
-def power_index(dim: int, n: int) -> TensorIndex:
-    return TensorIndex([dim] * n)
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +425,8 @@ def verify_hopf(h: HopfAlgebra) -> CheckReport:
                 return h.label_tuple(index.unflatten(j))
         return None
 
-    t3 = power_index(d, 3)
-    t1 = power_index(d, 1)
+    t3 = TensorIndex([d] * 3)
+    t1 = TensorIndex([d])
 
     lhs = h.mult @ h.mult.kron(idm)
     rhs = h.mult @ idm.kron(h.mult)
@@ -454,7 +449,7 @@ def verify_hopf(h: HopfAlgebra) -> CheckReport:
     mid_flip = idm.kron(flip_matrix(d, d, f)).kron(idm)
     lhs = h.comult @ h.mult
     rhs = h.mult.kron(h.mult) @ mid_flip @ h.comult.kron(h.comult)
-    t2 = power_index(d, 2)
+    t2 = TensorIndex([d] * 2)
     rep.add("comultiplication is multiplicative", lhs == rhs, witness_col(lhs, rhs, t2))
     rep.add(
         "comultiplication of the unit",
@@ -525,7 +520,7 @@ def diagonal_power(h: HopfAlgebra, n: int) -> SparseMatrix:
     are verified as exact matrix identities.
     """
     d = h.dim
-    ti = power_index(d, n + 1)
+    ti = TensorIndex([d] * (n + 1))
     src = TensorIndex([d] * (n + 1) + [d])
     cols = {}
     for flat_tuple in range(ti.size):
@@ -542,12 +537,7 @@ def diagonal_power(h: HopfAlgebra, n: int) -> SparseMatrix:
                             nxt.append((cur[:k] + (out_idx,) + cur[k + 1 :], cc * mc))
                     terms = nxt
                 for cur, cc in terms:
-                    key = ti.flatten(cur)
-                    val = col.get(key, h.field.zero) + cc
-                    if val:
-                        col[key] = val
-                    elif key in col:
-                        del col[key]
+                    vec_add_at(col, ti.flatten(cur), cc)
             if col:
                 cols[src.flatten(tup + (acting,))] = col
     act = SparseMatrix(ti.size, ti.size * d, h.field, cols)
@@ -571,7 +561,7 @@ def hopf_module_phi(h: HopfAlgebra, n: int) -> tuple:
     right action with the diagonal action are verified exactly.
     """
     d = h.dim
-    ti = power_index(d, n + 1)
+    ti = TensorIndex([d] * (n + 1))
     f = h.field
     cols_phi = {}
     cols_inv = {}
@@ -588,12 +578,7 @@ def hopf_module_phi(h: HopfAlgebra, n: int) -> tuple:
                         nxt.append((cur + (out_idx,), cc * mc))
                 terms = nxt
             for cur, cc in terms:
-                key = ti.flatten(cur + (legs[n],))
-                val = col.get(key, f.zero) + cc
-                if val:
-                    col[key] = val
-                elif key in col:
-                    del col[key]
+                vec_add_at(col, ti.flatten(cur + (legs[n],)), cc)
         if col:
             cols_phi[flat] = col
         # inverse: slots x^k S(legs[n-k]) with the final leg passed through
@@ -608,12 +593,7 @@ def hopf_module_phi(h: HopfAlgebra, n: int) -> tuple:
                             nxt.append((cur + (out_idx,), cc * sc * mc))
                 terms = nxt
             for cur, cc in terms:
-                key = ti.flatten(cur + (legs[n],))
-                val = col.get(key, f.zero) + cc
-                if val:
-                    col[key] = val
-                elif key in col:
-                    del col[key]
+                vec_add_at(col, ti.flatten(cur + (legs[n],)), cc)
         if col:
             cols_inv[flat] = col
     phi = SparseMatrix(ti.size, ti.size, f, cols_phi)

@@ -1044,9 +1044,7 @@ class ChainComplex:
         return self.dims[n] - self.boundary_rank(n) - self.boundary_rank(n + 1)
 
 
-def homology_dims(
-    c: ChainComplex, low: int, high: int, jobs: int = 1
-) -> list[int]:
+def homology_dims(c: ChainComplex, low: int, high: int) -> list[int]:
     """[dim H_n for n in low..high]; raises TruncationError when the data
     cannot certify a requested degree."""
     if low < 0 or high > c.top_degree - 1:
@@ -1054,12 +1052,6 @@ def homology_dims(
             f"homology range [{low},{high}] not certified by a complex "
             f"truncated at degree {c.top_degree}"
         )
-    needed = sorted({n for n in range(low, high + 2) if 1 <= n <= c.top_degree})
-    if jobs > 1 and len(needed) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(c.boundary_rank, needed))
     return [c.homology_dim(n) for n in range(low, high + 1)]
 
 

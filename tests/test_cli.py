@@ -61,12 +61,6 @@ def test_hh_works_over_a_prime_field():
     assert rep["tables"]["hh"] == [2, 2, 2]
 
 
-def test_jobs_flag_changes_nothing():
-    _, one = run_json(["hc", "z3", "adjoint", "--max-degree", "3"])
-    _, four = run_json(["hc", "z3", "adjoint", "--max-degree", "3", "--jobs", "4"])
-    assert one["tables"] == four["tables"]
-
-
 def test_modular_pair_module_over_op_cop():
     rc, rep = run_json(["hc", "z3", "modular_pair:g", "--max-degree", "3"])
     assert rc == 0
@@ -80,8 +74,9 @@ def test_modular_pair_module_over_op_cop():
 
 def test_report_shape():
     rc, rep = run_json(["hc", "z2", "adjoint", "--max-degree", "2"])
-    assert rep["schema"] == 1
+    assert rep["schema"] == 2
     assert rep["command"] == ["hc", "z2", "adjoint"]
+    assert set(rep["config"]) == {"max_degree", "field", "method"}
     assert rep["config"]["max_degree"] == 2
     assert rep["config"]["field"] == "q"
     assert set(rep["inputs"]) == {"hopf z2", "module adjoint"}
@@ -311,8 +306,32 @@ def test_malformed_module_document_is_an_input_error(doc, message):
     (["galois", '{"algebra": [1], "grading": {"group": "z2", "blocks": {}}}'],
      "algebra document <embedded> is not a JSON object"),
     (["qtorus", "[1]"], "torus document <inline> is not a JSON object"),
+    (["galois", '{"algebra": "s3", "grading": [1]}'],
+     "'grading' must be a JSON object"),
+    (["galois", '{"grading": {"group": "z2", "blocks": {}}}'],
+     "is missing field 'algebra'"),
+    (["galois", '{"crossed_product": {"base": "k", "group": "z2",'
+                ' "cocycle": {"0": [[0, "1"]]}}}'],
+     "cocycle key '0' is not 'x,y'"),
+    (["galois", '{"crossed_product": {"base": "k", "group": "z2",'
+                ' "cocycle": {"0,0": [[5, "1"]]}}}'],
+     "cocycle '0,0' entry [5, '1']"),
+    (["galois", '{"crossed_product": {"base": "k", "group": "z2",'
+                ' "action": {"1": [[3, 0, "1"]]}}}'],
+     "action '1' entry [3, 0, '1']"),
+    (["galois", '{"crossed_product": {"base": "k", "group": "z2",'
+                ' "action": {"1": [[0, 0, "1"]]}}}'],
+     "the action has no matrix for group element 0"),
+    (["galois", '{"crossed_product": {"base": "k", "group": "z2",'
+                ' "cocycle": {"0,2": [[0, "1"]]}}}'],
+     "'2' is not a group element index below 2"),
+    (["galois", '{"algebra": "s3", "grading": {"group": "z2",'
+                ' "blocks": {"0": [0, 1, 2], "1": [3, 4, 9]}}}'],
+     "block '1' is not a list of basis indices below 6"),
 ], ids=["denominator-divisible-by-p", "hopf-list", "extension-list",
-        "algebra-list", "torus-list"])
+        "algebra-list", "torus-list", "grading-list", "grading-without-algebra",
+        "cocycle-key", "cocycle-index", "action-index", "action-incomplete",
+        "cocycle-element", "block-index"])
 def test_bad_input_is_an_input_error(argv, message):
     rc, out, err = run(argv + ["--max-degree", "2"])
     assert rc == 2 and out == ""

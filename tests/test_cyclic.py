@@ -133,7 +133,7 @@ def test_non_modular_diagnostic_pinpoints_cyclic_order(kz2):
 @given(data=st.data())
 def test_face_face_identity_random(data):
     h = group_algebra(FiniteGroup.cyclic(3), QQ)
-    z = build_cyclic(h, adjoint(h), 4, check="none")
+    z = build_cyclic(h, adjoint(h), 4, check=False)
     n = data.draw(st.integers(min_value=2, max_value=4))
     j = data.draw(st.integers(min_value=1, max_value=n))
     i = data.draw(st.integers(min_value=0, max_value=j - 1))
@@ -147,7 +147,7 @@ def test_face_face_identity_random(data):
 @given(data=st.data())
 def test_cyclic_order_random(data):
     h = group_algebra(FiniteGroup.cyclic(4), QQ)
-    z = build_cyclic(h, adjoint(h), 3, check="none")
+    z = build_cyclic(h, adjoint(h), 3, check=False)
     n = data.draw(st.integers(min_value=0, max_value=3))
     c = data.draw(st.integers(min_value=0, max_value=z.dim(n) - 1))
     v = {c: QQ.one}

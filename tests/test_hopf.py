@@ -69,6 +69,13 @@ def test_tensor_index_round_trip(dims, data):
     ti = TensorIndex(dims)
     idx = data.draw(st.integers(0, ti.size - 1))
     assert ti.flatten(ti.unflatten(idx)) == idx
+    # row-major layout: the Horner value over dims, last slot fastest
+    tup = tuple(data.draw(st.integers(0, d - 1)) for d in dims)
+    horner = 0
+    for i, d in zip(tup, dims):
+        horner = horner * d + i
+    assert ti.flatten(tup) == horner
+    assert ti.unflatten(horner) == tup
 
 
 # -- Hopf axioms --------------------------------------------------------------
