@@ -19,7 +19,6 @@ from hopfcyclic.galois import (
     lambda_iso,
     strongly_graded,
     twisted_group_algebra,
-    underlying_algebra,
 )
 from hopfcyclic.hopf import FiniteGroup, group_algebra
 from hopfcyclic.linalg import QQ
@@ -38,7 +37,7 @@ def build_extension(cfg: DemoConfig):
             0: [x for x in range(6) if s3.element_order(x) != 2],
             1: [x for x in range(6) if s3.element_order(x) == 2],
         }
-        alg = underlying_algebra(group_algebra(s3, QQ, name="kS3"))
+        alg = group_algebra(s3, QQ, name="kS3")
         return strongly_graded(FiniteGroup.cyclic(2), alg, blocks, name="kS3")
     if cfg.extension == "klein":
         v4 = FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2))

@@ -59,10 +59,10 @@ from .galois import (
     AlgebraData,
     crossed_product,
     galois_check,
+    grading_degrees,
     lambda_iso,
     strongly_graded,
     twisted_group_algebra,
-    underlying_algebra,
     verify_comodule_algebra,
 )
 from .hopf import (
@@ -175,6 +175,7 @@ def resolve_hopf(ref, field):
         return h, hopf_to_json(h)
     label = _ref_label(ref) if isinstance(ref, str) else "<embedded>"
     doc = _load_object(ref, "hopf")
+    _check_structure(doc, f"hopf document {label}")
     try:
         h = hopf_from_json(doc, field, name=doc.get("name", label))
     except KeyError as exc:
@@ -183,20 +184,18 @@ def resolve_hopf(ref, field):
 
 
 def resolve_algebra(ref, field):
-    """An algebra to be graded: a Hopf builtin/document with the coalgebra
-    structure forgotten, or a bare {dim, basis, mult, unit} document."""
+    """An algebra to be graded: a Hopf builtin/document (a Hopf algebra is
+    an algebra), or a bare {dim, basis, mult, unit} document."""
     if isinstance(ref, str) and (
         ref in _GROUP_BUILDERS or not ref.lstrip().startswith("{")
     ):
-        h, _ = resolve_hopf(ref, field)
-        return underlying_algebra(h)
+        return resolve_hopf(ref, field)[0]
     doc = _load_object(ref, "algebra")
     if "comult" in doc:
-        h, _ = resolve_hopf(doc, field)
-        return underlying_algebra(h)
+        return resolve_hopf(doc, field)[0]
+    d = _check_structure(doc, "algebra document")
     try:
-        basis = doc.get("basis") or [f"e{i}" for i in range(int(doc["dim"]))]
-        d = len(basis)
+        basis = doc.get("basis") or [f"e{i}" for i in range(d)]
         mult = SparseMatrix.from_entries(
             d, d * d, field, ((k, i * d + j, c) for i, j, k, c in doc["mult"])
         )
@@ -283,6 +282,34 @@ def _entries(val, bounds: tuple, what: str) -> list:
     return val
 
 
+def _check_structure(doc: dict, what: str) -> int:
+    """Check the shape of a Hopf or algebra document before it is built and
+    return its dimension: `dim` a non-negative integer (it may be left out
+    beside a basis), `basis` a list of `dim` strings, `mult`/`comult`
+    entries [i, j, k, c] and `antipode` entries [i, j, c] with indices below
+    `dim`, `unit`/`counit` lists of `dim` scalars.  A field that is left out
+    is reported by the builder."""
+    basis = doc.get("basis")
+    if "dim" in doc or not isinstance(basis, list):
+        dim = _member(doc, "dim", what)
+    else:
+        dim = len(basis)
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
+        raise InputError(f"{what}: dim must be a non-negative integer, not {dim!r}")
+    if basis is not None and not (
+        isinstance(basis, list) and len(basis) == dim
+        and all(isinstance(b, str) for b in basis)
+    ):
+        raise InputError(f"{what}: basis must be a list of {dim} strings")
+    for key, slots in (("mult", 3), ("comult", 3), ("antipode", 2)):
+        if key in doc:
+            _entries(doc[key], (dim,) * slots, f"{what}: {key}")
+    for key in ("unit", "counit"):
+        if key in doc and not (isinstance(doc[key], list) and len(doc[key]) == dim):
+            raise InputError(f"{what}: {key} must be a list of {dim} scalars")
+    return dim
+
+
 def _member(doc: dict, key: str, what: str, is_object: bool = False):
     """doc[key] for a field of a nested document: it must be present and,
     with `is_object`, a JSON object."""
@@ -338,14 +365,12 @@ def resolve_extension(ref: str, field):
             0: [i for i in range(6) if s3.element_order(i) != 2],
             1: [i for i in range(6) if s3.element_order(i) == 2],
         }
-        alg = underlying_algebra(group_algebra(s3, field, name="kS3"))
+        alg = group_algebra(s3, field, name="kS3")
         ca = strongly_graded(FiniteGroup.cyclic(2), alg, blocks, name="kS3")
         doc = {"algebra": "s3", "grading": {"group": "z2", "blocks": blocks}}
         return ca, doc
     if ref == "kz4_over_kz2":
-        alg = underlying_algebra(
-            group_algebra(FiniteGroup.cyclic(4), field, name="kZ4")
-        )
+        alg = group_algebra(FiniteGroup.cyclic(4), field, name="kZ4")
         blocks = {0: [0, 2], 1: [1, 3]}
         ca = strongly_graded(FiniteGroup.cyclic(2), alg, blocks, name="kZ4")
         doc = {"algebra": "z4", "grading": {"group": "z2", "blocks": blocks}}
@@ -382,6 +407,10 @@ def resolve_extension(ref: str, field):
                     f"below {alg.dim}"
                 )
             blocks[_element(key, g.order, what)] = idxs
+        try:
+            grading_degrees(g, alg.dim, blocks)
+        except ValueError as exc:
+            raise InputError(f"{what}: {exc}") from exc
         return strongly_graded(g, alg, blocks, name=alg.name), doc
     if "crossed_product" in doc:
         spec = _member(doc, "crossed_product", what, is_object=True)
@@ -394,8 +423,7 @@ def resolve_extension(ref: str, field):
                 {0: field.one}, name="k",
             )
         else:
-            h, _ = resolve_hopf(base_ref, field)
-            base = underlying_algebra(h)
+            base, _ = resolve_hopf(base_ref, field)
         bd = base.dim
         action = None
         if "action" in spec:

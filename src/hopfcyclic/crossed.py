@@ -20,13 +20,14 @@ from .linalg import (
     SparseMatrix,
     Subspace,
     Vec,
+    bilinear,
     rank,
     rank_kernel,
     solve,
     vec_add_at,
     vec_iadd_scaled,
 )
-from .hopf import HopfAlgebra, HopfSubalgebra, FiniteGroup, group_subalgebra, op_cop
+from .hopf import HopfAlgebra, HopfSubalgebra, FiniteGroup, conjugacy_data, group_subalgebra, op_cop
 from .reporting import CheckReport
 
 
@@ -76,16 +77,7 @@ class CrossedModule:
         return m
 
     def act_vec(self, hv: Vec, mv: Vec) -> Vec:
-        out: dict = {}
-        md = self.dim
-        cols = self.action.cols
-        for i, a in hv.items():
-            base = i * md
-            for j, b in mv.items():
-                col = cols.get(base + j)
-                if col:
-                    vec_iadd_scaled(out, col, a * b)
-        return out
+        return bilinear(self.action.cols, self.dim, hv, mv)
 
     def coact_pairs(self, j: int) -> list:
         hd = self.h.dim
@@ -592,8 +584,6 @@ def decompose_group_case(m: CrossedModule) -> GroupDecomposition:
     eigencomponents M_x = {v : rho(v) = v (x) x}, certify the conjugation
     rule g M_x <= M_{g x g^-1}, and build the explicit isomorphism from the
     direct sum of modules induced from centralizer subalgebras."""
-    from .hopf import conjugacy_data
-
     h = m.h
     g: FiniteGroup = getattr(h, "group", None)
     if g is None:

@@ -25,8 +25,9 @@ from functools import lru_cache
 from typing import Callable
 
 from .crossed import CrossedModule, decompose_group_case, induce, u_map, verify_crossed
-from .hopf import FiniteGroup, HopfAlgebra, HopfSubalgebra, TensorIndex, augmentation_ideal_vectors, conjugacy_data, group_algebra, quotient_by_normal
+from .hopf import CentralizerData, FiniteGroup, HopfAlgebra, HopfSubalgebra, TensorIndex, augmentation_ideal_vectors, conjugacy_data, group_algebra, quotient_by_normal, separability_element
 from .linalg import (
+    QQ,
     Bicomplex,
     ChainComplex,
     QuotientSpace,
@@ -45,14 +46,6 @@ from .reporting import CheckReport
 
 class CharacteristicError(ValueError):
     """A cyclic-homology route was requested over positive characteristic."""
-
-
-@dataclass
-class HomologyReport:
-    hh: list | None
-    hc: list | None
-    method: str
-    truncation: int
 
 
 # ---------------------------------------------------------------------------
@@ -800,8 +793,6 @@ def group_homology(
     g: FiniteGroup, mdim: int, action: SparseMatrix, low: int, high: int, field=None
 ) -> list:
     """Group homology via the bar resolution over the group algebra."""
-    from .linalg import QQ
-
     h = group_algebra(g, field if field is not None else QQ)
     c = bar_complex(h, mdim, action, high + 1)
     return homology_dims(c, low, high)
@@ -943,46 +934,6 @@ def shapiro_check(
     return InductionComparison(hh_big, hh_small, hc_big, hc_small, rep)
 
 
-def separability_idempotent(k: HopfAlgebra) -> Vec:
-    """Solve the linear system for a separability element of k: an element
-    e of K (x) K with mult(e) = 1 and (x (x) 1) e = e (1 (x) x) for all x.
-    Raises when no solution exists (the algebra is not separable)."""
-    from .linalg import solve
-
-    f = k.field
-    kd = k.dim
-    rows: list = []
-    rhs: Vec = {}
-    # mult(e) = unit: kd equations
-    mult_rows = k.mult.rows()
-    for r in range(kd):
-        rows.append(mult_rows.get(r, {}))
-        if r in k.unit:
-            rhs[r] = k.unit[r]
-    # (x (x) 1) e - e (1 (x) x) = 0 for every basis element x
-    for x in range(kd):
-        cols = {}
-        for a in range(kd):
-            for b in range(kd):
-                col: Vec = {}
-                for p, cp in k.mult_pairs(x, a):
-                    col[p * kd + b] = cp
-                for p, cp in k.mult_pairs(b, x):
-                    vec_add_at(col, a * kd + p, -cp)
-                if col:
-                    cols[a * kd + b] = col
-        rows.extend(SparseMatrix(kd * kd, kd * kd, f, cols).rows().values())
-    cols_a: dict = {}
-    for r, row in enumerate(rows):
-        for c, v in row.items():
-            cols_a.setdefault(c, {})[r] = v
-    a = SparseMatrix(len(rows), kd * kd, f, cols_a)
-    e = solve(a, rhs)
-    if e is None:
-        raise ValueError(f"{k.name} has no separability element")
-    return e
-
-
 @dataclass
 class ReductionComparison:
     reduced_algebra: HopfAlgebra
@@ -1006,7 +957,7 @@ def semisimple_reduction(
     cyclic dimensions is checked as well."""
     f = h.field
     k = sub.sub
-    separability_idempotent(k)  # raises when absent
+    separability_element(k, [k.unit])  # raises when absent
     hbar, proj = quotient_by_normal(h, sub)
 
     # the reduced module M / K+M
@@ -1114,6 +1065,36 @@ def semisimple_reduction(
     return ReductionComparison(hbar, mbar, hh_top, hh_red, hc_top, hc_red, folded, rep)
 
 
+def centralizer_homology(
+    cd: CentralizerData, act_matrix: Callable[[int], SparseMatrix], high: int,
+    component: str,
+) -> list:
+    """Group homology, degrees 0..high, of the centralizer quotient
+    cd.quotient acting on the component of the class of cd.x, where
+    act_matrix(y) is the matrix by which the centralizer element y acts.
+
+    The action goes through coset representatives, certified independent of
+    the choice: every centralizer element must act as its representative
+    does, and the class representative must act trivially.
+    """
+    rep_action = [act_matrix(cd.elements[r]) for r in cd.coset_reps]
+    dim, f = rep_action[0].nrows, rep_action[0].field
+    for pos, y in enumerate(cd.elements):
+        mat = act_matrix(y)
+        if y == cd.x and mat != SparseMatrix.identity(dim, f):
+            raise ValueError(
+                f"{cd.group.labels[pos]} acts nontrivially on its {component} component"
+            )
+        if mat != rep_action[cd.coset_of[pos]]:
+            raise ValueError(
+                "the centralizer action does not factor through the quotient"
+            )
+    act_cols = {t * dim + s: col for t, mat in enumerate(rep_action)
+                for s, col in mat.columns()}
+    action = SparseMatrix(dim, cd.quotient.order * dim, f, act_cols)
+    return group_homology(cd.quotient, dim, action, 0, high, field=f)
+
+
 @dataclass
 class CentralizerFolding:
     direct: list
@@ -1147,46 +1128,20 @@ def burghelea_finite(
         comp = dec.components.get(x)
         if comp is None or comp.dim == 0:
             continue
-        cd = conj.centralizers[x]
-        quot = cd.quotient
-        # the class representative must act trivially for the quotient action
-        for v in comp.basis:
-            if m.act_vec({x: f.one}, v) != v:
-                raise ValueError(
-                    f"{g.labels[x]} acts nontrivially on its coaction component"
-                )
-        # action of the quotient group through coset representatives,
-        # verified independent of the representative choice
-        act_cols = {}
-        rep_action = {}
-        for t in range(quot.order):
-            a = cd.elements[cd.coset_reps[t]]
+
+        def act_matrix(y: int) -> SparseMatrix:
             cols = {}
             for s, v in enumerate(comp.basis):
-                img = m.act_vec({a: f.one}, v)
-                coords = comp.coords(img)
+                coords = comp.coords(m.act_vec({y: f.one}, v))
                 if coords is None:
                     raise ValueError("component is not centralizer-stable")
                 if coords:
                     cols[s] = coords
-            rep_action[t] = SparseMatrix(comp.dim, comp.dim, f, cols)
-            for s in range(comp.dim):
-                col = rep_action[t].column(s)
-                if col:
-                    act_cols[t * comp.dim + s] = col
-        for pos, a in enumerate(cd.elements):
-            t = cd.coset_of[pos]
-            cols = {}
-            for s, v in enumerate(comp.basis):
-                coords = comp.coords(m.act_vec({a: f.one}, v))
-                if coords:
-                    cols[s] = coords
-            if SparseMatrix(comp.dim, comp.dim, f, cols) != rep_action[t]:
-                raise ValueError(
-                    "the centralizer action does not factor through the quotient"
-                )
-        action = SparseMatrix(comp.dim, quot.order * comp.dim, f, act_cols)
-        per_class[g.labels[x]] = group_homology(quot, comp.dim, action, 0, high, field=f)
+            return SparseMatrix(comp.dim, comp.dim, f, cols)
+
+        per_class[g.labels[x]] = centralizer_homology(
+            conj.centralizers[x], act_matrix, high, "coaction"
+        )
 
     folded = []
     for n in range(low, high + 1):

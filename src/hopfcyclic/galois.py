@@ -48,13 +48,13 @@ from .cyclic import (
     _fold,
     _sample_columns,
     build_cyclic,
-    group_homology,
+    centralizer_homology,
     hc_connes,
     hochschild,
     sbi_check,
     verify_cyclic_identities,
 )
-from .hopf import FiniteGroup, HopfAlgebra, TensorIndex, conjugacy_data, group_algebra
+from .hopf import AlgebraData, FiniteGroup, HopfAlgebra, TensorIndex, _balancing_relators, conjugacy_data, group_algebra, separability_element
 from .linalg import (
     QQ,
     QuasiIsoReport,
@@ -63,11 +63,11 @@ from .linalg import (
     Subspace,
     Vec,
     WellDefinednessError,
+    bilinear,
     flip_matrix,
     quasi_iso_check,
     rank,
     rank_kernel,
-    solve,
     solve_matrix,
     vec_add_at,
     vec_iadd_scaled,
@@ -78,62 +78,6 @@ from .reporting import CheckReport
 # ---------------------------------------------------------------------------
 # algebras and comodule algebras
 # ---------------------------------------------------------------------------
-
-
-class AlgebraData:
-    """A finite-dimensional unital algebra given by its structure tensor.
-
-    `mult` is d x d^2 with column i*d+j holding e_i e_j; `unit` is a sparse
-    vector.  No axioms are assumed at construction; `verify_algebra` checks
-    them with witnesses.
-    """
-
-    def __init__(self, field, basis, mult: SparseMatrix, unit: Vec, name: str = "A"):
-        self.field = field
-        self.basis = tuple(basis)
-        self.dim = len(self.basis)
-        if mult.nrows != self.dim or mult.ncols != self.dim * self.dim:
-            raise ValueError("multiplication tensor has wrong shape")
-        self.mult = mult
-        self.unit = {i: field.coerce(c) for i, c in unit.items()}
-        self.name = name
-
-    def __repr__(self):
-        return f"<AlgebraData {self.name} dim {self.dim}>"
-
-    def mult_pairs(self, i: int, j: int) -> list:
-        """e_i e_j as [(k, coeff)]."""
-        return list(self.mult.cols.get(i * self.dim + j, {}).items())
-
-    def product_vec(self, u: Vec, v: Vec) -> Vec:
-        out: Vec = {}
-        d = self.dim
-        cols = self.mult.cols
-        for i, a in u.items():
-            for j, b in v.items():
-                col = cols.get(i * d + j)
-                if col:
-                    vec_iadd_scaled(out, col, a * b)
-        return out
-
-    def unit_matrix(self) -> SparseMatrix:
-        return SparseMatrix(self.dim, 1, self.field, {0: dict(self.unit)})
-
-    def left_mult_matrix(self, v: Vec) -> SparseMatrix:
-        cols = {}
-        for j in range(self.dim):
-            w = self.product_vec(v, {j: self.field.one})
-            if w:
-                cols[j] = w
-        return SparseMatrix(self.dim, self.dim, self.field, cols)
-
-    def right_mult_matrix(self, v: Vec) -> SparseMatrix:
-        cols = {}
-        for j in range(self.dim):
-            w = self.product_vec({j: self.field.one}, v)
-            if w:
-                cols[j] = w
-        return SparseMatrix(self.dim, self.dim, self.field, cols)
 
 
 class ComoduleAlgebra(AlgebraData):
@@ -222,14 +166,25 @@ def comodule_from_hopf(h: HopfAlgebra) -> ComoduleAlgebra:
     return ca
 
 
-def underlying_algebra(h: HopfAlgebra) -> AlgebraData:
-    """Forget the coalgebra structure of a Hopf algebra."""
-    return AlgebraData(h.field, h.basis, h.mult, h.unit, name=h.name)
-
-
 # ---------------------------------------------------------------------------
 # strong gradings, crossed products, twisted group algebras
 # ---------------------------------------------------------------------------
+
+
+def grading_degrees(gamma: FiniteGroup, dim: int, blocks) -> list:
+    """The degree of each basis index, for `blocks` mapping each group
+    element to basis indices; raises unless the blocks partition the basis."""
+    degree_of: dict = {}
+    for x in range(gamma.order):
+        if x not in blocks:
+            raise ValueError(f"no block for group element {gamma.labels[x]}")
+        for i in blocks[x]:
+            if i in degree_of:
+                raise ValueError(f"basis index {i} appears in two blocks")
+            degree_of[i] = x
+    if len(degree_of) != dim:
+        raise ValueError("the blocks do not cover the basis")
+    return [degree_of[i] for i in range(dim)]
 
 
 def strongly_graded(gamma: FiniteGroup, algebra: AlgebraData, blocks,
@@ -244,19 +199,8 @@ def strongly_graded(gamma: FiniteGroup, algebra: AlgebraData, blocks,
     """
     f = algebra.field
     d = algebra.dim
-    degree_of: dict = {}
-    norm: dict = {}
-    for x in range(gamma.order):
-        if x not in blocks:
-            raise ValueError(f"no block for group element {gamma.labels[x]}")
-        idxs = tuple(blocks[x])
-        norm[x] = idxs
-        for i in idxs:
-            if i in degree_of:
-                raise ValueError(f"basis index {i} appears in two blocks")
-            degree_of[i] = x
-    if len(degree_of) != d:
-        raise ValueError("the blocks do not cover the basis")
+    degree_of = grading_degrees(gamma, d, blocks)
+    norm = {x: tuple(blocks[x]) for x in range(gamma.order)}
     e = gamma.identity
     for i in algebra.unit:
         if degree_of[i] != e:
@@ -291,8 +235,8 @@ def strongly_graded(gamma: FiniteGroup, algebra: AlgebraData, blocks,
     ca = ComoduleAlgebra(h, algebra.basis, algebra.mult, algebra.unit, coaction,
                          name=name or algebra.name)
     verify_comodule_algebra(ca).require()
-    ca.grading = {x: norm[x] for x in range(gamma.order)}
-    ca.degree_of = [degree_of[i] for i in range(d)]
+    ca.grading = norm
+    ca.degree_of = degree_of
     return ca
 
 
@@ -445,28 +389,10 @@ class Bimodule:
         return f"<Bimodule {self.name} dim {self.dim} over {self.a.name}>"
 
     def left_vec(self, av: Vec, mv: Vec) -> Vec:
-        out: Vec = {}
-        md = self.dim
-        cols = self.left.cols
-        for i, a in av.items():
-            base = i * md
-            for j, b in mv.items():
-                col = cols.get(base + j)
-                if col:
-                    vec_iadd_scaled(out, col, a * b)
-        return out
+        return bilinear(self.left.cols, self.dim, av, mv)
 
     def right_vec(self, mv: Vec, av: Vec) -> Vec:
-        out: Vec = {}
-        ad = self.a.dim
-        cols = self.right.cols
-        for j, b in mv.items():
-            base = j * ad
-            for i, a in av.items():
-                col = cols.get(base + i)
-                if col:
-                    vec_iadd_scaled(out, col, a * b)
-        return out
+        return bilinear(self.right.cols, self.a.dim, mv, av)
 
 
 def verify_bimodule(m: Bimodule) -> CheckReport:
@@ -532,26 +458,6 @@ class GaloisExtension:
         return [
             ((p // d, p % d), c) for p, c in self.kappa.cols.get(t, {}).items()
         ]
-
-
-def _balancing_relators(ca: AlgebraData, bvecs) -> list:
-    """x b (x) y - x (x) b y over the base and the tensor-square basis."""
-    d = ca.dim
-    one = ca.field.one
-    gens = []
-    for bv in bvecs:
-        xb = [ca.product_vec({x: one}, bv) for x in range(d)]
-        by = [ca.product_vec(bv, {y: one}) for y in range(d)]
-        for x in range(d):
-            for y in range(d):
-                r: Vec = {}
-                for k, c in xb[x].items():
-                    vec_add_at(r, k * d + y, c)
-                for k, c in by[y].items():
-                    vec_add_at(r, x * d + k, -c)
-                if r:
-                    gens.append(r)
-    return gens
 
 
 def _outer_relators(ca: AlgebraData, bvecs) -> list:
@@ -1366,30 +1272,21 @@ def lambda_iso(g: GaloisExtension, m: Bimodule | None = None,
 
 def _separability_element(ca: AlgebraData, middle: BaseData,
                           inner: BaseData) -> Vec:
-    """Solve for e in B (x)_C B with mult(e) = 1 and x e = e x for all x in
-    B; returns an ambient B (x) B representative or raises."""
+    """Restrict to the middle base B and solve for its separability element
+    over the inner base C (see `hopf.separability_element`); returns a
+    representative in B (x) B coordinates or raises."""
     f = ca.field
     bd = middle.dim
-    one = f.one
     bcols = [middle.inclusion.column(r) for r in range(bd)]
-    table = [
-        [
-            middle.space.coords(ca.product_vec(bcols[i], bcols[j]))
-            for j in range(bd)
-        ]
-        for i in range(bd)
-    ]
-    if any(entry is None for row in table for entry in row):
-        raise ValueError(f"{middle.name} is not closed under multiplication")
-    bmult = SparseMatrix(
-        bd, bd * bd, f,
-        {
-            i * bd + j: table[i][j]
-            for i in range(bd)
-            for j in range(bd)
-            if table[i][j]
-        },
-    )
+    cols = {}
+    for i in range(bd):
+        for j in range(bd):
+            col = middle.space.coords(ca.product_vec(bcols[i], bcols[j]))
+            if col is None:
+                raise ValueError(f"{middle.name} is not closed under multiplication")
+            if col:
+                cols[i * bd + j] = col
+    bmult = SparseMatrix(bd, bd * bd, f, cols)
     balg = AlgebraData(f, tuple(f"b{r}" for r in range(bd)), bmult,
                        middle.space.coords(dict(ca.unit)), name=middle.name)
     cvecs = []
@@ -1398,40 +1295,7 @@ def _separability_element(ca: AlgebraData, middle: BaseData,
         if coords is None:
             raise ValueError(f"{inner.name} is not contained in {middle.name}")
         cvecs.append(coords)
-    gens = _balancing_relators(balg, cvecs)
-    q = QuotientSpace(bd * bd, f, gens)
-    sect = q.section_matrix()
-    eye_b = SparseMatrix.identity(bd, f)
-    proj = q.projection_matrix()
-    rows: dict = {}
-    mq = bmult @ sect
-    for s, col in mq.columns():
-        for i, c in col.items():
-            rows.setdefault(s, {})[i] = c
-    offset = bd
-    for x in range(bd):
-        move = balg.left_mult_matrix({x: one}).kron(eye_b) - eye_b.kron(
-            balg.right_mult_matrix({x: one})
-        )
-        for rvec in gens:
-            if q.project_vec(move.apply(rvec)):
-                raise WellDefinednessError(
-                    "a centrality constraint does not descend to the balanced square"
-                )
-        cq = proj @ move @ sect
-        for s, col in cq.columns():
-            for i, c in col.items():
-                rows.setdefault(s, {})[offset + i] = c
-        offset += q.dim
-    system = SparseMatrix(offset, q.dim, f, rows)
-    rhs = dict(balg.unit)
-    sol = solve(system, rhs)
-    if sol is None:
-        raise ValueError(f"{middle.name} is not separable over {inner.name}")
-    lift: Vec = {}
-    for s, c in sol.items():
-        vec_iadd_scaled(lift, sect.column(s), c)
-    return lift
+    return separability_element(balg, cvecs)
 
 
 @dataclass
@@ -1612,28 +1476,8 @@ def burghelea_graded(g: GaloisExtension, low: int = 0, high: int = 3) -> GradedF
                     cols[s] = img
             return SparseMatrix(qx.dim, qx.dim, f, cols)
 
-        if act_matrix(x) != SparseMatrix.identity(qx.dim, f):
-            raise ValueError(
-                f"{gamma.labels[x]} does not act trivially on its graded component"
-            )
-        quot = cd.quotient
-        rep_action = {}
-        act_cols = {}
-        for t in range(quot.order):
-            mat = act_matrix(cd.elements[cd.coset_reps[t]])
-            rep_action[t] = mat
-            for s in range(qx.dim):
-                col = mat.column(s)
-                if col:
-                    act_cols[t * qx.dim + s] = col
-        for posn, y in enumerate(cd.elements):
-            if act_matrix(y) != rep_action[cd.coset_of[posn]]:
-                raise ValueError(
-                    "the centralizer action does not factor through the quotient"
-                )
-        action = SparseMatrix(qx.dim, quot.order * qx.dim, f, act_cols)
-        per_class[gamma.labels[x]] = group_homology(
-            quot, qx.dim, action, 0, high, field=f
+        per_class[gamma.labels[x]] = centralizer_homology(
+            cd, act_matrix, high, "graded"
         )
 
     folded = [

@@ -1,4 +1,11 @@
-"""Finite-dimensional Hopf algebras presented by sparse structure tensors.
+"""Finite-dimensional algebras and Hopf algebras presented by sparse
+structure tensors.
+
+The algebra layer lives here: `AlgebraData` is a unital algebra given by its
+multiplication tensor, with the product (`product_vec`, `mult_pairs`) that
+every layer above uses, and `separability_element` is the one solver for
+separability elements over a subalgebra.  `HopfAlgebra` is an `AlgebraData`,
+so a Hopf algebra is passed as it is wherever an algebra is expected.
 
 A Hopf algebra here is the data (mult, unit, comult, counit, antipode) over an
 exact field, with the seven axiom identities checked as exact matrix
@@ -32,7 +39,11 @@ from .linalg import (
     SparseMatrix,
     Subspace,
     Vec,
+    WellDefinednessError,
+    bilinear,
     flip_matrix,
+    rank,
+    solve,
     vec_add_at,
     vec_iadd_scaled,
 )
@@ -282,11 +293,135 @@ class TensorIndex:
 
 
 # ---------------------------------------------------------------------------
+# algebras
+# ---------------------------------------------------------------------------
+
+
+class AlgebraData:
+    """A finite-dimensional unital algebra given by its structure tensor.
+
+    `mult` is d x d^2 with column i*d+j holding e_i e_j; `unit` is a sparse
+    vector.  No axioms are assumed at construction; `galois.verify_algebra`
+    checks them with witnesses.
+    """
+
+    def __init__(self, field: Field, basis: Sequence[str], mult: SparseMatrix,
+                 unit: Vec, name: str = "A"):
+        self.field = field
+        self.basis = tuple(basis)
+        self.dim = len(self.basis)
+        if mult.nrows != self.dim or mult.ncols != self.dim * self.dim:
+            raise ValueError("multiplication tensor has wrong shape")
+        self.mult = mult
+        self.unit = {i: field.coerce(c) for i, c in unit.items()}
+        self.name = name
+
+    def __repr__(self):
+        return f"<AlgebraData {self.name} dim {self.dim}>"
+
+    def mult_pairs(self, i: int, j: int) -> list:
+        """e_i e_j as [(k, coeff)]."""
+        return list(self.mult.cols.get(i * self.dim + j, {}).items())
+
+    def product_vec(self, u: Vec, v: Vec) -> Vec:
+        return bilinear(self.mult.cols, self.dim, u, v)
+
+    def unit_matrix(self) -> SparseMatrix:
+        return SparseMatrix(self.dim, 1, self.field, {0: dict(self.unit)} if self.unit else {})
+
+    def left_mult_matrix(self, v: Vec) -> SparseMatrix:
+        cols = {}
+        for j in range(self.dim):
+            w = self.product_vec(v, {j: self.field.one})
+            if w:
+                cols[j] = w
+        return SparseMatrix(self.dim, self.dim, self.field, cols)
+
+    def right_mult_matrix(self, v: Vec) -> SparseMatrix:
+        cols = {}
+        for j in range(self.dim):
+            w = self.product_vec({j: self.field.one}, v)
+            if w:
+                cols[j] = w
+        return SparseMatrix(self.dim, self.dim, self.field, cols)
+
+
+def _balancing_relators(a: AlgebraData, bvecs) -> list:
+    """x b (x) y - x (x) b y over the base and the tensor-square basis."""
+    d = a.dim
+    one = a.field.one
+    gens = []
+    for bv in bvecs:
+        xb = [a.product_vec({x: one}, bv) for x in range(d)]
+        by = [a.product_vec(bv, {y: one}) for y in range(d)]
+        for x in range(d):
+            for y in range(d):
+                r: Vec = {}
+                for k, c in xb[x].items():
+                    vec_add_at(r, k * d + y, c)
+                for k, c in by[y].items():
+                    vec_add_at(r, x * d + k, -c)
+                if r:
+                    gens.append(r)
+    return gens
+
+
+def separability_element(b: AlgebraData, inner) -> Vec:
+    """Solve for e in b (x)_C b, where C is the span of the vectors `inner`
+    of b, with mult(e) = 1 and x e = e x for every x in b.
+
+    The equations are posed on the balanced square, after certifying that
+    each centrality constraint descends to it; the solution comes back as a
+    b (x) b representative.  Raises ValueError when no solution exists (b
+    is not separable over C).
+    """
+    f = b.field
+    bd = b.dim
+    one = f.one
+    gens = _balancing_relators(b, inner)
+    q = QuotientSpace(bd * bd, f, gens)
+    sect = q.section_matrix()
+    eye_b = SparseMatrix.identity(bd, f)
+    proj = q.projection_matrix()
+    rows: dict = {}
+    mq = b.mult @ sect
+    for s, col in mq.columns():
+        for i, c in col.items():
+            rows.setdefault(s, {})[i] = c
+    offset = bd
+    for x in range(bd):
+        move = b.left_mult_matrix({x: one}).kron(eye_b) - eye_b.kron(
+            b.right_mult_matrix({x: one})
+        )
+        for rvec in gens:
+            if q.project_vec(move.apply(rvec)):
+                raise WellDefinednessError(
+                    "a centrality constraint does not descend to the balanced square"
+                )
+        cq = proj @ move @ sect
+        for s, col in cq.columns():
+            for i, c in col.items():
+                rows.setdefault(s, {})[offset + i] = c
+        offset += q.dim
+    system = SparseMatrix(offset, q.dim, f, rows)
+    sol = solve(system, dict(b.unit))
+    if sol is None:
+        raise ValueError(
+            f"{b.name} is not separable over the given base: "
+            "it has no separability element"
+        )
+    lift: Vec = {}
+    for s, c in sol.items():
+        vec_iadd_scaled(lift, sect.column(s), c)
+    return lift
+
+
+# ---------------------------------------------------------------------------
 # Hopf algebras
 # ---------------------------------------------------------------------------
 
 
-class HopfAlgebra:
+class HopfAlgebra(AlgebraData):
     """Structure-tensor presentation of a finite-dimensional Hopf algebra."""
 
     def __init__(
@@ -300,22 +435,15 @@ class HopfAlgebra:
         antipode: SparseMatrix,
         name: str = "",
     ):
-        self.field = field
-        self.basis = tuple(basis)
-        d = len(self.basis)
-        self.dim = d
-        if mult.nrows != d or mult.ncols != d * d:
-            raise ValueError("multiplication tensor has wrong shape")
+        super().__init__(field, basis, mult, unit, name or "H")
+        d = self.dim
         if comult.nrows != d * d or comult.ncols != d:
             raise ValueError("comultiplication tensor has wrong shape")
         if antipode.nrows != d or antipode.ncols != d:
             raise ValueError("antipode has wrong shape")
-        self.mult = mult
-        self.unit = {i: field.coerce(v) for i, v in unit.items()}
         self.comult = comult
         self.counit = {i: field.coerce(v) for i, v in counit.items()}
         self.antipode = antipode
-        self.name = name or "H"
         self._sweedler_cache: dict = {}
         self._grouplike_cache: dict = {}
 
@@ -323,22 +451,6 @@ class HopfAlgebra:
         return f"<HopfAlgebra {self.name} dim {self.dim} over {self.field.name}>"
 
     # -- scalar accessors ----------------------------------------------------
-
-    def mult_pairs(self, i: int, j: int) -> list:
-        """e_i * e_j as [(k, coeff)]."""
-        return list(self.mult.cols.get(i * self.dim + j, {}).items())
-
-    def product_vec(self, u: Vec, v: Vec) -> Vec:
-        out: dict = {}
-        d = self.dim
-        cols = self.mult.cols
-        for i, a in u.items():
-            base = i * d
-            for j, b in v.items():
-                col = cols.get(base + j)
-                if col:
-                    vec_iadd_scaled(out, col, a * b)
-        return out
 
     def comult_pairs(self, i: int) -> list:
         d = self.dim
@@ -380,12 +492,6 @@ class HopfAlgebra:
 
     def antipode_of(self, i: int) -> Vec:
         return self.antipode.column(i)
-
-    def antipode_vec(self, v: Vec) -> Vec:
-        return self.antipode.apply(v)
-
-    def unit_matrix(self) -> SparseMatrix:
-        return SparseMatrix(self.dim, 1, self.field, {0: dict(self.unit)} if self.unit else {})
 
     def counit_matrix(self) -> SparseMatrix:
         cols = {i: {0: v} for i, v in self.counit.items()}
@@ -627,9 +733,7 @@ def hopf_subalgebra(h: HopfAlgebra, k: HopfAlgebra, inclusion: SparseMatrix) -> 
     """Verify that `inclusion` embeds k into h as a Hopf algebra."""
     if inclusion.nrows != h.dim or inclusion.ncols != k.dim:
         raise ValueError("inclusion has wrong shape")
-    from .linalg import rank as _rank
-
-    if _rank(inclusion) != k.dim:
+    if rank(inclusion) != k.dim:
         raise ValueError("inclusion is not injective")
     rep = CheckReport(f"embedding {k.name} in {h.name}")
     rep.add("multiplicative", inclusion @ k.mult == h.mult @ inclusion.kron(inclusion))

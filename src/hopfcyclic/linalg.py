@@ -229,6 +229,19 @@ def vec_add_at(v: Vec, key, val) -> None:
         del v[key]
 
 
+def bilinear(cols: dict, inner_dim: int, u: Vec, v: Vec) -> Vec:
+    """The sum of u[i] v[j] cols[i*inner_dim + j]: a bilinear map given by
+    the columns of its structure tensor, as for a product or an action."""
+    out: Vec = {}
+    for i, a in u.items():
+        base = i * inner_dim
+        for j, b in v.items():
+            col = cols.get(base + j)
+            if col:
+                vec_iadd_scaled(out, col, a * b)
+    return out
+
+
 def vec_scale(v: Vec, c) -> Vec:
     if not c:
         return {}
@@ -511,10 +524,6 @@ class Echelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-    @property
-    def pivot_set(self) -> set:
-        return self._pivot_set
-
     def free_cols(self) -> list:
         piv = self._pivot_set
         return [j for j in range(self.ncols) if j not in piv]
@@ -796,10 +805,6 @@ class QuotientSpace:
     def dim(self) -> int:
         return len(self.free_cols)
 
-    @property
-    def relator_rank(self) -> int:
-        return self._ech.rank
-
     def relator_span_vectors(self) -> list:
         """A spanning set of the relator span (the echelon rows as vectors)."""
         return [dict(r) for r in self._ech.rows]
@@ -811,9 +816,6 @@ class QuotientSpace:
 
     def section_vec(self, k: int) -> Vec:
         return {self.free_cols[k]: self.field.one}
-
-    def contains_zero_class(self, v: Vec) -> bool:
-        return not self._ech.reduce(v)
 
     def projection_matrix(self) -> SparseMatrix:
         cached = getattr(self, "_proj_cache", None)

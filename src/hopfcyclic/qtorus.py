@@ -51,12 +51,6 @@ class TorusCocycle:
         if self.q_order is not None and self.q_order < 1:
             raise ValueError("the order of q must be positive")
 
-    def pairing_exponent(self, x, y) -> int:
-        """x^T a y: the exponent of q in the commutation factor of U^x U^y."""
-        return sum(
-            x[i] * self.a[i][j] * y[j] for i in range(self.r) for j in range(self.r)
-        )
-
     def character_vanishes(self, x) -> bool:
         """Whether a x = 0 mod ord(q): the point supports homology."""
         for i in range(self.r):

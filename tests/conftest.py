@@ -12,7 +12,6 @@ from hopfcyclic.galois import (
     lambda_iso,
     strongly_graded,
     twisted_group_algebra,
-    underlying_algebra,
 )
 from hopfcyclic.hopf import FiniteGroup, group_algebra
 from hopfcyclic.linalg import QQ
@@ -26,7 +25,7 @@ def s3_group():
 @pytest.fixture(scope="session")
 def s3_graded(s3_group):
     """kS_3 graded by parity over Z/2: even permutations in degree 0."""
-    alg = underlying_algebra(group_algebra(s3_group, QQ))
+    alg = group_algebra(s3_group, QQ)
     evens = [i for i in range(6) if s3_group.element_order(i) != 2]
     odds = [i for i in range(6) if s3_group.element_order(i) == 2]
     return strongly_graded(

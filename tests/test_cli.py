@@ -1,11 +1,13 @@
 """End-to-end tests of the command-line interface: exit codes, report
 shape, determinism, and the error paths for broken inputs."""
 
+import copy
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfcyclic.cli import main
 from hopfcyclic.crossed import adjoint, crossed_to_json
@@ -298,6 +300,18 @@ def test_malformed_module_document_is_an_input_error(doc, message):
     assert message in err and len(err.splitlines()) == 1
 
 
+_KZ1 = hopf_to_json(group_algebra(FiniteGroup.cyclic(1)))
+_KZ2 = hopf_to_json(group_algebra(FiniteGroup.cyclic(2)))
+
+
+def _hopf_doc(base: dict, **change) -> str:
+    return json.dumps({**base, **change})
+
+
+def _s3_grading(blocks: str) -> str:
+    return f'{{"algebra": "s3", "grading": {{"group": "z2", "blocks": {blocks}}}}}'
+
+
 @pytest.mark.parametrize("argv, message", [
     (["hh", "z2", '{"dim": 1, "action": [[0, 0, 0, "1/5"]], "coaction": []}',
       "--field", "f5"], "divisible by 5"),
@@ -328,15 +342,98 @@ def test_malformed_module_document_is_an_input_error(doc, message):
     (["galois", '{"algebra": "s3", "grading": {"group": "z2",'
                 ' "blocks": {"0": [0, 1, 2], "1": [3, 4, 9]}}}'],
      "block '1' is not a list of basis indices below 6"),
+    (["galois", _s3_grading('{"0": [0, 1, 2]}')], "no block for group element g"),
+    (["galois", _s3_grading('{"0": [0, 1, 2], "1": [2, 3, 4, 5]}')],
+     "basis index 2 appears in two blocks"),
+    (["galois", _s3_grading('{"0": [0, 1, 2], "1": [3, 4]}')],
+     "the blocks do not cover the basis"),
+    (["verify", "hopf", _hopf_doc(_KZ2, mult=[["a", 0, 0, "1"]] + _KZ2["mult"][1:])],
+     "mult entry ['a', 0, 0, '1']"),
+    (["verify", "hopf", _hopf_doc(_KZ2, mult=5)], "mult must be a list"),
+    (["verify", "hopf", _hopf_doc(_KZ2, unit=None)], "unit must be a list of 2 scalars"),
+    (["verify", "hopf", _hopf_doc(_KZ1, mult=[[0, 0]])], "mult entry [0, 0]"),
+    (["verify", "hopf", _hopf_doc(_KZ1, mult=[[0, 0, 3, "1"]])],
+     "mult entry [0, 0, 3, '1']"),
+    (["verify", "hopf", _hopf_doc(_KZ2, dim="a")],
+     "dim must be a non-negative integer, not 'a'"),
+    (["verify", "hopf", _hopf_doc(_KZ2, unit="1")], "unit must be a list of 2 scalars"),
+    (["verify", "hopf", _hopf_doc(_KZ2, basis="ab")], "basis must be a list of 2 strings"),
+    (["galois", '{"algebra": {"dim": 2, "mult": [[0, 0, 5, "1"]], "unit": ["1", "0"]},'
+                ' "grading": {"group": "z2", "blocks": {"0": [0], "1": [1]}}}'],
+     "algebra document: mult entry [0, 0, 5, '1']"),
 ], ids=["denominator-divisible-by-p", "hopf-list", "extension-list",
         "algebra-list", "torus-list", "grading-list", "grading-without-algebra",
         "cocycle-key", "cocycle-index", "action-index", "action-incomplete",
-        "cocycle-element", "block-index"])
+        "cocycle-element", "block-index", "block-missing", "block-overlap",
+        "block-cover", "mult-scalar-index", "mult-not-list", "unit-null",
+        "mult-short", "mult-index", "dim-string", "unit-string", "basis-string",
+        "algebra-mult-index"])
 def test_bad_input_is_an_input_error(argv, message):
     rc, out, err = run(argv + ["--max-degree", "2"])
     assert rc == 2 and out == ""
     assert err.startswith("input error: ")
     assert message in err and len(err.splitlines()) == 1
+
+
+# A value of the wrong JSON type wherever it is put in the documents below.
+_WRONG = st.sampled_from([None, 5, -1, True, 1.5, "ab", [[1]], {"k": 1}])
+_GRADING = {"algebra": "z2", "grading": {"group": "z2", "blocks": {"0": [0], "1": [1]}}}
+
+
+@st.composite
+def _faulty_hopf_document(draw):
+    doc = copy.deepcopy(_KZ2)
+    fault = draw(st.sampled_from(["type", "short", "index", "missing"]))
+    if fault == "type":
+        key = draw(st.sampled_from(
+            ["dim", "basis", "mult", "comult", "unit", "counit", "antipode"]))
+        doc[key] = draw(_WRONG.filter(lambda v: v is not None or key != "basis"))
+    elif fault == "short":
+        key = draw(st.sampled_from(["mult", "comult", "antipode", "unit", "counit"]))
+        k = draw(st.integers(0, len(doc[key]) - 1))
+        if key in ("unit", "counit"):
+            doc[key] = doc[key][:k]
+        else:
+            doc[key][k] = doc[key][k][:draw(st.integers(0, len(doc[key][k]) - 1))]
+    elif fault == "index":
+        entries = doc[draw(st.sampled_from(["mult", "comult", "antipode"]))]
+        entry = entries[draw(st.integers(0, len(entries) - 1))]
+        entry[draw(st.integers(0, len(entry) - 2))] = draw(st.sampled_from([-1, 2, 9]))
+    else:
+        del doc[draw(st.sampled_from(
+            ["dim", "mult", "comult", "unit", "counit", "antipode"]))]
+    return ["verify", "hopf", json.dumps(doc)]
+
+
+@st.composite
+def _faulty_grading_document(draw):
+    doc = copy.deepcopy(_GRADING)
+    grading = doc["grading"]
+    blocks = grading["blocks"]
+    key = draw(st.sampled_from(["0", "1"]))
+    fault = draw(st.sampled_from(["type", "index", "missing", "overlap"]))
+    if fault == "type":
+        owner, field = draw(st.sampled_from([
+            (doc, "algebra"), (doc, "grading"), (grading, "group"),
+            (grading, "blocks"), (blocks, key)]))
+        owner[field] = draw(_WRONG)
+    elif fault == "index":
+        blocks[key].append(draw(st.sampled_from([-1, 2, 9])))
+    elif fault == "missing":
+        owner, field = draw(st.sampled_from([
+            (doc, "algebra"), (grading, "group"), (grading, "blocks"), (blocks, key)]))
+        del owner[field]
+    else:
+        blocks[key].append(1 - int(key))
+    return ["galois", json.dumps(doc)]
+
+
+@given(argv=st.one_of(_faulty_hopf_document(), _faulty_grading_document()))
+@settings(max_examples=150, deadline=None)
+def test_document_faults_are_input_errors(argv):
+    rc, out, err = run(argv + ["--max-degree", "1"])
+    assert rc == 2 and out == ""
+    assert err.startswith("input error: ") and len(err.splitlines()) == 1
 
 
 def test_sign_character_resolution():

@@ -19,12 +19,11 @@ from hopfcyclic.cyclic import (
     norm_complex_homology,
     sbi_check,
     semisimple_reduction,
-    separability_idempotent,
     shapiro_check,
     tor_oracle,
     verify_cyclic_identities,
 )
-from hopfcyclic.hopf import FiniteGroup, group_algebra, group_subalgebra
+from hopfcyclic.hopf import FiniteGroup, group_algebra, group_subalgebra, separability_element
 from hopfcyclic.linalg import QQ, PrimeField, SparseMatrix, TruncationError
 
 
@@ -327,16 +326,16 @@ def test_shapiro_a3_in_s3(ks3):
 
 
 def test_separability_element_exists(kz2, kz3):
-    e = separability_idempotent(kz2)
+    e = separability_element(kz2, [kz2.unit])
     # (1 (x) 1 + g (x) g) / 2
     assert e == {0: QQ.coerce("1/2"), 3: QQ.coerce("1/2")}
-    assert separability_idempotent(kz3)
+    assert separability_element(kz3, [kz3.unit])
 
 
 def test_separability_fails_in_bad_characteristic():
     h = group_algebra(FiniteGroup.cyclic(2), PrimeField(2))
     with pytest.raises(ValueError, match="separability"):
-        separability_idempotent(h)
+        separability_element(h, [h.unit])
 
 
 def test_reduction_s3_mod_a3_trivial(ks3):

@@ -25,7 +25,6 @@ from hopfcyclic.galois import (
     trace_map,
     twisted_group_algebra,
     um_actions,
-    underlying_algebra,
     unit_base,
     verify_algebra,
     verify_bimodule,
@@ -65,7 +64,7 @@ def trivial_coaction_comodule(h, name):
 
 
 def test_verify_algebra_accepts_group_algebra(kz3):
-    assert verify_algebra(underlying_algebra(kz3)).ok
+    assert verify_algebra(kz3).ok
 
 
 def test_verify_algebra_reports_witness_triple():
@@ -89,14 +88,32 @@ def test_trivial_coaction_is_a_comodule_algebra(kz2):
 
 
 def test_regular_bimodule_axioms(kz3):
-    assert verify_bimodule(regular_bimodule(underlying_algebra(kz3))).ok
+    assert verify_bimodule(regular_bimodule(kz3)).ok
 
 
 def test_broken_bimodule_is_detected(kz2):
-    a = underlying_algebra(kz2)
-    m = regular_bimodule(a)
+    m = regular_bimodule(kz2)
     m.right = SparseMatrix(2, 4, QQ, {k: {0: QQ.one} for k in range(4)})
     assert not verify_bimodule(m).ok
+
+
+_KS3 = group_algebra(FiniteGroup.symmetric(3))
+_SPARSE = st.dictionaries(st.integers(0, 5), st.integers(-3, 3).filter(bool), max_size=4)
+
+
+def _kron(u, v, inner):
+    return {i * inner + j: a * b for i, a in u.items() for j, b in v.items()}
+
+
+@given(u=_SPARSE, v=_SPARSE)
+@settings(max_examples=40, deadline=None)
+def test_products_apply_the_structure_tensor_to_the_kronecker_vector(u, v):
+    # kS3 is not commutative, so a kernel that swaps its arguments fails
+    m, bim = adjoint(_KS3), regular_bimodule(_KS3)
+    assert _KS3.product_vec(u, v) == _KS3.mult.apply(_kron(u, v, _KS3.dim))
+    assert m.act_vec(u, v) == m.action.apply(_kron(u, v, m.dim))
+    assert bim.left_vec(u, v) == bim.left.apply(_kron(u, v, bim.dim))
+    assert bim.right_vec(u, v) == bim.right.apply(_kron(u, v, _KS3.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +142,7 @@ def test_non_strong_grading_is_rejected():
 
 
 def test_grading_must_cover_and_respect_degrees(kz2):
-    alg = underlying_algebra(kz2)
+    alg = kz2
     z2 = FiniteGroup.cyclic(2)
     with pytest.raises(ValueError, match="cover"):
         strongly_graded(z2, alg, {0: [0], 1: []})
@@ -134,7 +151,7 @@ def test_grading_must_cover_and_respect_degrees(kz2):
 
 
 def test_group_algebra_is_strongly_graded_by_its_group(kz4):
-    alg = underlying_algebra(kz4)
+    alg = kz4
     z4 = FiniteGroup.cyclic(4)
     ca = strongly_graded(z4, alg, {x: [x] for x in range(4)})
     assert coinvariants(ca).dim == 1
@@ -143,7 +160,7 @@ def test_group_algebra_is_strongly_graded_by_its_group(kz4):
 def test_crossed_product_with_sign_action(kz2):
     sign = SparseMatrix(2, 2, QQ, {0: {0: QQ.one}, 1: {1: -QQ.one}})
     cp = crossed_product(
-        underlying_algebra(kz2),
+        kz2,
         FiniteGroup.cyclic(2),
         action={0: SparseMatrix.identity(2, QQ), 1: sign},
     )
@@ -153,7 +170,7 @@ def test_crossed_product_with_sign_action(kz2):
 
 
 def test_trivial_crossed_product_is_the_group_algebra(kz2):
-    cp = crossed_product(underlying_algebra(kz2), FiniteGroup.cyclic(2))
+    cp = crossed_product(kz2, FiniteGroup.cyclic(2))
     v4 = group_algebra(
         FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2)), QQ
     )
@@ -398,7 +415,7 @@ def test_graded_folding_for_twisted_klein(klein_twisted):
 
 
 def test_graded_folding_of_group_algebra_by_itself(kz3):
-    alg = underlying_algebra(kz3)
+    alg = kz3
     z3 = FiniteGroup.cyclic(3)
     ca = strongly_graded(z3, alg, {x: [x] for x in range(3)})
     gf = burghelea_graded(galois_check(ca), 0, 3)

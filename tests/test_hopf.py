@@ -21,6 +21,7 @@ from hopfcyclic.hopf import (
     hopf_to_json,
     op_cop,
     quotient_by_normal,
+    separability_element,
     verify_hopf,
 )
 from hopfcyclic.linalg import QQ, SparseMatrix
@@ -187,6 +188,21 @@ def test_non_normal_subalgebra_rejected():
     sub = group_subalgebra(h, [g.identity, t])
     with pytest.raises(ValueError, match="not normal"):
         quotient_by_normal(h, sub)
+
+
+@pytest.mark.parametrize("group", [FiniteGroup.symmetric(3), FiniteGroup.dihedral(4)],
+                         ids=["s3", "d4"])
+def test_separability_element_of_a_noncommutative_group_algebra(group):
+    h = group_algebra(group)
+    d = h.dim
+    e = separability_element(h, [h.unit])
+    eye = SparseMatrix.identity(d, QQ)
+    assert h.mult.apply(e) == h.unit
+    for x in range(d):
+        x_col = SparseMatrix(d, 1, QQ, {0: {x: QQ.one}})
+        left_x = h.mult @ x_col.kron(eye)  # a -> x a
+        right_x = h.mult @ eye.kron(x_col)  # b -> b x
+        assert left_x.kron(eye).apply(e) == eye.kron(right_x).apply(e)
 
 
 # -- JSON ----------------------------------------------------------------------
