@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from .crossed import CrossedModule, decompose_group_case, induce, u_map, verify_crossed
+from .crossed import CrossedModule, action_tensor, decompose_group_case, induce, quotient_coaction, trivial_coaction, u_map, verify_crossed
 from .hopf import CentralizerData, FiniteGroup, HopfAlgebra, HopfSubalgebra, TensorIndex, augmentation_ideal_vectors, conjugacy_data, group_algebra, quotient_by_normal, separability_element
 from .linalg import (
     QQ,
@@ -501,7 +501,7 @@ def build_cyclic(
     `check` runs the identity suite through degree 2, on sampled columns
     once the degree-2 carrier exceeds 256; diagnostic builds skip it.
     """
-    if m.h is not h and m.h.basis != h.basis:
+    if m.h is not h:
         raise ValueError("module is not over the given Hopf algebra")
     f = h.field
     hd, md = h.dim, m.dim
@@ -668,7 +668,6 @@ def connes_data(z: CyclicObject, top: int):
             quotients[n - 1].induced_matrix(
                 z.boundary(n),
                 source=quotients[n],
-                check=True,
                 what=f"boundary at degree {n} on the cyclic quotient",
             )
         )
@@ -870,16 +869,9 @@ def cocommutative_folding_check(
     """For a cocommutative Hopf algebra and a trivial-coaction module, the
     cyclic homology is the even-shifted fold of the bar-resolution Tor.
     Both sides computed independently and compared degreewise."""
-    f = h.field
     if not h.is_cocommutative():
         raise ValueError("the Hopf algebra is not cocommutative")
-    triv_cols = {}
-    for j in range(m.dim):
-        col = {}
-        for u, cu in h.unit.items():
-            col[j * h.dim + u] = cu
-        triv_cols[j] = col
-    if m.coaction != SparseMatrix(m.dim * h.dim, m.dim, f, triv_cols):
+    if m.coaction != trivial_coaction(h, m.dim):
         raise ValueError("the module does not have trivial coaction")
     z = build_cyclic(h, m, high + 1)
     hcd = hc_connes(z, low, high)
@@ -989,28 +981,17 @@ def semisimple_reduction(
                     raise ValueError(
                         "the action does not descend to the reduced module"
                     )
-    act_cols = {}
-    for t in range(hbar.dim):
-        lift = sec_h.column(t)
-        amb_cols = {}
-        for j in range(m.dim):
-            col = m.act_vec(lift, {j: f.one})
-            if col:
-                amb_cols[j] = col
-        amb = SparseMatrix(m.dim, m.dim, f, amb_cols)
-        ind = qm.induced_matrix(amb, check=True, what="reduced action")
-        for jq in range(qm.dim):
-            col = ind.column(jq)
-            if col:
-                act_cols[t * qm.dim + jq] = col
-    action = SparseMatrix(qm.dim, hbar.dim * qm.dim, f, act_cols)
-
-    # coaction descends through both projections
-    proj_both = qm.projection_matrix().kron(proj)
-    for rvec in qm.relator_span_vectors():
-        if proj_both.apply(m.coaction.apply(rvec)):
-            raise ValueError("the coaction does not descend to the reduced module")
-    coaction = proj_both @ m.coaction @ qm.section_matrix()
+    action = action_tensor(
+        [qm.induced_matrix(
+            SparseMatrix.from_columns(
+                m.dim, f, [m.act_vec(sec_h.column(t), {j: f.one}) for j in range(m.dim)]),
+            what="reduced action")
+         for t in range(hbar.dim)],
+        qm.dim, f,
+    )
+    # the coaction descends through both projections
+    coaction = quotient_coaction(qm, m.coaction, proj,
+                                 "the coaction does not descend to the reduced module")
     mbar = CrossedModule(hbar, qm.dim, action, coaction, name=f"{m.name}/aug")
     verify_crossed(mbar).require(mbar.name)
 
@@ -1074,25 +1055,23 @@ def centralizer_homology(
     act_matrix(y) is the matrix by which the centralizer element y acts.
 
     The action goes through coset representatives, certified independent of
-    the choice: every centralizer element must act as its representative
-    does, and the class representative must act trivially.
+    the choice: the class representative must act trivially, and every
+    centralizer element must act as its representative does.  act_matrix is
+    called once per centralizer element.
     """
-    rep_action = [act_matrix(cd.elements[r]) for r in cd.coset_reps]
-    dim, f = rep_action[0].nrows, rep_action[0].field
-    for pos, y in enumerate(cd.elements):
-        mat = act_matrix(y)
-        if y == cd.x and mat != SparseMatrix.identity(dim, f):
-            raise ValueError(
-                f"{cd.group.labels[pos]} acts nontrivially on its {component} component"
-            )
-        if mat != rep_action[cd.coset_of[pos]]:
-            raise ValueError(
-                "the centralizer action does not factor through the quotient"
-            )
-    act_cols = {t * dim + s: col for t, mat in enumerate(rep_action)
-                for s, col in mat.columns()}
-    action = SparseMatrix(dim, cd.quotient.order * dim, f, act_cols)
-    return group_homology(cd.quotient, dim, action, 0, high, field=f)
+    mats = [act_matrix(y) for y in cd.elements]
+    dim, f = mats[0].nrows, mats[0].field
+    xpos = cd.elements.index(cd.x)
+    if mats[xpos] != SparseMatrix.identity(dim, f):
+        raise ValueError(
+            f"{cd.group.labels[xpos]} acts nontrivially on its {component} component"
+        )
+    reps = [mats[r] for r in cd.coset_reps]
+    if any(mat != reps[cd.coset_of[pos]] for pos, mat in enumerate(mats)):
+        raise ValueError(
+            "the centralizer action does not factor through the quotient"
+        )
+    return group_homology(cd.quotient, dim, action_tensor(reps, dim, f), 0, high, field=f)
 
 
 @dataclass
@@ -1130,14 +1109,7 @@ def burghelea_finite(
             continue
 
         def act_matrix(y: int) -> SparseMatrix:
-            cols = {}
-            for s, v in enumerate(comp.basis):
-                coords = comp.coords(m.act_vec({y: f.one}, v))
-                if coords is None:
-                    raise ValueError("component is not centralizer-stable")
-                if coords:
-                    cols[s] = coords
-            return SparseMatrix(comp.dim, comp.dim, f, cols)
+            return comp.induced_matrix(m.act_matrix(y), "component is not centralizer-stable")
 
         per_class[g.labels[x]] = centralizer_homology(
             conj.centralizers[x], act_matrix, high, "coaction"

@@ -42,7 +42,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .crossed import CrossedModule, verify_crossed, verify_modular
+from .crossed import CrossedModule, quotient_coaction, trivial_coaction, verify_crossed, verify_modular
 from .cyclic import (
     CyclicObject,
     _fold,
@@ -336,11 +336,8 @@ def _check_subalgebra(a: AlgebraData, space: Subspace, name: str) -> None:
 def coinvariants(ca: ComoduleAlgebra) -> BaseData:
     """The coinvariant subalgebra B = { a : rho(a) = a (x) 1 }, certified to
     be a unital subalgebra."""
-    f, d, hd = ca.field, ca.dim, ca.h.dim
-    triv = SparseMatrix.identity(d, f).kron(
-        SparseMatrix(hd, 1, f, {0: dict(ca.h.unit)})
-    )
-    _, kernel = rank_kernel(ca.coaction - triv)
+    f, d = ca.field, ca.dim
+    _, kernel = rank_kernel(ca.coaction - trivial_coaction(ca.h, d))
     space = Subspace(d, f, kernel)
     name = f"{ca.name}^co"
     _check_subalgebra(ca, space, name)
@@ -678,14 +675,17 @@ def um_actions(g: GaloisExtension, m: Bimodule, morphisms=()) -> UMActions:
     rep = CheckReport(f"translated actions on {m.name}")
 
     bvecs = [g.base.inclusion.column(r) for r in range(g.base.dim)]
-    comm_rows: dict = {}
-    for j in range(md):
-        col: Vec = {}
-        for rpos, bv in enumerate(bvecs):
+    comms = []  # comms[r][j] = [b_r, m_j] = b_r m_j - m_j b_r
+    for bv in bvecs:
+        row = []
+        for j in range(md):
             w = m.left_vec(bv, {j: one})
             vec_iadd_scaled(w, m.right_vec({j: one}, bv), -one)
-            for i, c in w.items():
-                col[rpos * md + i] = c
+            row.append(w)
+        comms.append(row)
+    comm_rows: dict = {}
+    for j in range(md):
+        col = {rpos * md + i: c for rpos, row in enumerate(comms) for i, c in row[j].items()}
         if col:
             comm_rows[j] = col
     _, inv_basis = rank_kernel(
@@ -724,29 +724,14 @@ def um_actions(g: GaloisExtension, m: Bimodule, morphisms=()) -> UMActions:
     if not stable:
         rep.require()
 
-    rel_gens = []
-    for bv in bvecs:
-        for j in range(md):
-            w = m.left_vec(bv, {j: one})
-            vec_iadd_scaled(w, m.right_vec({j: one}, bv), -one)
-            if w:
-                rel_gens.append(w)
-    quotient = QuotientSpace(md, f, rel_gens)
-    for t in range(hd):
-        for rvec in rel_gens:
-            if quotient.project_vec(conj(t, rvec, False)):
-                raise WellDefinednessError(
-                    f"the action of {h.basis[t]} does not descend to the "
-                    "commutator quotient"
-                )
-    left_mats: dict = {}
-    for t in range(hd):
-        cols = {}
-        for s in range(quotient.dim):
-            img = quotient.project_vec(conj(t, quotient.section_vec(s), False))
-            if img:
-                cols[s] = img
-        left_mats[t] = SparseMatrix(quotient.dim, quotient.dim, f, cols)
+    quotient = QuotientSpace(md, f, [w for row in comms for w in row if w])
+    left_mats = {
+        t: quotient.induced_matrix(
+            SparseMatrix.from_columns(md, f, [conj(t, {j: one}, False) for j in range(md)]),
+            what=f"the action of {h.basis[t]} on the commutator quotient",
+        )
+        for t in range(hd)
+    }
 
     def assemble(mats: dict, unit_check: str, assoc_check: str, left_side: bool,
                  dim_: int) -> SparseMatrix:
@@ -812,14 +797,8 @@ def ab_crossed_module(g: GaloisExtension) -> CrossedModule:
     f, hd = ca.field, ca.h.dim
     um = um_actions(g, regular_bimodule(ca))
     q = um.quotient
-    eye_h = SparseMatrix.identity(hd, f)
-    amb_co = q.projection_matrix().kron(eye_h) @ ca.coaction
-    for rvec in q.relator_span_vectors():
-        if amb_co.apply(rvec):
-            raise WellDefinednessError(
-                "the coaction does not descend to the commutator quotient"
-            )
-    coaction = amb_co @ q.section_matrix()
+    coaction = quotient_coaction(q, ca.coaction, SparseMatrix.identity(hd, f),
+                                 "the coaction does not descend to the commutator quotient")
     basis = tuple(f"[{ca.basis[c]}]" for c in q.free_cols)
     mc = CrossedModule(h, q.dim, um.left_action, coaction, basis,
                        name=f"{ca.name}_B")
@@ -836,7 +815,7 @@ def ab_crossed_module(g: GaloisExtension) -> CrossedModule:
 
 
 def relative_cyclic(ca: AlgebraData, base: BaseData, m: Bimodule | None = None,
-                    max_degree: int = 3, check: str = "sample") -> CyclicObject:
+                    max_degree: int = 3) -> CyclicObject:
     """The relative cyclic object Z_*(A/B, M) on balanced tensor powers.
 
     The degree-n carrier is M (x)_B A^{(x)_B n} with the outer legs also
@@ -1030,10 +1009,8 @@ def relative_cyclic(ca: AlgebraData, base: BaseData, m: Bimodule | None = None,
     z.algebra = ca
     z.base = base
     z.bimodule = bim
-    if check == "sample":
-        depth = min(2, max_degree)
-        columns = _sample_columns(z) if md * ad * ad > 256 else None
-        verify_cyclic_identities(z, depth, columns).require(z.name)
+    columns = _sample_columns(z) if md * ad * ad > 256 else None
+    verify_cyclic_identities(z, min(2, max_degree), columns).require(z.name)
     return z
 
 
@@ -1178,6 +1155,33 @@ class LambdaComparison:
     report: CheckReport
 
 
+def _check_commutation(rep: CheckReport, src: CyclicObject, tgt: CyclicObject,
+                       mats: dict, max_degree: int, cyclic: bool) -> None:
+    """Add one check per face, degeneracy and (when cyclic) cyclic operator
+    through max_degree: the degreewise maps mats[n] intertwine src and tgt."""
+    for n in range(1, max_degree + 1):
+        for i in range(n + 1):
+            rep.add(
+                f"face {i} commutes at degree {n}",
+                tgt.face(n, i) @ mats[n] == mats[n - 1] @ src.face(n, i),
+                f"degree {n}, face {i}",
+            )
+    for n in range(max_degree):
+        for i in range(n + 1):
+            rep.add(
+                f"degeneracy {i} commutes at degree {n}",
+                tgt.degen(n, i) @ mats[n] == mats[n + 1] @ src.degen(n, i),
+                f"degree {n}, degeneracy {i}",
+            )
+    if cyclic:
+        for n in range(max_degree + 1):
+            rep.add(
+                f"cyclic operator commutes at degree {n}",
+                tgt.cyclic(n) @ mats[n] == mats[n] @ src.cyclic(n),
+                f"degree {n}",
+            )
+
+
 def lambda_iso(g: GaloisExtension, m: Bimodule | None = None,
                max_degree: int = 3, compare_hc: bool = True) -> LambdaComparison:
     """Certify that the slot-product map is an isomorphism of (cyclic,
@@ -1197,12 +1201,8 @@ def lambda_iso(g: GaloisExtension, m: Bimodule | None = None,
     else:
         um = um_actions(g, m)
         qm = um.quotient
-        hd = h.dim
-        triv = SparseMatrix(
-            qm.dim * hd, qm.dim, f,
-            {j: {j * hd + u: c for u, c in h.unit.items()} for j in range(qm.dim)},
-        )
-        mbar = CrossedModule(h, qm.dim, um.left_action, triv, name=f"{m.name}_B")
+        mbar = CrossedModule(h, qm.dim, um.left_action, trivial_coaction(h, qm.dim),
+                             name=f"{m.name}_B")
         verify_crossed(mbar).require(mbar.name)
     target = build_cyclic(h, mbar, top)
     bim = z.bimodule
@@ -1231,27 +1231,7 @@ def lambda_iso(g: GaloisExtension, m: Bimodule | None = None,
             f"translation chain inverts the comparison at degree {n}",
             lam @ chain == eye_t and chain @ lam == eye_s,
         )
-    for n in range(1, max_degree + 1):
-        for i in range(n + 1):
-            rep.add(
-                f"face {i} commutes at degree {n}",
-                target.face(n, i) @ mats[n] == mats[n - 1] @ z.face(n, i),
-                f"degree {n}, face {i}",
-            )
-    for n in range(max_degree):
-        for i in range(n + 1):
-            rep.add(
-                f"degeneracy {i} commutes at degree {n}",
-                target.degen(n, i) @ mats[n] == mats[n + 1] @ z.degen(n, i),
-                f"degree {n}, degeneracy {i}",
-            )
-    if m is None:
-        for n in range(max_degree + 1):
-            rep.add(
-                f"cyclic operator commutes at degree {n}",
-                target.cyclic(n) @ mats[n] == mats[n] @ z.cyclic(n),
-                f"degree {n}",
-            )
+    _check_commutation(rep, z, target, mats, max_degree, cyclic=m is None)
     rep.require()
     hc_rel = hc_hopf = None
     if compare_hc and m is None and f.characteristic == 0:
@@ -1341,19 +1321,10 @@ def separable_base_change(ca: AlgebraData, middle: BaseData, inner: BaseData,
         if n < 0 or n > top:
             continue
         qs = z_src.carrier(n)
-        qt = z_tgt.carrier(n)
-        for rvec in z_src.carrier_relators(n):
-            if qt.project_vec(rvec):
-                raise WellDefinednessError(
-                    f"a relator over {inner.name} survives over {middle.name} "
-                    f"at degree {n}"
-                )
-        cols = {}
-        for s in range(qs.dim):
-            v = qt.project_vec(qs.section_vec(s))
-            if v:
-                cols[s] = v
-        fmap[n] = SparseMatrix(qt.dim, qs.dim, f, cols)
+        fmap[n] = z_tgt.carrier(n).induced_matrix(
+            SparseMatrix.identity(qs.ambient_dim, f), source=qs,
+            what=f"the collapse from {inner.name} to {middle.name} at degree {n}",
+        )
     qi = quasi_iso_check(fmap, z_src.chain_complex(top), z_tgt.chain_complex(top),
                          low, high)
     rep = CheckReport(
@@ -1554,25 +1525,6 @@ def trace_map(ca: ComoduleAlgebra, m: CrossedModule, tr: SparseMatrix,
         mats[n] = _slot_matrix(ca, bim, n, tr.apply, m.dim) @ src.carrier(
             n
         ).section_matrix()
-    for n in range(1, max_degree + 1):
-        for i in range(n + 1):
-            rep.add(
-                f"face {i} commutes at degree {n}",
-                tgt.face(n, i) @ mats[n] == mats[n - 1] @ src.face(n, i),
-                f"degree {n}, face {i}",
-            )
-    for n in range(max_degree):
-        for i in range(n + 1):
-            rep.add(
-                f"degeneracy {i} commutes at degree {n}",
-                tgt.degen(n, i) @ mats[n] == mats[n + 1] @ src.degen(n, i),
-                f"degree {n}, degeneracy {i}",
-            )
-    for n in range(max_degree + 1):
-        rep.add(
-            f"cyclic operator commutes at degree {n}",
-            tgt.cyclic(n) @ mats[n] == mats[n] @ src.cyclic(n),
-            f"degree {n}",
-        )
+    _check_commutation(rep, src, tgt, mats, max_degree, cyclic=True)
     rep.require()
     return TraceComparison(src, tgt, mats, rep)

@@ -23,6 +23,9 @@ Conventions
 * Echelon output is a list of (pivot_col, row) in retirement order; a row
   retired at step t has zero coefficient in every pivot column retired before
   t, which is what the forward-reduction and back-substitution passes rely on.
+* Sub- and quotient objects go through ``Subspace`` and ``QuotientSpace``:
+  ``induced_matrix`` restricts an operator to a subspace, or pushes it to a
+  quotient, after checking that it is well defined there.
 """
 
 from __future__ import annotations
@@ -42,8 +45,9 @@ class TruncationError(ValueError):
     """A homology degree was requested that the truncated data cannot certify."""
 
 
-class WellDefinednessError(ValueError):
-    """An operator does not descend to the requested quotient."""
+class WellDefinednessError(LinAlgError):
+    """An operator does not descend to the requested quotient, or leaves the
+    requested subspace."""
 
 
 class ScalarError(ValueError):
@@ -754,7 +758,12 @@ def invert(m: SparseMatrix) -> SparseMatrix:
 
 
 class Subspace:
-    """The span of a family of vectors inside k^ambient_dim."""
+    """The span of a family of vectors inside k^ambient_dim.
+
+    Sub-objects are built through ``coords`` and ``induced_matrix``: the
+    first ``coords`` call eliminates the canonical basis once, augmented by
+    identity columns, and every call reduces by that echelon.
+    """
 
     def __init__(self, ambient_dim: int, field: Field, vectors: Iterable[Vec]):
         self.ambient_dim = ambient_dim
@@ -764,6 +773,7 @@ class Subspace:
             canonical_vec({j: v for j, v in row.items()}, field)
             for row in self._ech.rows
         ]
+        self._coord_ech: Echelon | None = None
 
     @property
     def dim(self) -> int:
@@ -777,12 +787,36 @@ class Subspace:
         return SparseMatrix.from_columns(self.ambient_dim, self.field, self.basis)
 
     def coords(self, v: Vec):
-        """Coordinates of v in the canonical basis, or None if outside."""
-        mat = getattr(self, "_coord_cache", None)
-        if mat is None:
-            mat = self.basis_matrix()
-            self._coord_cache = mat
-        return solve(mat, v)
+        """Coordinates of v in the canonical basis, or None if outside.
+
+        Row t of the augmented echelon is basis[t] (+) e_{ambient+t}, so v
+        reduces to (v - sum x_t basis[t]) (+) (-x); an ambient residual
+        means v is outside the span.
+        """
+        amb = self.ambient_dim
+        if self._coord_ech is None:
+            self._coord_ech = echelonize(
+                [{**b, amb + t: self.field.one} for t, b in enumerate(self.basis)],
+                self.field, amb + self.dim, pivot_limit=amb,
+            )
+        red = self._coord_ech.reduce(v)
+        if any(j < amb for j in red):
+            return None
+        return {j - amb: -c for j, c in red.items()}
+
+    def induced_matrix(self, op: SparseMatrix, what: str) -> SparseMatrix:
+        """op restricted to the subspace, in the canonical basis; raises
+        WellDefinednessError(what) when op maps a basis vector outside."""
+        if op.ncols != self.ambient_dim or op.nrows != self.ambient_dim:
+            raise LinAlgError("operator shape does not match the ambient space")
+        cols = {}
+        for t, b in enumerate(self.basis):
+            coords = self.coords(op.apply(b))
+            if coords is None:
+                raise WellDefinednessError(what)
+            if coords:
+                cols[t] = coords
+        return SparseMatrix(self.dim, self.dim, self.field, cols)
 
 
 class QuotientSpace:
@@ -837,25 +871,23 @@ class QuotientSpace:
         self,
         op: SparseMatrix,
         source: "QuotientSpace | None" = None,
-        check: bool = True,
         what: str = "operator",
     ) -> SparseMatrix:
         """Transport an ambient operator to the quotient(s).
 
         op maps the source ambient space into this quotient's ambient space.
-        With check=True, every vector spanning the source relator span must
-        map into this quotient's relator span -- the well-definedness
-        criterion; violations raise WellDefinednessError.
+        Every vector spanning the source relator span must map into this
+        quotient's relator span -- the well-definedness criterion; violations
+        raise WellDefinednessError.
         """
         src = source if source is not None else self
         if op.ncols != src.ambient_dim or op.nrows != self.ambient_dim:
             raise LinAlgError("operator shape does not match ambient spaces")
-        if check:
-            for rvec in src._ech.rows:
-                if self._ech.reduce(op.apply(rvec)):
-                    raise WellDefinednessError(
-                        f"{what} does not preserve the relator span"
-                    )
+        for rvec in src._ech.rows:
+            if self._ech.reduce(op.apply(rvec)):
+                raise WellDefinednessError(
+                    f"{what} does not preserve the relator span"
+                )
         cols = {}
         for k in range(src.dim):
             out = self.project_vec(op.apply(src.section_vec(k)))

@@ -2,8 +2,9 @@
 
 Every verifier in the package returns a CheckReport: an ordered list of named
 checks, each pass/fail with an optional human-readable witness (the basis
-element or identity instance that failed).  Reports render to text lines and
-to JSON-compatible dicts; a report is truthy iff every check passed.
+element or identity instance that failed).  Reports render to text lines;
+the CLI serialises their checks itself.  A report is truthy iff every check
+passed.
 """
 
 from __future__ import annotations
@@ -22,12 +23,6 @@ class CheckResult:
         suffix = f"  [{self.witness}]" if self.witness else ""
         return f"{mark:4s} {self.name}{suffix}"
 
-    def to_json(self) -> dict:
-        out = {"name": self.name, "pass": self.passed}
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
-
 
 @dataclass
 class CheckReport:
@@ -37,12 +32,6 @@ class CheckReport:
     def add(self, name: str, passed: bool, witness: str | None = None) -> bool:
         self.checks.append(CheckResult(name, bool(passed), witness if not passed else None))
         return bool(passed)
-
-    def merge(self, other: "CheckReport", prefix: str = "") -> None:
-        for c in other.checks:
-            self.checks.append(
-                CheckResult(prefix + c.name if prefix else c.name, c.passed, c.witness)
-            )
 
     @property
     def ok(self) -> bool:
@@ -57,13 +46,6 @@ class CheckReport:
 
     def lines(self) -> list:
         return [f"== {self.title} ==" ] + [c.line() for c in self.checks]
-
-    def to_json(self) -> dict:
-        return {
-            "title": self.title,
-            "pass": self.ok,
-            "checks": [c.to_json() for c in self.checks],
-        }
 
     def require(self, context: str = "") -> "CheckReport":
         """Raise ValueError with the first failure if the report is not clean."""

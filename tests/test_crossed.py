@@ -7,11 +7,13 @@ import pytest
 from hopfcyclic.crossed import (
     CrossedModule,
     Filtration,
+    action_tensor,
     adjoint,
     associated_graded,
     coadjoint,
     coinvariants_filtration,
     crossed_from_json,
+    crossed_from_module,
     crossed_to_json,
     decompose_group_case,
     from_yetter_drinfeld,
@@ -21,6 +23,8 @@ from hopfcyclic.crossed import (
     modular_pair_module,
     one_dimensional,
     restrict,
+    stable_part,
+    sub_coaction,
     trivial_module,
     u_map,
     verify_crossed,
@@ -31,7 +35,15 @@ from hopfcyclic.hopf import (
     group_algebra,
     group_subalgebra,
 )
-from hopfcyclic.linalg import QQ, LinAlgError, SparseMatrix, Subspace
+from hopfcyclic.linalg import (
+    QQ,
+    LinAlgError,
+    SparseMatrix,
+    Subspace,
+    WellDefinednessError,
+    rank_kernel,
+    solve,
+)
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +178,14 @@ def test_induce_dimension_and_modularity(kz4):
     assert verify_modular(ind).ok
 
 
+def test_induce_refuses_a_module_over_another_algebra_with_the_same_labels(ks3):
+    sub = group_subalgebra(ks3, range(6))
+    # over op_cop(sub.sub): the same basis labels, another Hopf algebra
+    module, _ = modular_pair_module(sub.sub, ks3.group.identity)
+    with pytest.raises(ValueError, match="not over the given subalgebra"):
+        induce(sub, ks3, module)
+
+
 def test_induce_from_trivial_subgroup(ks3):
     sub = group_subalgebra(ks3, [0])
     n = trivial_module(sub.sub)
@@ -218,6 +238,31 @@ def test_stable_envelope_of_trivial_module_is_adjoint(kz2):
     assert hg.dim == 2
     assert hg.action == ad.action
     assert hg.coaction == ad.coaction
+
+
+def test_action_tensor_inverts_act_matrix(ks3):
+    m = adjoint(ks3)
+    mats = [m.act_matrix(i) for i in range(ks3.dim)]
+    assert action_tensor(mats, m.dim, QQ) == m.action
+
+
+def test_sub_coaction_matches_a_solve_reference(ks3):
+    # the stable part of the crossed envelope of the adjoint action: 26 of 36
+    env = crossed_from_module(ks3, 6, adjoint(ks3).action)
+    _, kernel = rank_kernel(u_map(env) - SparseMatrix.identity(env.dim, QQ))
+    sub = Subspace(env.dim, QQ, kernel)
+    assert 0 < sub.dim < env.dim
+    got = sub_coaction(sub, env.coaction, ks3.dim, "not a subcomodule")
+    wk = sub.basis_matrix().kron(SparseMatrix.identity(ks3.dim, QQ))
+    want = SparseMatrix.from_columns(
+        sub.dim * ks3.dim, QQ, [solve(wk, env.coaction.apply(v)) for v in sub.basis]
+    )
+    assert got == want
+    assert stable_part(env)[0].coaction == got
+    # e0 + e1 in ad(kS3): rho(e0 + e1) = e0 (x) e0 + e1 (x) e1 leaves the span
+    line = Subspace(ks3.dim, QQ, [{0: 1, 1: 1}])
+    with pytest.raises(WellDefinednessError, match="not a subcomodule"):
+        sub_coaction(line, adjoint(ks3).coaction, ks3.dim, "not a subcomodule")
 
 
 def test_coinvariant_envelope_of_trivial_comodule_is_coadjoint(kz2):
@@ -281,6 +326,14 @@ def test_associated_graded_rejects_bad_filtration(kz2, swap, spans, message):
     filt = Filtration([Subspace(2, QQ, vs) for vs in spans], len(spans) - 1, False)
     with pytest.raises(LinAlgError, match=message):
         associated_graded(m, filt)
+
+
+def test_associated_graded_rejects_a_nontrivial_graded_coaction(kz2):
+    # one step, all of ad(kZ2): gr_0 is the module itself, whose coaction
+    # g -> g (x) g is not trivial
+    filt = Filtration([Subspace(2, QQ, [{0: 1}, {1: 1}])], 0, True)
+    with pytest.raises(LinAlgError, match="graded piece 0 does not have trivial coaction"):
+        associated_graded(adjoint(kz2), filt)
 
 
 def test_crossed_json_roundtrip(kz3):

@@ -3,13 +3,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfcyclic.crossed import adjoint, one_dimensional, trivial_module
+from hopfcyclic.crossed import adjoint, modular_pair_module, one_dimensional, trivial_module
 from hopfcyclic.cyclic import (
     CharacteristicError,
     aux_resolution_report,
     build_aux_cyclic,
     build_cyclic,
     burghelea_finite,
+    centralizer_homology,
     cocommutative_folding_check,
     group_homology,
     hc,
@@ -23,7 +24,7 @@ from hopfcyclic.cyclic import (
     tor_oracle,
     verify_cyclic_identities,
 )
-from hopfcyclic.hopf import FiniteGroup, group_algebra, group_subalgebra, separability_element
+from hopfcyclic.hopf import FiniteGroup, conjugacy_data, group_algebra, group_subalgebra, separability_element
 from hopfcyclic.linalg import QQ, PrimeField, SparseMatrix, TruncationError
 
 
@@ -104,6 +105,13 @@ def test_build_dims_and_tau0(kz4):
     z = build_cyclic(kz4, m, 3)
     assert z.dims == [4, 16, 64, 256]
     assert z.cyclic(0) == SparseMatrix.identity(4, QQ)
+
+
+def test_build_refuses_a_module_over_another_algebra_with_the_same_labels(ks3):
+    # the modular-pair module lives over op_cop(kS3), which has kS3's labels
+    module, _ = modular_pair_module(ks3, ks3.group.identity)
+    with pytest.raises(ValueError, match="not over the given Hopf algebra"):
+        build_cyclic(ks3, module, 3)
 
 
 def test_identity_suite_small(kz2, kz3):
@@ -400,6 +408,25 @@ def test_burghelea_trivial_module_single_class(kz3):
     assert out.report.ok
     assert out.direct == [1, 0, 1, 0]
     assert len(out.per_class) == 1
+
+
+def test_centralizer_homology_asks_for_each_action_matrix_once():
+    conj = conjugacy_data(FiniteGroup.symmetric(3))
+    for x in conj.transversal:
+        cd = conj.centralizers[x]
+        asked = []
+
+        def act_matrix(y):
+            asked.append(y)
+            return SparseMatrix.identity(1, QQ)
+
+        hom = centralizer_homology(cd, act_matrix, 2, "test")
+        assert sorted(asked) == sorted(cd.elements)
+        assert hom == group_homology(
+            cd.quotient, 1, SparseMatrix(1, cd.quotient.order, QQ,
+                                         {i: {0: 1} for i in range(cd.quotient.order)}),
+            0, 2,
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -244,6 +244,51 @@ def test_subspace_membership_and_coords():
     assert c is not None
 
 
+@settings(max_examples=300, deadline=None)
+@given(echelon_and_vector())
+def test_subspace_coords_match_solve(case):
+    field, ncols, rows, v = case
+    s = Subspace(ncols, field, rows)
+    got = s.coords(v)
+    want = solve(s.basis_matrix(), v)
+    if want is None:
+        assert got is None
+    else:
+        assert sorted(got.items()) == sorted(want.items())
+        assert sorted(map(repr, got.values())) == sorted(map(repr, want.values()))
+
+
+def test_subspace_coords_eliminate_once(monkeypatch):
+    from hopfcyclic import linalg
+
+    s = Subspace(4, QQ, [{0: 1, 1: 2}, {1: 1, 3: -1}, {2: 3}])
+    assert s.coords({0: 1, 1: 3, 3: -1}) is not None
+    calls = []
+    original = linalg.echelonize
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "echelonize", counting)
+    for v in ({0: 2, 1: 4}, {2: 1}, {3: 1}, {}):
+        s.coords(v)
+    assert s.coords({3: 1}) is None
+    assert calls == []
+
+
+def test_subspace_induced_matrix():
+    # span(e0, e1 + e2) in k^3: the swap of e1 and e2 preserves it, the map
+    # e0 -> e1 does not
+    s = Subspace(3, QQ, [{0: 1}, {1: 1, 2: 1}])
+    swap = SparseMatrix.permutation([0, 2, 1], QQ)
+    assert s.induced_matrix(swap, "swap leaves the span") == SparseMatrix.identity(2, QQ)
+    shift = SparseMatrix(3, 3, QQ, {0: {1: 1}})
+    with pytest.raises(WellDefinednessError, match="shift leaves the span") as err:
+        s.induced_matrix(shift, "shift leaves the span")
+    assert isinstance(err.value, LinAlgError)
+
+
 # -- complexes ---------------------------------------------------------------
 
 
