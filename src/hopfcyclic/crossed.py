@@ -104,14 +104,12 @@ def action_tensor(mats: Sequence[SparseMatrix], dim: int, field) -> SparseMatrix
 def quotient_coaction(q: QuotientSpace, coaction: SparseMatrix,
                       h_map: SparseMatrix, what: str) -> SparseMatrix:
     """The coaction V -> V (x) H descended to V/R and pushed along
-    h_map: H -> H', that is (proj (x) h_map) @ coaction @ section.  Every
+    h_map: H -> H', that is (proj (x) h_map) @ coaction on V/R.  Every
     relator must map into the kernel of proj (x) h_map, which contains
-    R (x) H; otherwise WellDefinednessError(what) is raised."""
-    proj_h = q.projection_matrix().kron(h_map)
-    for rvec in q.relator_span_vectors():
-        if proj_h.apply(coaction.apply(rvec)):
-            raise WellDefinednessError(what)
-    return proj_h @ coaction @ q.section_matrix()
+    R (x) H; ``induced_matrix`` checks this with a relator-free target and
+    raises WellDefinednessError naming `what` otherwise."""
+    op = q.projection_matrix().kron(h_map) @ coaction
+    return QuotientSpace(op.nrows, q.field, []).induced_matrix(op, source=q, what=what)
 
 
 def sub_coaction(s: Subspace, coaction: SparseMatrix, hd: int, what: str) -> SparseMatrix:
@@ -512,7 +510,7 @@ def induce(sub: HopfSubalgebra, ambient: HopfAlgebra, n: CrossedModule) -> Cross
                 amb_cols[ih * nd + jm] = col
     amb_co = SparseMatrix(hd * nd * hd, hd * nd, f, amb_cols)
     coaction = quotient_coaction(q, amb_co, SparseMatrix.identity(hd, f),
-                                 "induced coaction is not well defined")
+                                 "the induced coaction")
     basis = tuple(
         f"[{h.basis[q.free_cols[t] // nd]}(x){n.basis[q.free_cols[t] % nd]}]"
         for t in range(q.dim)
@@ -597,6 +595,7 @@ def restrict(sub: HopfSubalgebra, ambient: HopfAlgebra, m: CrossedModule) -> Cro
 class GroupDecomposition:
     components: dict  # group element -> Subspace of M
     transversal: list
+    modules: dict  # transversal element x -> M_x over the centralizer of x
     induced: dict  # transversal element -> CrossedModule over kG
     iso: SparseMatrix  # direct sum of induced pieces -> M
     modular: bool
@@ -647,6 +646,7 @@ def decompose_group_case(m: CrossedModule) -> GroupDecomposition:
     rep.add("action permutes components by conjugation", conj_ok)
 
     conj = conjugacy_data(g)
+    modules = {}
     induced = {}
     blocks = []
     for x in conj.transversal:
@@ -670,6 +670,7 @@ def decompose_group_case(m: CrossedModule) -> GroupDecomposition:
         mx = CrossedModule(sub.sub, comp.dim, action, coaction,
                            name=f"{m.name}_{g.labels[x]}")
         verify_crossed(mx).require(mx.name)
+        modules[x] = mx
         ind = induce(sub, h, mx)
         induced[x] = ind
         # the evaluation map Ind -> M: class of (h (x) v) -> h . v
@@ -723,7 +724,8 @@ def decompose_group_case(m: CrossedModule) -> GroupDecomposition:
                 break
     umod = u_map(m) == SparseMatrix.identity(md, f)
     rep.add("modularity criterion agrees with u = id", modular == umod, witness)
-    return GroupDecomposition(components, conj.transversal, induced, iso, modular, rep)
+    return GroupDecomposition(components, conj.transversal, modules, induced, iso,
+                              modular, rep)
 
 
 # ---------------------------------------------------------------------------
@@ -843,7 +845,7 @@ def gh_functor(h: HopfAlgebra, dim: int, coaction: SparseMatrix) -> CrossedModul
         q.dim, f,
     )
     coact = quotient_coaction(q, env.coaction, SparseMatrix.identity(h.dim, f),
-                              "coaction does not descend to the u-coinvariants")
+                              "the coaction on the u-coinvariants")
     out = CrossedModule(h, q.dim, action, coact, name="GH(N)")
     verify_modular(out).require(out.name)
     return out
@@ -876,7 +878,7 @@ def coinvariants_filtration(m: CrossedModule) -> Filtration:
             _, kernel = rank_kernel(m.coaction - trivial_coaction(h, md))
             return kernel
         co_q = quotient_coaction(proj_q, m.coaction, SparseMatrix.identity(hd, f),
-                                 "the coaction does not descend to M / F_p")
+                                 "the coaction on M / F_p")
         _, kernel = rank_kernel(co_q - trivial_coaction(h, proj_q.dim))
         # lift back: the preimage is spanned by F_p plus section lifts
         return [proj_q.section_matrix().apply(v) for v in kernel]
@@ -943,7 +945,8 @@ def associated_graded(m: CrossedModule, filt: Filtration) -> list:
         # trivial there
         bad = f"graded piece {p} does not have trivial coaction"
         coaction = quotient_coaction(q, sub_coaction(step, m.coaction, hd, bad),
-                                     SparseMatrix.identity(hd, f), bad)
+                                     SparseMatrix.identity(hd, f),
+                                     f"the coaction on graded piece {p}")
         if coaction != trivial_coaction(h, q.dim):
             raise LinAlgError(bad)
         gr = CrossedModule(h, q.dim, action, coaction, name=f"gr_{p}({m.name})")

@@ -35,12 +35,19 @@ products and twisted group algebras are built and verified as strongly
 graded algebras.  Separable base changes collapse relative objects by a
 quasi-isomorphism, and H-colinear traces A -> M induce morphisms of cyclic
 objects through the same slot products.
+
+Every operator out of one of these quotients (the Galois map, the faces,
+degeneracies and cyclic operators of the relative object, the comparison
+map, the transported actions) is built by ``QuotientSpace.induced_matrix``,
+which checks on the whole relator span that it descends; maps into a plain
+space use a relator-free quotient as target.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .crossed import CrossedModule, quotient_coaction, trivial_coaction, verify_crossed, verify_modular
 from .cyclic import (
@@ -62,7 +69,6 @@ from .linalg import (
     SparseMatrix,
     Subspace,
     Vec,
-    WellDefinednessError,
     bilinear,
     flip_matrix,
     quasi_iso_check,
@@ -520,13 +526,10 @@ def galois_check(ca: ComoduleAlgebra) -> GaloisExtension:
                     vec_add_at(col, k * hd + y1, c * c2)
             if col:
                 amb_cols[x * d + y] = col
-    amb_beta = SparseMatrix(d * hd, d * d, f, amb_cols)
-    for r in bal_gens:
-        if amb_beta.apply(r):
-            raise WellDefinednessError(
-                "the Galois map does not kill a balancing relator"
-            )
-    beta = amb_beta @ balanced.section_matrix()
+    beta = QuotientSpace(d * hd, f, []).induced_matrix(
+        SparseMatrix(d * hd, d * d, f, amb_cols), source=balanced,
+        what="the Galois map",
+    )
     r = rank(beta)
     if balanced.dim != d * hd or r != d * hd:
         raise ValueError(
@@ -798,7 +801,7 @@ def ab_crossed_module(g: GaloisExtension) -> CrossedModule:
     um = um_actions(g, regular_bimodule(ca))
     q = um.quotient
     coaction = quotient_coaction(q, ca.coaction, SparseMatrix.identity(hd, f),
-                                 "the coaction does not descend to the commutator quotient")
+                                 "the coaction on the commutator quotient")
     basis = tuple(f"[{ca.basis[c]}]" for c in q.free_cols)
     mc = CrossedModule(h, q.dim, um.left_action, coaction, basis,
                        name=f"{ca.name}_B")
@@ -823,17 +826,18 @@ def relative_cyclic(ca: AlgebraData, base: BaseData, m: Bimodule | None = None,
     balancing relators at every junction plus outer commutators).  Faces
     multiply adjacent slots (the first and last through the bimodule
     actions), degeneracies insert the unit, and for M = A the cyclic
-    operator rotates.  Operators act on representatives; that they descend
-    to the quotients is checked on the relator generators the first time
-    each operator family is used in a degree, and the simplicial/cyclic
-    identity suite runs on the assembled object.  When the base is the
-    scalars this is the standard cyclic object of the algebra.
+    operator rotates; for other coefficients the object is simplicial only.
+    Each operator is built once per degree and index on the free tensor
+    power and pushed to the carriers by ``QuotientSpace.induced_matrix``,
+    which checks on the whole relator span that it descends; the
+    simplicial/cyclic identity suite then runs on the assembled object.
+    When the base is the scalars this is the standard cyclic object of the
+    algebra.
     """
     f = ca.field
     ad = ca.dim
     bim = m if m is not None else regular_bimodule(ca)
     md = bim.dim
-    has_cyclic = m is None
     one = f.one
 
     bvecs = [base.inclusion.column(r) for r in range(base.dim)]
@@ -846,13 +850,13 @@ def relative_cyclic(ca: AlgebraData, base: BaseData, m: Bimodule | None = None,
             lb_m.append([bim.left_vec(bv, {j: one}) for j in range(md)])
             rb_m.append([bim.right_vec({j: one}, bv) for j in range(md)])
 
-    carriers: dict = {}
+    @lru_cache(maxsize=None)
+    def index(n: int) -> TensorIndex:
+        return TensorIndex([md] + [ad] * n)
 
-    def carrier(n: int):
-        got = carriers.get(n)
-        if got is not None:
-            return got
-        tix = TensorIndex([md] + [ad] * n)
+    @lru_cache(maxsize=None)
+    def carrier(n: int) -> QuotientSpace:
+        tix = index(n)
         strides = tix.strides
         gens: list = []
         if not scalar_base:
@@ -888,129 +892,78 @@ def relative_cyclic(ca: AlgebraData, base: BaseData, m: Bimodule | None = None,
                             vec_add_at(r, k, -c)
                     if r:
                         gens.append(r)
-        got = (QuotientSpace(tix.size, f, gens), gens, tix)
-        carriers[n] = got
-        return got
+        return QuotientSpace(tix.size, f, gens)
 
-    def amb_face(n: int, i: int, vec: Vec) -> Vec:
-        tn = carrier(n)[2]
-        tm = carrier(n - 1)[2]
+    # ambient operators on one basis tuple of the free tensor power, keyed
+    # by flat indices of the target degree's TensorIndex tm
+    def amb_face(n: int, i: int, tup: tuple, tm: TensorIndex) -> Vec:
         out: Vec = {}
-        for idx, c in vec.items():
-            tup = tn.unflatten(idx)
-            if i == 0:
-                w = bim.right_vec({tup[0]: one}, {tup[1]: one})
-                rest = tup[2:]
-                for k, ck in w.items():
-                    vec_iadd_scaled(out, {tm.flatten((k,) + rest): one}, c * ck)
-            elif i < n:
-                for k, ck in ca.mult_pairs(tup[i], tup[i + 1]):
-                    key = tm.flatten(tup[:i] + (k,) + tup[i + 2:])
-                    vec_iadd_scaled(out, {key: one}, c * ck)
-            else:
-                w = bim.left_vec({tup[n]: one}, {tup[0]: one})
-                mid = tup[1:n]
-                for k, ck in w.items():
-                    vec_iadd_scaled(out, {tm.flatten((k,) + mid): one}, c * ck)
-        return out
-
-    def amb_degen(n: int, i: int, vec: Vec) -> Vec:
-        tn = carrier(n)[2]
-        tp = carrier(n + 1)[2]
-        out: Vec = {}
-        for idx, c in vec.items():
-            tup = tn.unflatten(idx)
-            for u, cu in ca.unit.items():
-                key = tp.flatten(tup[: i + 1] + (u,) + tup[i + 1:])
-                vec_iadd_scaled(out, {key: one}, c * cu)
-        return out
-
-    def amb_cyc(n: int, vec: Vec) -> Vec:
-        tn = carrier(n)[2]
-        out: Vec = {}
-        for idx, c in vec.items():
-            tup = tn.unflatten(idx)
-            out[tn.flatten((tup[n],) + tup[:n])] = c
-        return out
-
-    checked: set = set()
-    spans: dict = {}
-
-    def relator_span(n: int) -> list:
-        # the echelonized span certifies descent with rank-many vectors
-        # instead of one per raw generator
-        got = spans.get(n)
-        if got is None:
-            got = spans[n] = carrier(n)[0].relator_span_vectors()
-        return got
-
-    def _ensure(kind: str, n: int) -> None:
-        if (kind, n) in checked:
-            return
-        checked.add((kind, n))
-        rows = relator_span(n)
-        if not rows:
-            return
-        if kind == "face":
-            target = carrier(n - 1)[0]
-            for i in range(n + 1):
-                for rvec in rows:
-                    if target.project_vec(amb_face(n, i, rvec)):
-                        raise WellDefinednessError(
-                            f"face {i} does not descend at degree {n}"
-                        )
-        elif kind == "degen":
-            target = carrier(n + 1)[0]
-            for i in range(n + 1):
-                for rvec in rows:
-                    if target.project_vec(amb_degen(n, i, rvec)):
-                        raise WellDefinednessError(
-                            f"degeneracy {i} does not descend at degree {n}"
-                        )
+        if i == 0:
+            w = bim.right_vec({tup[0]: one}, {tup[1]: one})
+            for k, ck in w.items():
+                vec_add_at(out, tm.flatten((k,) + tup[2:]), ck)
+        elif i < n:
+            for k, ck in ca.mult_pairs(tup[i], tup[i + 1]):
+                vec_add_at(out, tm.flatten(tup[:i] + (k,) + tup[i + 2:]), ck)
         else:
-            target = carrier(n)[0]
-            for rvec in rows:
-                if target.project_vec(amb_cyc(n, rvec)):
-                    raise WellDefinednessError(
-                        f"the cyclic operator does not descend at degree {n}"
-                    )
+            w = bim.left_vec({tup[n]: one}, {tup[0]: one})
+            for k, ck in w.items():
+                vec_add_at(out, tm.flatten((k,) + tup[1:n]), ck)
+        return out
+
+    def amb_degen(n: int, i: int, tup: tuple, tm: TensorIndex) -> Vec:
+        out: Vec = {}
+        for u, cu in ca.unit.items():
+            vec_add_at(out, tm.flatten(tup[: i + 1] + (u,) + tup[i + 1:]), cu)
+        return out
+
+    def amb_cyc(n: int, i: int, tup: tuple, tm: TensorIndex) -> Vec:
+        return {tm.flatten((tup[n],) + tup[:n]): one}
+
+    families = {
+        "face": (amb_face, -1, "face {i} at degree {n}"),
+        "degen": (amb_degen, 1, "degeneracy {i} at degree {n}"),
+        "cyc": (amb_cyc, 0, "the cyclic operator at degree {n}"),
+    }
+
+    @lru_cache(maxsize=None)
+    def operator(kind: str, n: int, i: int) -> SparseMatrix:
+        """The operator on the quotient carriers: the ambient operator
+        pushed through induced_matrix, which checks that it descends."""
+        amb, shift, what = families[kind]
+        tn, tm = index(n), index(n + shift)
+        cols = {}
+        for idx in range(tn.size):
+            col = amb(n, i, tn.unflatten(idx), tm)
+            if col:
+                cols[idx] = col
+        return carrier(n + shift).induced_matrix(
+            SparseMatrix(tm.size, tn.size, f, cols), source=carrier(n),
+            what=what.format(i=i, n=n),
+        )
 
     def dim_fn(n: int) -> int:
-        return carrier(n)[0].dim
+        return carrier(n).dim
 
     def face_fn(n: int, i: int, col: int) -> Vec:
-        _ensure("face", n)
-        lift = carrier(n)[0].section_vec(col)
-        return carrier(n - 1)[0].project_vec(amb_face(n, i, lift))
+        return operator("face", n, i).column(col)
 
     def degen_fn(n: int, i: int, col: int) -> Vec:
-        _ensure("degen", n)
-        lift = carrier(n)[0].section_vec(col)
-        return carrier(n + 1)[0].project_vec(amb_degen(n, i, lift))
+        return operator("degen", n, i).column(col)
 
     def cyclic_fn(n: int, col: int) -> Vec:
-        if not has_cyclic:
-            raise ValueError(
-                "the cyclic operator requires the algebra itself as coefficients"
-            )
-        _ensure("cyc", n)
-        lift = carrier(n)[0].section_vec(col)
-        return carrier(n)[0].project_vec(amb_cyc(n, lift))
+        return operator("cyc", n, 0).column(col)
 
     coeff = ca.name if m is None else bim.name
     z = CyclicObject(
-        f, max_degree, dim_fn, face_fn, degen_fn, cyclic_fn,
+        f, max_degree, dim_fn, face_fn, degen_fn, cyclic_fn if m is None else None,
         name=f"Z({ca.name}/{base.name}; {coeff})",
     )
-    z.simplicial_only = not has_cyclic
-    z.carrier = lambda n: carrier(n)[0]
-    z.carrier_gens = lambda n: carrier(n)[1]
-    z.carrier_relators = relator_span
+    z.carrier = carrier
     z.algebra = ca
     z.base = base
     z.bimodule = bim
-    columns = _sample_columns(z) if md * ad * ad > 256 else None
-    verify_cyclic_identities(z, min(2, max_degree), columns).require(z.name)
+    verify_cyclic_identities(z, min(2, max_degree), _sample_columns(z)).require(z.name)
     return z
 
 
@@ -1211,13 +1164,9 @@ def lambda_iso(g: GaloisExtension, m: Bimodule | None = None,
     mats: dict = {}
     for n in range(max_degree + 1):
         amb = _slot_matrix(ca, bim, n, qm.project_vec, qm.dim)
-        for rvec in z.carrier_relators(n):
-            if amb.apply(rvec):
-                raise WellDefinednessError(
-                    f"the comparison map does not descend at degree {n}"
-                )
-        lam = amb @ z.carrier(n).section_matrix()
-        mats[n] = lam
+        lam = mats[n] = QuotientSpace(amb.nrows, f, []).induced_matrix(
+            amb, source=z.carrier(n), what=f"the comparison map at degree {n}"
+        )
         r = rank(lam)
         rep.add(
             f"comparison invertible at degree {n}",
@@ -1423,29 +1372,22 @@ def burghelea_graded(g: GaloisExtension, low: int = 0, high: int = 3) -> GradedF
             continue
         cd = conj.centralizers[x]
 
-        def transport(y: int, block_vec: Vec) -> Vec:
-            avec = {block[t]: c for t, c in block_vec.items()}
-            out: Vec = {}
-            for (i, j), c in g.kappa_pairs(y):
-                w = ca.product_vec(ca.product_vec({j: one}, avec), {i: one})
-                vec_iadd_scaled(out, w, c)
-            return qx.project_vec(to_block(out, f"the action of {gamma.labels[y]}"))
-
-        for y in cd.elements:
-            for rel in rels:
-                if transport(y, rel):
-                    raise WellDefinednessError(
-                        f"the action of {gamma.labels[y]} does not descend on "
-                        f"the {gamma.labels[x]} component"
-                    )
-
         def act_matrix(y: int) -> SparseMatrix:
+            # a -> kappa^2(y) a kappa^1(y) on the block, pushed to qx
+            who = f"the action of {gamma.labels[y]}"
             cols = {}
-            for s in range(qx.dim):
-                img = transport(y, qx.section_vec(s))
-                if img:
-                    cols[s] = img
-            return SparseMatrix(qx.dim, qx.dim, f, cols)
+            for t, a in enumerate(block):
+                out: Vec = {}
+                for (i, j), c in g.kappa_pairs(y):
+                    w = ca.product_vec(ca.product_vec({j: one}, {a: one}), {i: one})
+                    vec_iadd_scaled(out, w, c)
+                col = to_block(out, who)
+                if col:
+                    cols[t] = col
+            return qx.induced_matrix(
+                SparseMatrix(len(block), len(block), f, cols),
+                what=f"{who} on the {gamma.labels[x]} component",
+            )
 
         per_class[gamma.labels[x]] = centralizer_homology(
             cd, act_matrix, high, "graded"

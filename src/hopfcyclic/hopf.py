@@ -39,7 +39,6 @@ from .linalg import (
     SparseMatrix,
     Subspace,
     Vec,
-    WellDefinednessError,
     bilinear,
     flip_matrix,
     rank,
@@ -382,7 +381,6 @@ def separability_element(b: AlgebraData, inner) -> Vec:
     q = QuotientSpace(bd * bd, f, gens)
     sect = q.section_matrix()
     eye_b = SparseMatrix.identity(bd, f)
-    proj = q.projection_matrix()
     rows: dict = {}
     mq = b.mult @ sect
     for s, col in mq.columns():
@@ -393,12 +391,7 @@ def separability_element(b: AlgebraData, inner) -> Vec:
         move = b.left_mult_matrix({x: one}).kron(eye_b) - eye_b.kron(
             b.right_mult_matrix({x: one})
         )
-        for rvec in gens:
-            if q.project_vec(move.apply(rvec)):
-                raise WellDefinednessError(
-                    "a centrality constraint does not descend to the balanced square"
-                )
-        cq = proj @ move @ sect
+        cq = q.induced_matrix(move, what="a centrality constraint on the balanced square")
         for s, col in cq.columns():
             for i, c in col.items():
                 rows.setdefault(s, {})[offset + i] = c

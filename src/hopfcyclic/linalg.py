@@ -26,6 +26,9 @@ Conventions
 * Sub- and quotient objects go through ``Subspace`` and ``QuotientSpace``:
   ``induced_matrix`` restricts an operator to a subspace, or pushes it to a
   quotient, after checking that it is well defined there.
+  ``QuotientSpace.induced_matrix`` is the one descent check in the package:
+  every operator out of a quotient goes through it, and a map into a plain
+  space uses a relator-free ``QuotientSpace`` as its target.
 """
 
 from __future__ import annotations
@@ -839,10 +842,6 @@ class QuotientSpace:
     def dim(self) -> int:
         return len(self.free_cols)
 
-    def relator_span_vectors(self) -> list:
-        """A spanning set of the relator span (the echelon rows as vectors)."""
-        return [dict(r) for r in self._ech.rows]
-
     def project_vec(self, v: Vec) -> Vec:
         red = self._ech.reduce(v)
         idx = self._free_index
@@ -878,7 +877,9 @@ class QuotientSpace:
         op maps the source ambient space into this quotient's ambient space.
         Every vector spanning the source relator span must map into this
         quotient's relator span -- the well-definedness criterion; violations
-        raise WellDefinednessError.
+        raise WellDefinednessError("<what> does not preserve the relator
+        span"), so `what` is a noun phrase.  With no relators here, this
+        checks that op kills the source relators.
         """
         src = source if source is not None else self
         if op.ncols != src.ambient_dim or op.nrows != self.ambient_dim:

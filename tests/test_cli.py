@@ -4,6 +4,7 @@ shape, determinism, and the error paths for broken inputs."""
 import copy
 import io
 import json
+import pathlib
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -26,6 +27,16 @@ def run_json(argv):
     rc, out, err = run(argv + ["--format", "json"])
     assert err == ""
     return rc, json.loads(out)
+
+
+GOLDEN = pathlib.Path(__file__).parent / "data"
+
+
+def assert_golden(rep, name):
+    """The whole report apart from `timings` equals tests/data/<name>.json,
+    a report kept from an earlier, hand-checked run of the same command."""
+    rep = {k: v for k, v in rep.items() if k != "timings"}
+    assert rep == json.loads((GOLDEN / f"{name}.json").read_text())
 
 
 # ---------------------------------------------------------------------------
@@ -55,12 +66,14 @@ def test_hc_both_methods_agree():
         3, 0, 3, 0,
     ]
     assert any(c["name"] == "the two cyclic routes agree" for c in rep["checks"])
+    assert_golden(rep, "hc_z3_adjoint_both")
 
 
 def test_hh_works_over_a_prime_field():
     rc, rep = run_json(["hh", "z2", "adjoint", "--field", "f2", "--max-degree", "2"])
     assert rc == 0
     assert rep["tables"]["hh"] == [2, 2, 2]
+    assert_golden(rep, "hh_z2_adjoint_f2")
 
 
 def test_modular_pair_module_over_op_cop():
@@ -155,6 +168,7 @@ def test_verify_galois_builtin():
     rc, rep = run_json(["verify", "galois", "kz4_over_kz2"])
     assert rc == 0
     assert rep["tables"]["base dimension"] == [2]
+    assert_golden(rep, "verify_galois_kz4_over_kz2")
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +181,14 @@ def test_galois_twisted_klein():
     assert rc == 0
     assert rep["tables"]["hc (relative)"] == [1, 0, 1]
     assert rep["tables"]["hc (transported)"] == [1, 0, 1]
+    assert_golden(rep, "galois_twisted_klein")
+
+
+def test_galois_s3_over_a3():
+    rc, rep = run_json(["galois", "s3_over_a3", "--max-degree", "2"])
+    assert rc == 0
+    assert rep["tables"]["hc (relative)"] == rep["tables"]["hc (transported)"] == [3, 0, 3]
+    assert_golden(rep, "galois_s3_over_a3")
 
 
 def test_galois_grading_document_matches_builtin():
@@ -204,6 +226,7 @@ def test_burghelea_s3():
     assert set(rep["tables"]["per class"]) == {"e", "(12)", "(123)"} or len(
         rep["tables"]["per class"]
     ) == 3
+    assert_golden(rep, "burghelea_s3_adjoint")
 
 
 def test_qtorus_generic_plane():

@@ -24,6 +24,7 @@ from hopfcyclic.crossed import (
     one_dimensional,
     restrict,
     stable_part,
+    quotient_coaction,
     sub_coaction,
     trivial_module,
     u_map,
@@ -38,6 +39,7 @@ from hopfcyclic.hopf import (
 from hopfcyclic.linalg import (
     QQ,
     LinAlgError,
+    QuotientSpace,
     SparseMatrix,
     Subspace,
     WellDefinednessError,
@@ -263,6 +265,19 @@ def test_sub_coaction_matches_a_solve_reference(ks3):
     line = Subspace(ks3.dim, QQ, [{0: 1, 1: 1}])
     with pytest.raises(WellDefinednessError, match="not a subcomodule"):
         sub_coaction(line, adjoint(ks3).coaction, ks3.dim, "not a subcomodule")
+
+
+def test_quotient_coaction_checks_descent(kz2):
+    # k^2 / (e0 - e1) over kZ2: rho(e0) = e0 (x) 1 and rho(e1) = e1 (x) g
+    # disagree on the relator, while rho(e_j) = e_j (x) g descends
+    q = QuotientSpace(2, QQ, [{0: 1, 1: -1}])
+    eye = SparseMatrix.identity(2, QQ)
+    good = SparseMatrix(4, 2, QQ, {0: {1: 1}, 1: {3: 1}})
+    assert quotient_coaction(q, good, eye, "a coaction") == SparseMatrix(2, 1, QQ, {0: {1: 1}})
+    bad = SparseMatrix(4, 2, QQ, {0: {0: 1}, 1: {3: 1}})
+    with pytest.raises(WellDefinednessError,
+                       match="^the test coaction does not preserve the relator span$"):
+        quotient_coaction(q, bad, eye, "the test coaction")
 
 
 def test_coinvariant_envelope_of_trivial_comodule_is_coadjoint(kz2):

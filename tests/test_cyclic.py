@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfcyclic.crossed import adjoint, modular_pair_module, one_dimensional, trivial_module
+from hopfcyclic import linalg
 from hopfcyclic.cyclic import (
+    CyclicObject,
+    _sample_columns,
     CharacteristicError,
     aux_resolution_report,
     build_aux_cyclic,
@@ -112,6 +115,36 @@ def test_build_refuses_a_module_over_another_algebra_with_the_same_labels(ks3):
     module, _ = modular_pair_module(ks3, ks3.group.identity)
     with pytest.raises(ValueError, match="not over the given Hopf algebra"):
         build_cyclic(ks3, module, 3)
+
+
+def test_simplicial_only_objects_have_no_cyclic_operator(kz2):
+    z = build_cyclic(kz2, adjoint(kz2), 2)
+    assert not z.simplicial_only
+    simp = CyclicObject(QQ, 2, z.dim_fn, z.face_fn, z.degen_fn, None, name="S")
+    assert simp.simplicial_only
+    with pytest.raises(AttributeError):
+        simp.simplicial_only = False
+    with pytest.raises(ValueError, match="S is simplicial only"):
+        simp.cyclic(1)
+    with pytest.raises(ValueError, match="no cyclic operator"):
+        simp.apply_cyclic(1, {0: QQ.one})
+    rep = verify_cyclic_identities(simp, 2)
+    assert rep.ok and not any("cyclic" in c.name for c in rep.checks)
+
+
+def test_identity_suite_samples_by_the_degree_two_dimension():
+    def obj(d2):
+        return CyclicObject(QQ, 2, lambda n: d2 if n == 2 else 10, None, None, None)
+
+    assert _sample_columns(obj(256)) is None
+    cols = _sample_columns(obj(257))
+    assert list(cols(2)) == [0, 85, 128, 171, 256]
+    assert list(cols(0)) == [0, 3, 5, 6, 9]
+    # ad(kS3) (dim 2 carrier 216) is checked in full, ad(kD4) (512) sampled
+    ks3 = group_algebra(FiniteGroup.symmetric(3), QQ)
+    assert _sample_columns(build_cyclic(ks3, adjoint(ks3), 2, check=False)) is None
+    kd4 = group_algebra(FiniteGroup.dihedral(4), QQ)
+    assert _sample_columns(build_cyclic(kd4, adjoint(kd4), 2, check=False)) is not None
 
 
 def test_identity_suite_small(kz2, kz3):
@@ -408,6 +441,22 @@ def test_burghelea_trivial_module_single_class(kz3):
     assert out.report.ok
     assert out.direct == [1, 0, 1, 0]
     assert len(out.per_class) == 1
+
+
+def test_burghelea_restricts_each_component_action_once(ks3, monkeypatch):
+    # 11 (component, centralizer element) pairs for ad(kS3): 6 + 2 * 1 + 3;
+    # the folding reuses the M_x modules of the group decomposition
+    calls = []
+    restrict = linalg.Subspace.induced_matrix
+
+    def counted(self, op, what):
+        calls.append(what)
+        return restrict(self, op, what)
+
+    monkeypatch.setattr(linalg.Subspace, "induced_matrix", counted)
+    out = burghelea_finite(ks3.group, adjoint(ks3), 0, 1)
+    assert out.report.ok
+    assert len(calls) == 11
 
 
 def test_centralizer_homology_asks_for_each_action_matrix_once():

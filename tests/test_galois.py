@@ -31,7 +31,7 @@ from hopfcyclic.galois import (
     verify_comodule_algebra,
 )
 from hopfcyclic.hopf import FiniteGroup, group_algebra
-from hopfcyclic.linalg import QQ, SparseMatrix
+from hopfcyclic.linalg import QQ, QuotientSpace, SparseMatrix, WellDefinednessError
 
 
 @pytest.fixture(scope="module")
@@ -234,6 +234,19 @@ def test_trivial_coaction_is_not_galois(kz2):
         galois_check(ca)
 
 
+def test_galois_map_must_kill_the_balancing_relators(kz2):
+    # rho(x^j) = x^j (x) g^j on kZ4 except rho(x^3) = x (x) g: the
+    # coinvariants are still 1 and x^2, but the coaction is not
+    # multiplicative, so beta(x^3 (x) x - x (x) x^3) = (1 - x^2) (x) g
+    kz4 = group_algebra(FiniteGroup.cyclic(4), QQ)
+    co = SparseMatrix(8, 4, QQ, {0: {0: 1}, 1: {3: 1}, 2: {4: 1}, 3: {3: 1}})
+    ca = ComoduleAlgebra(kz2, kz4.basis, kz4.mult, kz4.unit, co, name="bad")
+    assert not verify_comodule_algebra(ca).ok
+    with pytest.raises(WellDefinednessError,
+                       match="^the Galois map does not preserve the relator span$"):
+        galois_check(ca)
+
+
 @settings(deadline=None, max_examples=20)
 @given(data=st.data())
 def test_balanced_pair_product_is_associative(data):
@@ -316,6 +329,49 @@ def test_relative_object_with_general_coefficients_is_simplicial(kz2):
         z.cyclic(1)
 
 
+def _kz4_over_kz2():
+    kz4 = group_algebra(FiniteGroup.cyclic(4), QQ)
+    return strongly_graded(FiniteGroup.cyclic(2), kz4, {0: [0, 2], 1: [1, 3]}, name="kZ4")
+
+
+def test_relative_object_refuses_a_right_action_that_is_not_associative():
+    # u_j . x^i = u_{j + s(i)} with s = (0, 1, 2, 1): (u . x^2) . x^3 = u_{j+3}
+    # but u . x^5 = u_{j+1}, so m b (x) a - m (x) b a does not die under d_0
+    ca = _kz4_over_kz2()
+    base = coinvariants(ca)
+    assert base.dim == 2
+    m = regular_bimodule(ca)
+    m.right = SparseMatrix(4, 16, QQ, {j * 4 + i: {(j + (0, 1, 2, 1)[i]) % 4: 1}
+                                       for j in range(4) for i in range(4)})
+    assert not verify_bimodule(m).ok
+    with pytest.raises(WellDefinednessError,
+                       match="^face 0 at degree 1 does not preserve the relator span$"):
+        relative_cyclic(ca, base, m, max_degree=1)
+
+
+def test_relative_object_pushes_each_operator_through_induced_matrix_once(
+        s3_galois, monkeypatch):
+    whats = []
+    push = QuotientSpace.induced_matrix
+
+    def counted(self, op, source=None, what="operator"):
+        whats.append(what)
+        return push(self, op, source, what)
+
+    monkeypatch.setattr(QuotientSpace, "induced_matrix", counted)
+    z = relative_cyclic(s3_galois.ca, s3_galois.base, max_degree=2)
+    for n in range(3):
+        z.cyclic(n)
+        for i in range(n + 1):
+            z.degen(n, i)
+            if n:
+                z.face(n, i)
+    assert len(whats) == len(set(whats))
+    assert {f"face {i} at degree {n}" for n in (1, 2) for i in range(n + 1)} <= set(whats)
+    assert {f"degeneracy {i} at degree {n}" for n in range(3) for i in range(n + 1)} <= set(whats)
+    assert {f"the cyclic operator at degree {n}" for n in range(3)} <= set(whats)
+
+
 def test_relative_hc_of_group_algebra_counts_classes(kz3):
     ca = comodule_from_hopf(kz3)
     z = relative_cyclic(ca, unit_base(ca), max_degree=4)
@@ -347,6 +403,17 @@ def test_lambda_iso_with_explicit_coefficients_is_simplicial(kz2):
     assert lc.report.ok
     assert lc.hc_relative is None and lc.hc_hopf is None
     assert lc.relative.simplicial_only
+
+
+def test_comparison_map_must_descend():
+    # a coaction altered after the Galois check: x^3 now has degree 0, so
+    # the comparison map sends x^2 . x (x) x and x (x) x^3 to different legs
+    ca = _kz4_over_kz2()
+    g = galois_check(ca)
+    ca.coaction = SparseMatrix(8, 4, QQ, {0: {0: 1}, 1: {3: 1}, 2: {4: 1}, 3: {6: 1}})
+    with pytest.raises(WellDefinednessError,
+                       match="^the comparison map at degree 1 does not preserve"):
+        lambda_iso(g, m=regular_bimodule(ca), max_degree=1)
 
 
 def test_lambda_matrices_intertwine_boundaries(s3_lambda):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfcyclic.hopf import (
+    AlgebraData,
     FiniteGroup,
     HopfAlgebra,
     TensorIndex,
@@ -24,7 +25,7 @@ from hopfcyclic.hopf import (
     separability_element,
     verify_hopf,
 )
-from hopfcyclic.linalg import QQ, SparseMatrix
+from hopfcyclic.linalg import QQ, SparseMatrix, WellDefinednessError
 
 
 # -- groups -------------------------------------------------------------------
@@ -203,6 +204,16 @@ def test_separability_element_of_a_noncommutative_group_algebra(group):
         left_x = h.mult @ x_col.kron(eye)  # a -> x a
         right_x = h.mult @ eye.kron(x_col)  # b -> b x
         assert left_x.kron(eye).apply(e) == eye.kron(right_x).apply(e)
+
+
+def test_separability_element_checks_that_the_constraints_descend():
+    # basis 1, x, y with x x = 1, y x = x and the other products zero:
+    # (y x) x = 1 but y (x x) = y, so over the span of 1 and x the centrality
+    # constraints do not preserve the balancing relators
+    cols = {0: {0: 1}, 1: {1: 1}, 2: {2: 1}, 3: {1: 1}, 4: {0: 1}, 6: {2: 1}, 7: {1: 1}}
+    b = AlgebraData(QQ, ["1", "x", "y"], SparseMatrix(3, 9, QQ, cols), {0: 1}, name="N")
+    with pytest.raises(WellDefinednessError, match="centrality constraint"):
+        separability_element(b, [{0: 1}, {1: 1}])
 
 
 # -- JSON ----------------------------------------------------------------------
