@@ -70,6 +70,7 @@ from .linalg import (
     Subspace,
     Vec,
     bilinear,
+    canonical_vec,
     flip_matrix,
     quasi_iso_check,
     rank,
@@ -840,15 +841,18 @@ def relative_cyclic(ca: AlgebraData, base: BaseData, m: Bimodule | None = None,
     md = bim.dim
     one = f.one
 
-    bvecs = [base.inclusion.column(r) for r in range(base.dim)]
-    scalar_base = base.dim == 1  # bases always contain the unit, so this is k.1
+    # a multiple c.1 of the unit gives only zero relators, (c.a) (x) x -
+    # a (x) (c.x) = 0, so only the other base vectors are balanced; a scalar
+    # base gives no relators at all
+    unit = canonical_vec(ca.unit, f)
+    bvecs = [bv for bv in (base.inclusion.column(r) for r in range(base.dim))
+             if canonical_vec(bv, f) != unit]
     lb_a, rb_a, lb_m, rb_m = [], [], [], []
-    if not scalar_base:
-        for bv in bvecs:
-            lb_a.append([ca.product_vec(bv, {j: one}) for j in range(ad)])
-            rb_a.append([ca.product_vec({j: one}, bv) for j in range(ad)])
-            lb_m.append([bim.left_vec(bv, {j: one}) for j in range(md)])
-            rb_m.append([bim.right_vec({j: one}, bv) for j in range(md)])
+    for bv in bvecs:
+        lb_a.append([ca.product_vec(bv, {j: one}) for j in range(ad)])
+        rb_a.append([ca.product_vec({j: one}, bv) for j in range(ad)])
+        lb_m.append([bim.left_vec(bv, {j: one}) for j in range(md)])
+        rb_m.append([bim.right_vec({j: one}, bv) for j in range(md)])
 
     @lru_cache(maxsize=None)
     def index(n: int) -> TensorIndex:
@@ -859,39 +863,38 @@ def relative_cyclic(ca: AlgebraData, base: BaseData, m: Bimodule | None = None,
         tix = index(n)
         strides = tix.strides
         gens: list = []
-        if not scalar_base:
-            for bpos in range(len(bvecs)):
-                for idx in range(tix.size):
-                    tup = tix.unflatten(idx)
-                    for p in range(n):
-                        left_tab = (
-                            rb_m[bpos][tup[0]] if p == 0 else rb_a[bpos][tup[p]]
-                        )
-                        right_tab = lb_a[bpos][tup[p + 1]]
-                        r: Vec = {}
-                        lbase = idx - tup[p] * strides[p]
-                        for k, c in left_tab.items():
-                            vec_add_at(r, lbase + k * strides[p], c)
-                        rbase = idx - tup[p + 1] * strides[p + 1]
-                        for k, c in right_tab.items():
-                            vec_add_at(r, rbase + k * strides[p + 1], -c)
-                        if r:
-                            gens.append(r)
-                    r = {}
-                    if n >= 1:
-                        lbase = idx - tup[0] * strides[0]
-                        for k, c in lb_m[bpos][tup[0]].items():
-                            vec_add_at(r, lbase + k * strides[0], c)
-                        rbase = idx - tup[n] * strides[n]
-                        for k, c in rb_a[bpos][tup[n]].items():
-                            vec_add_at(r, rbase + k * strides[n], -c)
-                    else:
-                        for k, c in lb_m[bpos][tup[0]].items():
-                            vec_add_at(r, k, c)
-                        for k, c in rb_m[bpos][tup[0]].items():
-                            vec_add_at(r, k, -c)
+        for bpos in range(len(bvecs)):
+            for idx in range(tix.size):
+                tup = tix.unflatten(idx)
+                for p in range(n):
+                    left_tab = (
+                        rb_m[bpos][tup[0]] if p == 0 else rb_a[bpos][tup[p]]
+                    )
+                    right_tab = lb_a[bpos][tup[p + 1]]
+                    r: Vec = {}
+                    lbase = idx - tup[p] * strides[p]
+                    for k, c in left_tab.items():
+                        vec_add_at(r, lbase + k * strides[p], c)
+                    rbase = idx - tup[p + 1] * strides[p + 1]
+                    for k, c in right_tab.items():
+                        vec_add_at(r, rbase + k * strides[p + 1], -c)
                     if r:
                         gens.append(r)
+                r = {}
+                if n >= 1:
+                    lbase = idx - tup[0] * strides[0]
+                    for k, c in lb_m[bpos][tup[0]].items():
+                        vec_add_at(r, lbase + k * strides[0], c)
+                    rbase = idx - tup[n] * strides[n]
+                    for k, c in rb_a[bpos][tup[n]].items():
+                        vec_add_at(r, rbase + k * strides[n], -c)
+                else:
+                    for k, c in lb_m[bpos][tup[0]].items():
+                        vec_add_at(r, k, c)
+                    for k, c in rb_m[bpos][tup[0]].items():
+                        vec_add_at(r, k, -c)
+                if r:
+                    gens.append(r)
         return QuotientSpace(tix.size, f, gens)
 
     # ambient operators on one basis tuple of the free tensor power, keyed

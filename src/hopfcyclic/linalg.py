@@ -29,6 +29,13 @@ Conventions
   ``QuotientSpace.induced_matrix`` is the one descent check in the package:
   every operator out of a quotient goes through it, and a map into a plain
   space uses a relator-free ``QuotientSpace`` as its target.
+* A ``QuotientSpace`` eliminates only what it must.  Relators with one or
+  two entries (a coordinate killed, or two coordinates identified up to a
+  scalar, as the balancing and cyclic relators are on a basis of
+  group-likes) are contracted by a weighted union-find, which is the
+  fill-free part of elimination done as graph contraction; only relators
+  with three or more entries, rewritten on the surviving roots, go to
+  ``echelonize``.
 """
 
 from __future__ import annotations
@@ -624,7 +631,11 @@ def echelonize(rows: Iterable[Vec], field: Field, ncols: int, pivot_limit: int |
         if rational:
             row = _int_row(r)
         else:
-            row = {j: field.coerce(v) for j, v in r.items() if field.coerce(v)}
+            row = {}
+            for j, v in r.items():
+                v = field.coerce(v)
+                if v:
+                    row[j] = v
         if row:
             register(rid, row)
             rid += 1
@@ -825,17 +836,90 @@ class Subspace:
 class QuotientSpace:
     """k^ambient_dim modulo the span of relator vectors.
 
-    The quotient basis consists of the ambient coordinates that are not pivot
-    columns of the relator echelon; ``project_vec`` reduces by the echelon and
-    reads off those coordinates, ``section_vec`` embeds quotient basis vectors
-    as ambient unit vectors (a genuine section: project o section = id).
+    Relators are contracted before anything is eliminated.  One with a
+    single entry kills its coordinate's class; one with two entries,
+    a e_i + b e_j, says e_i = (-b/a) e_j, and these identities are merged in
+    a weighted union-find rooted at the least coordinate of each component.
+    A cycle whose factors do not multiply to 1 kills its component, and so
+    does a merge with a killed component.  Relators with three or more
+    entries are rewritten on the live roots and go to ``echelonize``.  The
+    quotient basis consists of the live roots that are not pivot columns of
+    that residual echelon; ``project_vec`` contracts onto the roots and
+    reduces by the echelon, and ``section_vec`` embeds quotient basis
+    vectors as ambient unit vectors (a genuine section: project o section
+    = id).
     """
 
     def __init__(self, ambient_dim: int, field: Field, relators: Iterable[Vec]):
         self.ambient_dim = ambient_dim
         self.field = field
-        self._ech = echelonize(relators, field, ambient_dim)
-        self.free_cols = self._ech.free_cols()
+        one, coerce = field.one, field.coerce
+        parent = list(range(ambient_dim))
+        factor = [one] * ambient_dim  # e_i = factor[i] * e_parent[i]
+        killed: set = set()  # roots whose class is zero
+
+        def find(i: int) -> int:
+            """The root of i; afterwards parent[i] is that root and
+            factor[i] is relative to it."""
+            r = parent[i]
+            if parent[r] == r:
+                return r
+            path = [i]
+            while parent[r] != r:
+                path.append(r)
+                r = parent[r]
+            acc = one
+            for node in reversed(path):
+                acc = factor[node] * acc
+                factor[node] = acc
+                parent[node] = r
+            return r
+
+        longer = []
+        for rel in relators:
+            if len(rel) > 2:
+                longer.append(rel)
+                continue
+            r = [(j, a) for j, x in rel.items() if (a := coerce(x))]
+            if not r:
+                continue
+            i, a = r[0]
+            ri = find(i)
+            if len(r) == 1:
+                killed.add(ri)
+                continue
+            j, b = r[1]
+            rj = find(j)
+            u, w = a * factor[i], b * factor[j]  # u e_ri + w e_rj = 0
+            if ri == rj:
+                if u + w:
+                    killed.add(ri)
+                continue
+            if ri > rj:
+                ri, rj, u, w = rj, ri, w, u
+            parent[rj], factor[rj] = ri, field.div(-u, w)
+            if rj in killed:
+                killed.discard(rj)
+                killed.add(ri)
+
+        # ambient coordinate -> (root, factor); a root's factor stays one
+        tree = self._tree = [(find(i), factor[i]) for i in range(ambient_dim)]
+        self._killed = killed
+        residual = []
+        for r in longer:
+            row: Vec = {}
+            for j, x in r.items():
+                root, c = tree[j]
+                if root not in killed:
+                    vec_add_at(row, root, c * coerce(x))
+            if row:
+                residual.append(row)
+        self._ech = echelonize(residual, field, ambient_dim)
+        pivots = set(self._ech.pivots)
+        self.free_cols = [
+            i for i, (root, _) in enumerate(tree)
+            if root == i and i not in killed and i not in pivots
+        ]
         self._free_index = {c: k for k, c in enumerate(self.free_cols)}
 
     @property
@@ -843,7 +927,13 @@ class QuotientSpace:
         return len(self.free_cols)
 
     def project_vec(self, v: Vec) -> Vec:
-        red = self._ech.reduce(v)
+        tree, killed = self._tree, self._killed
+        out: Vec = {}
+        for j, x in v.items():
+            root, c = tree[j]
+            if root not in killed:
+                vec_add_at(out, root, c * x)
+        red = self._ech.reduce(out)
         idx = self._free_index
         return {idx[j]: val for j, val in red.items()}
 
@@ -851,20 +941,29 @@ class QuotientSpace:
         return {self.free_cols[k]: self.field.one}
 
     def projection_matrix(self) -> SparseMatrix:
-        cached = getattr(self, "_proj_cache", None)
-        if cached is None:
-            cols = {}
-            for j in range(self.ambient_dim):
-                col = self.project_vec({j: self.field.one})
-                if col:
-                    cols[j] = col
-            cached = SparseMatrix(self.dim, self.ambient_dim, self.field, cols)
-            self._proj_cache = cached
-        return cached
+        one = self.field.one
+        cols = {}
+        for j in range(self.ambient_dim):
+            col = self.project_vec({j: one})
+            if col:
+                cols[j] = col
+        return SparseMatrix(self.dim, self.ambient_dim, self.field, cols)
 
     def section_matrix(self) -> SparseMatrix:
         cols = {k: {c: self.field.one} for k, c in enumerate(self.free_cols)}
         return SparseMatrix(self.ambient_dim, self.dim, self.field, cols)
+
+    def _relator_basis(self) -> Iterator[Vec]:
+        """A basis of the relator span: e_i - f e_root for every coordinate
+        i that is not a root, e_root for every killed root, and the rows of
+        the residual echelon."""
+        one = self.field.one
+        for i, (root, c) in enumerate(self._tree):
+            if root != i:
+                yield {i: one, root: -c}
+            elif i in self._killed:
+                yield {i: one}
+        yield from self._ech.rows
 
     def induced_matrix(
         self,
@@ -875,25 +974,31 @@ class QuotientSpace:
         """Transport an ambient operator to the quotient(s).
 
         op maps the source ambient space into this quotient's ambient space.
-        Every vector spanning the source relator span must map into this
-        quotient's relator span -- the well-definedness criterion; violations
-        raise WellDefinednessError("<what> does not preserve the relator
-        span"), so `what` is a noun phrase.  With no relators here, this
-        checks that op kills the source relators.
+        Every vector of the source's ``_relator_basis`` must map into this
+        quotient's relator span -- the well-definedness criterion, checked
+        on the projected images of op's columns; violations raise
+        WellDefinednessError("<what> does not preserve the relator span"),
+        so `what` is a noun phrase.  With no relators here, this checks that
+        op kills the source relators.
         """
         src = source if source is not None else self
         if op.ncols != src.ambient_dim or op.nrows != self.ambient_dim:
             raise LinAlgError("operator shape does not match ambient spaces")
-        for rvec in src._ech.rows:
-            if self._ech.reduce(op.apply(rvec)):
+        empty: Vec = {}
+        images = [self.project_vec(op.cols.get(j, empty))
+                  for j in range(src.ambient_dim)]
+        for rvec in src._relator_basis():
+            acc: Vec = {}
+            for j, c in rvec.items():
+                vec_iadd_scaled(acc, images[j], c)
+            if acc:
                 raise WellDefinednessError(
                     f"{what} does not preserve the relator span"
                 )
         cols = {}
-        for k in range(src.dim):
-            out = self.project_vec(op.apply(src.section_vec(k)))
-            if out:
-                cols[k] = out
+        for k, c in enumerate(src.free_cols):
+            if images[c]:
+                cols[k] = images[c]
         return SparseMatrix(self.dim, src.dim, self.field, cols)
 
 

@@ -69,6 +69,17 @@ def test_hc_both_methods_agree():
     assert_golden(rep, "hc_z3_adjoint_both")
 
 
+def test_hc_s3_both_methods():
+    rc, rep = run_json(
+        ["hc", "s3", "adjoint", "--method", "both", "--max-degree", "3"]
+    )
+    assert rc == 0
+    assert rep["tables"]["hc (lambda)"] == rep["tables"]["hc (bicomplex)"] == [
+        3, 0, 3, 0,
+    ]
+    assert_golden(rep, "hc_s3_adjoint_both")
+
+
 def test_hh_works_over_a_prime_field():
     rc, rep = run_json(["hh", "z2", "adjoint", "--field", "f2", "--max-degree", "2"])
     assert rc == 0

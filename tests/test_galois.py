@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfcyclic.crossed import adjoint
-from hopfcyclic.cyclic import hc_connes
+from hopfcyclic import linalg
+from hopfcyclic.cyclic import build_cyclic, connes_data, hc_connes
 from hopfcyclic.galois import (
     AlgebraData,
     ComoduleAlgebra,
@@ -370,6 +371,28 @@ def test_relative_object_pushes_each_operator_through_induced_matrix_once(
     assert {f"face {i} at degree {n}" for n in (1, 2) for i in range(n + 1)} <= set(whats)
     assert {f"degeneracy {i} at degree {n}" for n in range(3) for i in range(n + 1)} <= set(whats)
     assert {f"the cyclic operator at degree {n}" for n in range(3)} <= set(whats)
+
+
+def test_balancing_and_cyclic_relators_need_no_elimination(
+        s3_galois, s3_group, monkeypatch):
+    # every relator of the kS3 / kA3 carriers and of the kS3 lambda-quotients
+    # has at most two terms, so QuotientSpace contracts them all and hands
+    # echelonize an empty residual
+    rows_in = []
+    eliminate = linalg.echelonize
+
+    def counted(rows, *args, **kwargs):
+        rows = list(rows)
+        rows_in.append(len(rows))
+        return eliminate(rows, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "echelonize", counted)
+    z = relative_cyclic(s3_galois.ca, s3_galois.base, max_degree=4)
+    assert [z.carrier(n).dim for n in range(5)] == [4, 8, 16, 32, 64]
+    ks3 = group_algebra(s3_group, QQ)
+    quotients, _ = connes_data(build_cyclic(ks3, adjoint(ks3), 4), 4)
+    assert [q.dim for q in quotients] == [6, 15, 76, 330, 1560]
+    assert len(rows_in) == 10 and not any(rows_in)
 
 
 def test_relative_hc_of_group_algebra_counts_classes(kz3):

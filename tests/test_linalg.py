@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hopfcyclic.linalg import (
@@ -177,6 +177,65 @@ def test_quotient_induced_operator_well_definedness():
     bad = dense([[1, 0], [0, 0]])
     with pytest.raises(WellDefinednessError):
         q.induced_matrix(bad)
+
+
+@st.composite
+def relator_sets(draw):
+    """A field, an ambient dimension, relators with 1, 2 and 4 entries, and
+    a test vector: a combination of the relators plus optional noise."""
+    field = draw(st.sampled_from([QQ, GF5]))
+    ncols = draw(st.integers(1, 8))
+    scalar = st.tuples(st.integers(-3, 3).filter(bool), st.integers(1, 3)).map(
+        lambda ab: field.coerce(Fraction(*ab)))
+    sizes = [size for size in (1, 2, 4) if size <= ncols]
+    relators = []
+    for size in draw(st.lists(st.sampled_from(sizes), max_size=10)):
+        cols = draw(st.lists(st.integers(0, ncols - 1), min_size=size,
+                             max_size=size, unique=True))
+        relators.append({j: draw(scalar) for j in cols})
+    v: dict = {}
+    for r in relators:
+        vec_iadd_scaled(v, r, field.from_int(draw(st.integers(-2, 2))))
+    noise = draw(st.dictionaries(st.integers(0, ncols - 1), scalar, max_size=2))
+    return field, ncols, relators, vec_iadd_scaled(dict(noise), v, field.one)
+
+
+@settings(max_examples=300, deadline=None)
+@given(relator_sets())
+# e0 = 2 e1 and e1 = e0: the cycle's factors multiply to 2, both classes die
+@example((QQ, 3, [{0: 1, 1: -2}, {1: 1, 0: -1}], {2: 1}))
+# over GF(5), e0 = 2 e1 and e1 = 3 e0 multiply to 6 = 1: nothing dies
+@example((GF5, 3, [{0: GF5.one, 1: GF5.coerce(-2)},
+                   {1: GF5.one, 0: GF5.coerce(-3)}], {0: GF5.one}))
+# e1 = 2 e2, then e0 = 3 e1: the path 2 -> 1 -> 0 compresses to e2 = e0 / 6
+@example((QQ, 3, [{1: 1, 2: -2}, {0: 1, 1: -3}], {2: 1}))
+# a killed component merged into a live one kills the result
+@example((QQ, 4, [{2: 1, 3: 1}, {2: 1, 3: -1}, {0: 1, 3: 1}, {1: 2, 0: -1}],
+          {1: 1}))
+def test_quotient_matches_elimination_of_the_raw_relators(case):
+    field, ncols, relators, v = case
+    one = field.one
+    ref = echelonize(relators, field, ncols)
+    q = QuotientSpace(ncols, field, relators)
+    assert q.dim == ncols - ref.rank
+    for r in relators:
+        assert q.project_vec(r) == {}
+    for w in (v, *({j: one} for j in range(ncols))):
+        got = q.project_vec(w)
+        assert (got == {}) == (ref.reduce(w) == {})
+        assert not any(type(x) is Fraction and x.denominator == 1
+                       for x in got.values())
+    for k in range(q.dim):
+        assert q.project_vec(q.section_vec(k)) == {k: one}
+    ident = SparseMatrix.identity(ncols, field)
+    assert q.induced_matrix(ident) == SparseMatrix.identity(q.dim, field)
+    if 0 < ref.rank < ncols:
+        # send a coordinate of a relator to a vector outside the relator span
+        r = relators[0]
+        outside = next({j: one} for j in range(ncols) if ref.reduce({j: one}))
+        leave = SparseMatrix(ncols, ncols, field, {min(r): outside})
+        with pytest.raises(WellDefinednessError):
+            q.induced_matrix(leave)
 
 
 def full_scan_reduce(ech, v):
