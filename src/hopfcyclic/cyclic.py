@@ -151,42 +151,34 @@ class CyclicObject:
             self._cyc[n] = m
         return m
 
-    def boundary(self, n: int) -> SparseMatrix:
-        """Alternating sum of all faces in degree n."""
+    def _face_sum(self, n: int, nfaces: int, cache: dict) -> SparseMatrix:
+        """Alternating sum of the first `nfaces` faces in degree n, cached."""
         if not 1 <= n <= self.top:
             raise TruncationError(f"boundary at degree {n} outside the stored range")
-        m = self._bnd.get(n)
+        m = cache.get(n)
         if m is None:
             one = self.field.one
+            signs = [-one if i % 2 else one for i in range(nfaces)]
+            face_fn = self.face_fn
             cols = {}
             for c in range(self.dim(n)):
                 acc: Vec = {}
-                for i in range(n + 1):
-                    vec_iadd_scaled(acc, self.face_fn(n, i, c), -one if i % 2 else one)
+                for i, sign in enumerate(signs):
+                    vec_iadd_scaled(acc, face_fn(n, i, c), sign)
                 if acc:
                     cols[c] = acc
             m = SparseMatrix(self.dim(n - 1), self.dim(n), self.field, cols)
-            self._bnd[n] = m
+            cache[n] = m
         return m
+
+    def boundary(self, n: int) -> SparseMatrix:
+        """Alternating sum of all faces in degree n."""
+        return self._face_sum(n, n + 1, self._bnd)
 
     def norm_boundary(self, n: int) -> SparseMatrix:
         """Alternating sum omitting the last face (the acyclic-column
         differential of the staircase double complex)."""
-        if not 1 <= n <= self.top:
-            raise TruncationError(f"boundary at degree {n} outside the stored range")
-        m = self._bp.get(n)
-        if m is None:
-            one = self.field.one
-            cols = {}
-            for c in range(self.dim(n)):
-                acc: Vec = {}
-                for i in range(n):
-                    vec_iadd_scaled(acc, self.face_fn(n, i, c), -one if i % 2 else one)
-                if acc:
-                    cols[c] = acc
-            m = SparseMatrix(self.dim(n - 1), self.dim(n), self.field, cols)
-            self._bp[n] = m
-        return m
+        return self._face_sum(n, n, self._bp)
 
     def chain_complex(self, top: int | None = None) -> ChainComplex:
         t = self.top if top is None else top
@@ -539,13 +531,18 @@ def build_cyclic(
         return hd**n * md
 
     def face_fn(n, i, col):
-        slots = index(n).unflatten(col)
-        tgt = index(n - 1)
         if i < n:
-            c = h.counit_of(slots[i])
+            # drop slot i through the counit: col = (high * hd + slot) * s + low
+            # with s the slot's stride, and the target index is high * s + low
+            s = index(n).strides[i]
+            high, rest = divmod(col, s * hd)
+            slot, low = divmod(rest, s)
+            c = h.counit_of(slot)
             if not c:
                 return {}
-            return {tgt.flatten(slots[:i] + slots[i + 1:]): c}
+            return {high * s + low: c}
+        slots = index(n).unflatten(col)
+        tgt = index(n - 1)
         # last face: fan the final slot out through the antipode
         out: Vec = {}
         last, mi = slots[n - 1], slots[n]

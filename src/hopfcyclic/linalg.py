@@ -607,24 +607,22 @@ def echelonize(rows: Iterable[Vec], field: Field, ncols: int, pivot_limit: int |
 
     ``pivot_limit`` restricts pivot choice to columns < pivot_limit (used for
     augmented solves, where right-hand-side columns must stay passive).
+
+    ``col_rows[j]`` is exactly the set of active rows with a nonzero entry
+    at j < limit.  A pivot step can change a victim's support only where the
+    pivot row has entries, so each victim is updated in one pass over the
+    pivot row, joining a column's set on fill and leaving it on cancellation.
+    A column is queued as (1, j) only when its set goes from empty to one
+    row.  A nonempty column always keeps an entry in the heap, stale or not,
+    and the pop loop re-queues the true count on a stale hit; the push only
+    lets a fresh singleton column come first.
     """
     limit = ncols if pivot_limit is None else pivot_limit
     rational = field.characteristic == 0
     active: dict = {}
     col_rows: dict = {}
     heap: list = []
-
-    def register(rid: int, row: dict):
-        active[rid] = row
-        for j in row:
-            if j < limit:
-                s = col_rows.setdefault(j, set())
-                s.add(rid)
-                # push only on first population: counts only grow on add, so
-                # a stale smaller entry already queued keeps j discoverable,
-                # and the pop loop re-queues the true count on a stale hit
-                if len(s) == 1:
-                    heapq.heappush(heap, (1, j))
+    push = heapq.heappush
 
     rid = 0
     for r in rows:
@@ -637,7 +635,15 @@ def echelonize(rows: Iterable[Vec], field: Field, ncols: int, pivot_limit: int |
                 if v:
                     row[j] = v
         if row:
-            register(rid, row)
+            active[rid] = row
+            for j in row:
+                if j < limit:
+                    s = col_rows.get(j)
+                    if s:
+                        s.add(rid)
+                    else:
+                        col_rows[j] = {rid}
+                        push(heap, (1, j))
             rid += 1
 
     pivots: list = []
@@ -648,7 +654,7 @@ def echelonize(rows: Iterable[Vec], field: Field, ncols: int, pivot_limit: int |
         rows_here = col_rows.get(pc)
         if not rows_here or len(rows_here) != cnt:
             if rows_here:
-                heapq.heappush(heap, (len(rows_here), pc))
+                push(heap, (len(rows_here), pc))
             continue
         # pick the pivot row: prefer unit entries, then short rows
         best = None
@@ -661,39 +667,52 @@ def echelonize(rows: Iterable[Vec], field: Field, ncols: int, pivot_limit: int |
         prid = best[1]
         prow = active.pop(prid)
         pval = prow[pc]
-        # unregister pivot row
+        victims = col_rows.pop(pc)
+        victims.discard(prid)
         for j in prow:
-            if j < limit:
+            if j < limit and j != pc:
                 col_rows[j].discard(prid)
-        # eliminate pc from the other rows
-        victims = list(col_rows.get(pc, ()))
+        # eliminate pc from the other rows, touching only the pivot row's columns
         for vrid in victims:
             vrow = active[vrid]
             vval = vrow[pc]
-            # unregister old support
-            for j in vrow:
-                if j < limit:
-                    col_rows[j].discard(vrid)
             if rational:
                 g = gcd(pval, vval)
-                ca, cb = pval // g, vval // g
+                ca, c = pval // g, -(vval // g)
                 if ca != 1:
-                    for j in list(vrow):
+                    for j in vrow:
                         vrow[j] *= ca
-                vec_iadd_scaled(vrow, prow, -cb)
-                _normalize_int_row(vrow)
             else:
-                vec_iadd_scaled(vrow, prow, -field.div(vval, pval))
-            del active[vrid]
-            if vrow:
-                register(vrid, vrow)
-        col_rows.pop(pc, None)
+                c = -field.div(vval, pval)
+            for j, x in prow.items():
+                w = vrow.get(j)
+                if w is None:
+                    vrow[j] = c * x
+                    if j < limit:
+                        s = col_rows.get(j)
+                        if s:
+                            s.add(vrid)
+                        else:
+                            col_rows[j] = {vrid}
+                            push(heap, (1, j))
+                else:
+                    w = w + c * x
+                    if w:
+                        vrow[j] = w
+                    else:
+                        del vrow[j]
+                        if j < limit and j != pc:
+                            col_rows[j].discard(vrid)
+            if not vrow:
+                del active[vrid]
+            elif rational:
+                _normalize_int_row(vrow)
         pivots.append(pc)
         retired.append(prow)
 
     # rows left active have support only beyond the pivot limit
     ech = Echelon(field, ncols, pivots, retired)
-    ech._leftovers = [r for r in active.values() if r]
+    ech._leftovers = list(active.values())
     return ech
 
 
@@ -727,7 +746,7 @@ def solve_matrix(a: SparseMatrix, rhs: SparseMatrix):
         if row:
             merged.append(row)
     ech = echelonize(merged, field, n + rhs.ncols, pivot_limit=n)
-    if any(left for left in ech._leftovers):  # equations 0 = nonzero rhs
+    if ech._leftovers:  # equations 0 = nonzero rhs
         return None
     cols = {}
     order = list(range(ech.rank))

@@ -2,7 +2,8 @@
 
 The parity-graded kS_3 extension and its slot-product comparison are used
 by several test modules; building them once keeps the suite fast without
-weakening any check.
+weakening any check.  Sweedler's H_4 is the non-cocommutative input: its
+counit vanishes on x and gx, where every group algebra's counit is 1.
 """
 
 import pytest
@@ -13,7 +14,7 @@ from hopfcyclic.galois import (
     strongly_graded,
     twisted_group_algebra,
 )
-from hopfcyclic.hopf import FiniteGroup, group_algebra
+from hopfcyclic.hopf import FiniteGroup, group_algebra, hopf_from_json
 from hopfcyclic.linalg import QQ
 
 
@@ -54,3 +55,29 @@ def klein_twisted():
         for y in range(4)
     }
     return twisted_group_algebra(v4, omega, name="kV4_tw")
+
+
+@pytest.fixture(scope="session")
+def sweedler_h4():
+    """Sweedler's four-dimensional Hopf algebra on the basis 1, g, x, gx:
+    g^2 = 1, x^2 = 0, xg = -gx, comult(x) = x (x) 1 + g (x) x, S(x) = -gx
+    (so S(gx) = x and S^2 != id)."""
+    doc = {
+        "dim": 4,
+        "basis": ["1", "g", "x", "gx"],
+        "mult": [
+            [0, 0, 0, 1], [0, 1, 1, 1], [0, 2, 2, 1], [0, 3, 3, 1],
+            [1, 0, 1, 1], [2, 0, 2, 1], [3, 0, 3, 1],
+            [1, 1, 0, 1], [1, 2, 3, 1], [1, 3, 2, 1],
+            [2, 1, 3, -1], [3, 1, 2, -1],
+        ],
+        "comult": [
+            [0, 0, 0, 1], [1, 1, 1, 1],
+            [2, 2, 0, 1], [2, 1, 2, 1],
+            [3, 3, 1, 1], [3, 0, 3, 1],
+        ],
+        "unit": [1, 0, 0, 0],
+        "counit": [1, 1, 0, 0],
+        "antipode": [[0, 0, 1], [1, 1, 1], [3, 2, -1], [2, 3, 1]],
+    }
+    return hopf_from_json(doc, name="H4")

@@ -27,7 +27,7 @@ from hopfcyclic.cyclic import (
     tor_oracle,
     verify_cyclic_identities,
 )
-from hopfcyclic.hopf import FiniteGroup, conjugacy_data, group_algebra, group_subalgebra, separability_element
+from hopfcyclic.hopf import FiniteGroup, TensorIndex, conjugacy_data, group_algebra, group_subalgebra, separability_element
 from hopfcyclic.linalg import QQ, PrimeField, SparseMatrix, TruncationError
 
 
@@ -225,6 +225,38 @@ def test_bar_oracle_matches_hochschild(kz4):
 def test_bar_oracle_sign_coefficients(kz2):
     sgn = sign_module(kz2)  # trivial coaction
     assert tor_oracle(kz2, sgn, 0, 4) == [0, 0, 0, 0, 0]
+
+
+def test_sweedler_adjoint_homology(sweedler_h4):
+    """The non-cocommutative case: Hochschild equals the Tor oracle and the
+    two cyclic routes agree, with counit faces that vanish on x and gx."""
+    h = sweedler_h4
+    m = adjoint(h)
+    z = build_cyclic(h, m, 4)
+    assert hochschild(z, 0, 3) == tor_oracle(h, m, 0, 3) == [2, 1, 1, 1]
+    assert hc(z, 0, 3, method="both") == [2, 1, 2, 1]
+
+
+@pytest.mark.parametrize("algebra", ["sweedler", "ks3"])
+def test_counit_faces_match_slot_dropping(algebra, sweedler_h4, ks3):
+    """Faces 0..n-1 equal dropping slot i of the unflattened tuple through
+    the counit, entry by entry."""
+    h = sweedler_h4 if algebra == "sweedler" else ks3
+    m = adjoint(h)
+    z = build_cyclic(h, m, 3, check=False)
+    for n in range(1, 4):
+        src = TensorIndex([h.dim] * n + [m.dim])
+        tgt = TensorIndex([h.dim] * (n - 1) + [m.dim])
+        for i in range(n):
+            cols = {}
+            for col in range(src.size):
+                slots = src.unflatten(col)
+                c = h.counit_of(slots[i])
+                if c:
+                    cols[col] = {tgt.flatten(slots[:i] + slots[i + 1:]): c}
+            assert z.face(n, i) == SparseMatrix(tgt.size, src.size, h.field, cols)
+    if algebra == "sweedler":
+        assert any(z.face_fn(1, 0, col) == {} for col in range(z.dim(1)))
 
 
 def test_norm_complex_acyclic(kz2):

@@ -294,6 +294,68 @@ def test_reduce_matches_full_scan(case):
     assert (not got) == in_span
 
 
+def dense_rank(rows, field, ncols):
+    """Reference rank by dense Gauss-Jordan elimination, column by column."""
+    zero = field.zero
+    m = [[r.get(j, zero) for j in range(ncols)] for r in rows]
+    rk = 0
+    for j in range(ncols):
+        piv = next((i for i in range(rk, len(m)) if m[i][j]), None)
+        if piv is None:
+            continue
+        m[rk], m[piv] = m[piv], m[rk]
+        for i in range(len(m)):
+            if i != rk and m[i][j]:
+                f = field.div(m[i][j], m[rk][j])
+                m[i] = [a - f * b for a, b in zip(m[i], m[rk])]
+        rk += 1
+    return rk
+
+
+@st.composite
+def sparse_systems(draw):
+    """Up to 25 sparse rows on up to 30 columns with entries in -2..2, some
+    of them combinations of earlier rows, so elimination both fills in and
+    cancels; optionally a pivot limit."""
+    field = draw(st.sampled_from([QQ, GF5]))
+    ncols = draw(st.integers(1, 30))
+    entry = st.integers(-2, 2).filter(bool)
+    rows = draw(st.lists(
+        st.dictionaries(st.integers(0, ncols - 1), entry, max_size=6),
+        max_size=20,
+    ))
+    rows = [{j: field.coerce(x) for j, x in r.items()} for r in rows]
+    for _ in range(draw(st.integers(0, 5)) if rows else 0):
+        a, b = (draw(st.integers(0, len(rows) - 1)) for _ in range(2))
+        v = vec_iadd_scaled(dict(rows[a]), rows[b], field.from_int(draw(entry)))
+        rows.append(v)
+    limit = draw(st.one_of(st.none(), st.integers(0, ncols)))
+    return field, ncols, rows, limit
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_systems())
+def test_echelonize_matches_dense_elimination(case):
+    field, ncols, rows, limit = case
+    lim = ncols if limit is None else limit
+    ech = echelonize(rows, field, ncols, pivot_limit=limit)
+    left = [{j: x for j, x in r.items() if j < lim} for r in rows]
+    assert ech.rank == dense_rank(left, field, lim)
+    assert all(pc < lim for pc in ech.pivots)
+    for t, row in enumerate(ech.rows):
+        assert row[ech.pivots[t]]
+        assert all(not row.get(pc) for pc in ech.pivots[:t])
+    leftovers = ech._leftovers
+    assert all(r and min(r) >= lim for r in leftovers)
+    rank_left = dense_rank(leftovers, field, ncols)
+    for r in rows:
+        residual = ech.reduce(r)
+        # without a limit every row reduces to zero; with one, what is left
+        # lies past the limit, in the span of the leftover rows
+        assert all(j >= lim for j in residual)
+        assert dense_rank(leftovers + [residual], field, ncols) == rank_left
+
+
 def test_subspace_membership_and_coords():
     s = Subspace(3, QQ, [{0: Fraction(1), 1: Fraction(1)}, {2: Fraction(2)}])
     assert s.dim == 2
