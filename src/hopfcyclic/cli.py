@@ -107,7 +107,10 @@ def _canonical(doc) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-def _ref_label(ref: str) -> str:
+def _ref_label(ref) -> str:
+    """A document's name in messages: <inline>, <embedded> or the path."""
+    if not isinstance(ref, str):
+        return "<embedded>"
     return "<inline>" if ref.lstrip().startswith(("{", "[")) else ref
 
 
@@ -136,7 +139,7 @@ def _load_object(ref, what: str) -> dict:
     """_load_doc for documents that must be JSON objects."""
     doc = _load_doc(ref) if isinstance(ref, str) else ref
     if not isinstance(doc, dict):
-        label = _ref_label(ref) if isinstance(ref, str) else "<embedded>"
+        label = _ref_label(ref)
         raise InputError(f"{what} document {label} is not a JSON object")
     return doc
 
@@ -161,9 +164,22 @@ def resolve_group(ref):
             g = build()
             return g, group_to_json(g)
     doc = _load_object(ref, "group")
+    what = f"group document {_ref_label(ref)}"
+    table = _member(doc, "table", what)
+    n = len(table) if isinstance(table, list) else 0
+    if not (isinstance(table, list) and all(
+            isinstance(row, list) and len(row) == n
+            and all(_is_index(x, n) for x in row) for row in table)):
+        raise InputError(f"{what}: table must be n lists of n element indices below n")
+    labels = doc.get("elements")
+    if labels is not None and not (
+        isinstance(labels, list) and len(labels) == n
+        and all(isinstance(x, str) for x in labels)
+    ):
+        raise InputError(f"{what}: elements must be a list of {n} strings")
     try:
         return group_from_json(doc), doc
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise InputError(f"bad group document: {exc}") from exc
 
 
@@ -173,7 +189,7 @@ def resolve_hopf(ref, field):
     if isinstance(ref, str) and ref in _GROUP_BUILDERS:
         h = group_algebra(_GROUP_BUILDERS[ref](), field, name=f"k[{ref}]")
         return h, hopf_to_json(h)
-    label = _ref_label(ref) if isinstance(ref, str) else "<embedded>"
+    label = _ref_label(ref)
     doc = _load_object(ref, "hopf")
     _check_structure(doc, f"hopf document {label}")
     try:
@@ -351,7 +367,7 @@ def _module_from_doc(h, doc, ref: str):
         return crossed_from_json(h, doc)
     except KeyError as exc:
         raise InputError(
-            f"module document {ref} is missing field {exc}"
+            f"module document {label} is missing field {exc}"
         ) from exc
 
 

@@ -33,7 +33,7 @@ from .linalg import (
     rank_kernel,
     vec_add_at,
 )
-from .hopf import HopfAlgebra, HopfSubalgebra, FiniteGroup, conjugacy_data, group_subalgebra, op_cop
+from .hopf import HopfAlgebra, HopfSubalgebra, FiniteGroup, TensorIndex, balancing_relators, conjugacy_data, group_subalgebra, op_cop
 from .reporting import CheckReport
 
 
@@ -454,21 +454,16 @@ def induce(sub: HopfSubalgebra, ambient: HopfAlgebra, n: CrossedModule) -> Cross
     f = h.field
     hd, kd, nd = h.dim, k.dim, n.dim
 
-    relators = []
-    for ih in range(hd):
-        for jk in range(kd):
-            inc_k = sub.inclusion.column(jk)
-            # h * iota(k) (x) m  -  h (x) k m
-            prod = h.product_vec({ih: f.one}, inc_k)
-            for jm in range(nd):
-                vec: dict = {}
-                for p, cp in prod.items():
-                    vec_add_at(vec, p * nd + jm, cp)
-                for jm2, ca in n.act_pairs(jk, jm):
-                    vec_add_at(vec, ih * nd + jm2, -ca)
-                if vec:
-                    relators.append(vec)
-    q = QuotientSpace(hd * nd, f, relators)
+    # h iota(k) (x) m - h (x) k m, one basis element k of the subalgebra at
+    # a time
+    tix = TensorIndex([hd, nd])
+    q = QuotientSpace(hd * nd, f, (
+        r for jk in range(kd)
+        for r in balancing_relators(tix, [(
+            0, h.product_tables(sub.inclusion.column(jk))[1],
+            1, [n.act_vec({jk: f.one}, {jm: f.one}) for jm in range(nd)],
+        )])
+    ))
     expected = (hd // kd) * nd
     if hd % kd or q.dim != expected:
         raise ValueError(
@@ -478,7 +473,7 @@ def induce(sub: HopfSubalgebra, ambient: HopfAlgebra, n: CrossedModule) -> Cross
     # action of each ambient basis element, transported with well-definedness
     id_n = SparseMatrix.identity(nd, f)
     action = action_tensor(
-        [q.induced_matrix(h.left_mult_matrix({g: f.one}).kron(id_n),
+        [q.induced_matrix(h.mult_matrices({g: f.one})[0].kron(id_n),
                           what=f"action of {h.basis[g]}")
          for g in range(hd)],
         q.dim, f,

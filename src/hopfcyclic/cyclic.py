@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Callable
 
 from .crossed import CrossedModule, action_tensor, decompose_group_case, induce, quotient_coaction, trivial_coaction, u_map, verify_crossed
-from .hopf import CentralizerData, FiniteGroup, HopfAlgebra, HopfSubalgebra, TensorIndex, augmentation_ideal_vectors, conjugacy_data, group_algebra, quotient_by_normal, separability_element
+from .hopf import CentralizerData, FiniteGroup, HopfAlgebra, HopfSubalgebra, TensorIndex, augmentation_ideal_vectors, balancing_relators, conjugacy_data, group_algebra, quotient_by_normal, separability_element
 from .linalg import (
     QQ,
     Bicomplex,
@@ -198,23 +198,22 @@ class CyclicObject:
 
     # linear extensions of the evaluators, for identity checking
     def apply_face(self, n: int, i: int, vec: Vec) -> Vec:
-        out: Vec = {}
-        for c, v in vec.items():
-            vec_iadd_scaled(out, self.face_fn(n, i, c), v)
-        return out
+        return _extend(lambda c: self.face_fn(n, i, c), vec)
 
     def apply_degen(self, n: int, i: int, vec: Vec) -> Vec:
-        out: Vec = {}
-        for c, v in vec.items():
-            vec_iadd_scaled(out, self.degen_fn(n, i, c), v)
-        return out
+        return _extend(lambda c: self.degen_fn(n, i, c), vec)
 
     def apply_cyclic(self, n: int, vec: Vec) -> Vec:
         self._require_cyclic()
-        out: Vec = {}
-        for c, v in vec.items():
-            vec_iadd_scaled(out, self.cyclic_fn(n, c), v)
-        return out
+        return _extend(lambda c: self.cyclic_fn(n, c), vec)
+
+
+def _extend(fn: Callable[[int], Vec], vec: Vec) -> Vec:
+    """The linear extension to vec of fn, given on basis columns."""
+    out: Vec = {}
+    for c, v in vec.items():
+        vec_iadd_scaled(out, fn(c), v)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -443,25 +442,13 @@ def aux_resolution_report(z: CyclicObject, max_degree: int | None = None) -> Che
     rep = CheckReport(f"resolution contraction for {z.name}")
     one = z.field.one
 
-    def apply_extra(n, vec):
-        out: Vec = {}
-        for c, v in vec.items():
-            vec_iadd_scaled(out, extra(n, c), v)
-        return out
-
-    def apply_boundary(n, vec):
-        out: Vec = {}
-        for c, v in vec.items():
-            for i in range(n + 1):
-                vec_iadd_scaled(out, z.face_fn(n, i, c), v if i % 2 == 0 else -v)
-        return out
-
     for n in range(1, d_top):
         ok, witness = True, None
         for c in range(z.dim(n)):
-            lhs = apply_boundary(n + 1, extra(n, c))
+            lhs = z.boundary(n + 1).apply(extra(n, c))
             rhs: Vec = {c: one}
-            vec_iadd_scaled(rhs, apply_extra(n - 1, apply_boundary(n, {c: one})), -one)
+            back = _extend(lambda k: extra(n - 1, k), z.boundary(n).column(c))
+            vec_iadd_scaled(rhs, back, -one)
             if lhs != rhs:
                 ok, witness = False, f"column {c}"
                 break
@@ -472,7 +459,7 @@ def aux_resolution_report(z: CyclicObject, max_degree: int | None = None) -> Che
     h = z.hopf
     ok, witness = True, None
     for c in range(z.dim(0)):
-        lhs = apply_boundary(1, extra(0, c))
+        lhs = z.boundary(1).apply(extra(0, c))
         rhs = {c: one}
         eps = h.counit_of(c)
         if eps:
@@ -965,17 +952,15 @@ def semisimple_reduction(
     separability_element(k, [k.unit])  # raises when absent
     hbar, proj = quotient_by_normal(h, sub)
 
-    # the reduced module M / K+M
-    relators = []
-    for a in range(k.dim):
-        inc_a = sub.inclusion.column(a)
-        eps_a = k.counit_of(a)
-        for j in range(m.dim):
-            vec = m.act_vec(inc_a, {j: f.one})
-            vec_add_at(vec, j, -eps_a)
-            if vec:
-                relators.append(vec)
-    qm = QuotientSpace(m.dim, f, relators)
+    # the reduced module M / K+M: a m - eps(a) m for a in K
+    tix = TensorIndex([m.dim])
+    qm = QuotientSpace(m.dim, f, (
+        r for a in range(k.dim)
+        for r in balancing_relators(tix, [(
+            0, [m.act_vec(sub.inclusion.column(a), {j: f.one}) for j in range(m.dim)],
+            0, [{j: k.counit_of(a)} for j in range(m.dim)],
+        )])
+    ))
 
     # a linear section of the projection
     sec_h = solve_matrix(proj, SparseMatrix.identity(hbar.dim, f))

@@ -36,7 +36,10 @@ graded algebras.  Separable base changes collapse relative objects by a
 quasi-isomorphism, and H-colinear traces A -> M induce morphisms of cyclic
 objects through the same slot products.
 
-Every operator out of one of these quotients (the Galois map, the faces,
+The balanced quotients (A (x)_B A, its cyclic form and the relative
+carriers) take their relators from ``hopf.balancing_relators``, one list
+of slot junctions per base vector, streamed into ``QuotientSpace``.  Every
+operator out of one of these quotients (the Galois map, the faces,
 degeneracies and cyclic operators of the relative object, the comparison
 map, the transported actions) is built by ``QuotientSpace.induced_matrix``,
 which checks on the whole relator span that it descends; maps into a plain
@@ -61,7 +64,7 @@ from .cyclic import (
     sbi_check,
     verify_cyclic_identities,
 )
-from .hopf import AlgebraData, FiniteGroup, HopfAlgebra, TensorIndex, _balancing_relators, conjugacy_data, group_algebra, separability_element
+from .hopf import AlgebraData, FiniteGroup, HopfAlgebra, TensorIndex, balancing_relators, conjugacy_data, group_algebra, separability_element
 from .linalg import (
     QQ,
     QuasiIsoReport,
@@ -464,26 +467,6 @@ class GaloisExtension:
         ]
 
 
-def _outer_relators(ca: AlgebraData, bvecs) -> list:
-    """b x (x) y - x (x) y b: the extra cyclic balancing."""
-    d = ca.dim
-    one = ca.field.one
-    gens = []
-    for bv in bvecs:
-        bx = [ca.product_vec(bv, {x: one}) for x in range(d)]
-        yb = [ca.product_vec({y: one}, bv) for y in range(d)]
-        for x in range(d):
-            for y in range(d):
-                r: Vec = {}
-                for k, c in bx[x].items():
-                    vec_add_at(r, k * d + y, c)
-                for k, c in yb[y].items():
-                    vec_add_at(r, x * d + k, -c)
-                if r:
-                    gens.append(r)
-    return gens
-
-
 def _pair_product(ca: AlgebraData, u: Vec, v: Vec) -> Vec:
     """(x (x) y)(x' (x) y') = x x' (x) y' y on tensor-square coordinates:
     the multiplication opposite on the second leg makes the balanced
@@ -515,7 +498,11 @@ def galois_check(ca: ComoduleAlgebra) -> GaloisExtension:
     one = f.one
     base = coinvariants(ca)
     bvecs = [base.inclusion.column(r) for r in range(base.dim)]
-    bal_gens = _balancing_relators(ca, bvecs)
+    # x b (x) y - x (x) b y, and for the cyclic square also b x (x) y - x (x) y b
+    sq = TensorIndex([d, d])
+    tables = [ca.product_tables(bv) for bv in bvecs]
+    bal_gens = [r for left, right in tables
+                for r in balancing_relators(sq, [(0, right, 1, left)])]
     balanced = QuotientSpace(d * d, f, bal_gens)
 
     amb_cols: dict = {}
@@ -553,9 +540,8 @@ def galois_check(ca: ComoduleAlgebra) -> GaloisExtension:
     eye_a = SparseMatrix.identity(d, f)
     ok = True
     for bv in bvecs:
-        move = ca.left_mult_matrix(bv).kron(eye_a) - eye_a.kron(
-            ca.right_mult_matrix(bv)
-        )
+        left, right = ca.mult_matrices(bv)
+        move = left.kron(eye_a) - eye_a.kron(right)
         if proj @ (move @ kappa) != zero_cls:
             ok = False
             break
@@ -591,8 +577,10 @@ def galois_check(ca: ComoduleAlgebra) -> GaloisExtension:
             break
     rep.add("the translation map is an anti-morphism", anti_ok, anti_wit)
 
-    cyc_gens = bal_gens + _outer_relators(ca, bvecs)
-    cyclic_balanced = QuotientSpace(d * d, f, cyc_gens)
+    cyclic_balanced = QuotientSpace(d * d, f, itertools.chain(bal_gens, (
+        r for left, right in tables
+        for r in balancing_relators(sq, [(0, left, 1, right)])
+    )))
     projhat = cyclic_balanced.projection_matrix()
 
     def hat(vec: Vec) -> Vec:
@@ -823,8 +811,9 @@ def relative_cyclic(ca: AlgebraData, base: BaseData, m: Bimodule | None = None,
     """The relative cyclic object Z_*(A/B, M) on balanced tensor powers.
 
     The degree-n carrier is M (x)_B A^{(x)_B n} with the outer legs also
-    identified across the base (a quotient of the free tensor power by
-    balancing relators at every junction plus outer commutators).  Faces
+    identified across the base: the free tensor power modulo
+    ``balancing_relators`` with, for each non-unit base vector, the n inner
+    junctions (p, p+1) and the outer junction (0, n).  Faces
     multiply adjacent slots (the first and last through the bimodule
     actions), degeneracies insert the unit, and for M = A the cyclic
     operator rotates; for other coefficients the object is simplicial only.
@@ -847,55 +836,30 @@ def relative_cyclic(ca: AlgebraData, base: BaseData, m: Bimodule | None = None,
     unit = canonical_vec(ca.unit, f)
     bvecs = [bv for bv in (base.inclusion.column(r) for r in range(base.dim))
              if canonical_vec(bv, f) != unit]
-    lb_a, rb_a, lb_m, rb_m = [], [], [], []
-    for bv in bvecs:
-        lb_a.append([ca.product_vec(bv, {j: one}) for j in range(ad)])
-        rb_a.append([ca.product_vec({j: one}, bv) for j in range(ad)])
-        lb_m.append([bim.left_vec(bv, {j: one}) for j in range(md)])
-        rb_m.append([bim.right_vec({j: one}, bv) for j in range(md)])
+    tables = [
+        ca.product_tables(bv)
+        + ([bim.left_vec(bv, {j: one}) for j in range(md)],
+           [bim.right_vec({j: one}, bv) for j in range(md)])
+        for bv in bvecs
+    ]
 
     @lru_cache(maxsize=None)
     def index(n: int) -> TensorIndex:
         return TensorIndex([md] + [ad] * n)
 
+    def junctions(n: int, left_a, right_a, left_m, right_m) -> list:
+        """x b (x) y = x (x) b y at slots p, p+1, then the outer legs
+        b m (x) ... = m (x) ... b (b m = m b at degree 0)."""
+        right = [right_m] + [right_a] * n
+        return ([(p, right[p], p + 1, left_a) for p in range(n)]
+                + [(0, left_m, n, right[n])])
+
     @lru_cache(maxsize=None)
     def carrier(n: int) -> QuotientSpace:
         tix = index(n)
-        strides = tix.strides
-        gens: list = []
-        for bpos in range(len(bvecs)):
-            for idx in range(tix.size):
-                tup = tix.unflatten(idx)
-                for p in range(n):
-                    left_tab = (
-                        rb_m[bpos][tup[0]] if p == 0 else rb_a[bpos][tup[p]]
-                    )
-                    right_tab = lb_a[bpos][tup[p + 1]]
-                    r: Vec = {}
-                    lbase = idx - tup[p] * strides[p]
-                    for k, c in left_tab.items():
-                        vec_add_at(r, lbase + k * strides[p], c)
-                    rbase = idx - tup[p + 1] * strides[p + 1]
-                    for k, c in right_tab.items():
-                        vec_add_at(r, rbase + k * strides[p + 1], -c)
-                    if r:
-                        gens.append(r)
-                r = {}
-                if n >= 1:
-                    lbase = idx - tup[0] * strides[0]
-                    for k, c in lb_m[bpos][tup[0]].items():
-                        vec_add_at(r, lbase + k * strides[0], c)
-                    rbase = idx - tup[n] * strides[n]
-                    for k, c in rb_a[bpos][tup[n]].items():
-                        vec_add_at(r, rbase + k * strides[n], -c)
-                else:
-                    for k, c in lb_m[bpos][tup[0]].items():
-                        vec_add_at(r, k, c)
-                    for k, c in rb_m[bpos][tup[0]].items():
-                        vec_add_at(r, k, -c)
-                if r:
-                    gens.append(r)
-        return QuotientSpace(tix.size, f, gens)
+        return QuotientSpace(tix.size, f, (
+            r for tab in tables for r in balancing_relators(tix, junctions(n, *tab))
+        ))
 
     # ambient operators on one basis tuple of the free tensor power, keyed
     # by flat indices of the target degree's TensorIndex tm

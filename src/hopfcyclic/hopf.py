@@ -4,8 +4,11 @@ structure tensors.
 The algebra layer lives here: `AlgebraData` is a unital algebra given by its
 multiplication tensor, with the product (`product_vec`, `mult_pairs`) that
 every layer above uses, and `separability_element` is the one solver for
-separability elements over a subalgebra.  `HopfAlgebra` is an `AlgebraData`,
-so a Hopf algebra is passed as it is wherever an algebra is expected.
+separability elements over a subalgebra.  `balancing_relators` generates the
+relators of every balanced tensor product: relative carriers, A (x)_B A,
+induction and the reduction by an augmentation ideal.  `HopfAlgebra` is an
+`AlgebraData`, so a Hopf algebra is passed as it is wherever an algebra is
+expected.
 
 A Hopf algebra here is the data (mult, unit, comult, counit, antipode) over an
 exact field, with the seven axiom identities checked as exact matrix
@@ -29,7 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import mul
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .linalg import (
     QQ,
@@ -291,6 +294,32 @@ class TensorIndex:
         return tuple(out)
 
 
+def balancing_relators(tix: TensorIndex, junctions) -> Iterator[Vec]:
+    """The relators of a balanced tensor product, on the flat indices of tix.
+
+    Each junction (p, ptab, q, qtab) pairs slot p with slot q; ptab and qtab
+    map a basis index of their slot to a vector of that slot.  For every
+    basis tuple t, in flat order, and then for every junction in turn, this
+    yields the relator "ptab[t[p]] put in slot p, minus qtab[t[q]] put in
+    slot q", the other slots of t kept, when it is nonzero.  With the right
+    and left products by a base element b in adjacent slots this is
+    x b (x) y - x (x) b y; the outer legs are the junction (0, n), and p = q
+    gives a one-slot relator such as b m - m b.
+    """
+    strides = tix.strides
+    for idx, t in enumerate(itertools.product(*map(range, tix.dims))):
+        for p, ptab, q, qtab in junctions:
+            r: Vec = {}
+            base, s = idx - t[p] * strides[p], strides[p]
+            for k, c in ptab[t[p]].items():
+                vec_add_at(r, base + k * s, c)
+            base, s = idx - t[q] * strides[q], strides[q]
+            for k, c in qtab[t[q]].items():
+                vec_add_at(r, base + k * s, -c)
+            if r:
+                yield r
+
+
 # ---------------------------------------------------------------------------
 # algebras
 # ---------------------------------------------------------------------------
@@ -325,44 +354,20 @@ class AlgebraData:
     def product_vec(self, u: Vec, v: Vec) -> Vec:
         return bilinear(self.mult.cols, self.dim, u, v)
 
+    def product_tables(self, v: Vec) -> tuple:
+        """([v e_j], [e_j v]) over the basis: left and right multiplication
+        by v, as the slot tables of `balancing_relators`."""
+        one = self.field.one
+        return ([self.product_vec(v, {j: one}) for j in range(self.dim)],
+                [self.product_vec({j: one}, v) for j in range(self.dim)])
+
     def unit_matrix(self) -> SparseMatrix:
         return SparseMatrix(self.dim, 1, self.field, {0: dict(self.unit)} if self.unit else {})
 
-    def left_mult_matrix(self, v: Vec) -> SparseMatrix:
-        cols = {}
-        for j in range(self.dim):
-            w = self.product_vec(v, {j: self.field.one})
-            if w:
-                cols[j] = w
-        return SparseMatrix(self.dim, self.dim, self.field, cols)
-
-    def right_mult_matrix(self, v: Vec) -> SparseMatrix:
-        cols = {}
-        for j in range(self.dim):
-            w = self.product_vec({j: self.field.one}, v)
-            if w:
-                cols[j] = w
-        return SparseMatrix(self.dim, self.dim, self.field, cols)
-
-
-def _balancing_relators(a: AlgebraData, bvecs) -> list:
-    """x b (x) y - x (x) b y over the base and the tensor-square basis."""
-    d = a.dim
-    one = a.field.one
-    gens = []
-    for bv in bvecs:
-        xb = [a.product_vec({x: one}, bv) for x in range(d)]
-        by = [a.product_vec(bv, {y: one}) for y in range(d)]
-        for x in range(d):
-            for y in range(d):
-                r: Vec = {}
-                for k, c in xb[x].items():
-                    vec_add_at(r, k * d + y, c)
-                for k, c in by[y].items():
-                    vec_add_at(r, x * d + k, -c)
-                if r:
-                    gens.append(r)
-    return gens
+    def mult_matrices(self, v: Vec) -> tuple:
+        """Left and right multiplication by v as d x d matrices."""
+        return tuple(SparseMatrix.from_columns(self.dim, self.field, t)
+                     for t in self.product_tables(v))
 
 
 def separability_element(b: AlgebraData, inner) -> Vec:
@@ -377,8 +382,12 @@ def separability_element(b: AlgebraData, inner) -> Vec:
     f = b.field
     bd = b.dim
     one = f.one
-    gens = _balancing_relators(b, inner)
-    q = QuotientSpace(bd * bd, f, gens)
+    sq = TensorIndex([bd, bd])
+    tables = [b.product_tables(v) for v in inner]
+    q = QuotientSpace(bd * bd, f, (
+        r for left, right in tables
+        for r in balancing_relators(sq, [(0, right, 1, left)])
+    ))
     sect = q.section_matrix()
     eye_b = SparseMatrix.identity(bd, f)
     rows: dict = {}
@@ -388,9 +397,8 @@ def separability_element(b: AlgebraData, inner) -> Vec:
             rows.setdefault(s, {})[i] = c
     offset = bd
     for x in range(bd):
-        move = b.left_mult_matrix({x: one}).kron(eye_b) - eye_b.kron(
-            b.right_mult_matrix({x: one})
-        )
+        left, right = b.mult_matrices({x: one})
+        move = left.kron(eye_b) - eye_b.kron(right)
         cq = q.induced_matrix(move, what="a centrality constraint on the balanced square")
         for s, col in cq.columns():
             for i, c in col.items():

@@ -326,6 +326,8 @@ def test_unknown_builtin_is_an_input_error():
      "action entry [0, True"),
     ('{"dim": 1, "action": [], "coaction": [[0, 0, 2, "1"]]}',
      "coaction entry [0, 0, 2"),
+    ('{"dim": 1,\n "action": []}',
+     "module document <inline> is missing field 'coaction'"),
 ])
 def test_malformed_module_document_is_an_input_error(doc, message):
     rc, out, err = run(["hh", "z2", doc, "--max-degree", "2"])
@@ -395,13 +397,34 @@ def _s3_grading(blocks: str) -> str:
     (["galois", '{"algebra": {"dim": 2, "mult": [[0, 0, 5, "1"]], "unit": ["1", "0"]},'
                 ' "grading": {"group": "z2", "blocks": {"0": [0], "1": [1]}}}'],
      "algebra document: mult entry [0, 0, 5, '1']"),
+    (["burghelea", '{"table": 5}', "trivial"],
+     "group document <inline>: table must be n lists"),
+    (["burghelea", '{"table": [["a"]]}', "trivial"],
+     "group document <inline>: table must be n lists"),
+    (["burghelea", '{"table": [[0, 1], [1]]}', "trivial"],
+     "group document <inline>: table must be n lists"),
+    (["burghelea", '{"table": [[true]]}', "trivial"],
+     "group document <inline>: table must be n lists"),
+    (["burghelea", '{"table": [[0]], "elements": 5}', "trivial"],
+     "group document <inline>: elements must be a list of 1 strings"),
+    (["burghelea", '{"elements": ["e"]}', "trivial"],
+     "group document <inline> is missing field 'table'"),
+    (["galois", '{"algebra": "z2", "grading": {"group": {"table": 5},'
+                ' "blocks": {"0": [0], "1": [1]}}}'],
+     "group document <embedded>: table must be n lists"),
+    (["galois", '{"algebra": "z2", "grading": {"group": {"table": [[0, 1], [1, 0]],'
+                ' "elements": [1, 2]}, "blocks": {"0": [0], "1": [1]}}}'],
+     "group document <embedded>: elements must be a list of 2 strings"),
 ], ids=["denominator-divisible-by-p", "hopf-list", "extension-list",
         "algebra-list", "torus-list", "grading-list", "grading-without-algebra",
         "cocycle-key", "cocycle-index", "action-index", "action-incomplete",
         "cocycle-element", "block-index", "block-missing", "block-overlap",
         "block-cover", "mult-scalar-index", "mult-not-list", "unit-null",
         "mult-short", "mult-index", "dim-string", "unit-string", "basis-string",
-        "algebra-mult-index"])
+        "algebra-mult-index", "group-table-int", "group-table-string",
+        "group-table-ragged", "group-table-bool", "group-elements-int",
+        "group-table-missing", "grading-group-table-int",
+        "grading-group-elements-ints"])
 def test_bad_input_is_an_input_error(argv, message):
     rc, out, err = run(argv + ["--max-degree", "2"])
     assert rc == 2 and out == ""
@@ -462,7 +485,33 @@ def _faulty_grading_document(draw):
     return ["galois", json.dumps(doc)]
 
 
-@given(argv=st.one_of(_faulty_hopf_document(), _faulty_grading_document()))
+_Z3_TABLE = {"table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]], "elements": ["1", "g", "g2"]}
+
+
+@st.composite
+def _faulty_group_document(draw):
+    doc = copy.deepcopy(_Z3_TABLE)
+    fault = draw(st.sampled_from(["type", "row", "entry", "label", "missing"]))
+    if fault == "type":
+        doc[draw(st.sampled_from(["table", "elements"]))] = draw(
+            _WRONG.filter(lambda v: v is not None))
+    elif fault == "row":
+        doc["table"][draw(st.integers(0, 2))] = draw(_WRONG)
+    elif fault == "entry":
+        doc["table"][draw(st.integers(0, 2))][draw(st.integers(0, 2))] = draw(_WRONG)
+    elif fault == "label":
+        doc["elements"][draw(st.integers(0, 2))] = draw(
+            _WRONG.filter(lambda v: not isinstance(v, str)))
+    else:
+        del doc["table"]
+    if draw(st.booleans()):
+        return ["burghelea", json.dumps(doc), "trivial"]
+    grading = {"algebra": "z3", "grading": {"group": doc, "blocks": {"0": [0, 1, 2]}}}
+    return ["galois", json.dumps(grading)]
+
+
+@given(argv=st.one_of(_faulty_hopf_document(), _faulty_grading_document(),
+                      _faulty_group_document()))
 @settings(max_examples=150, deadline=None)
 def test_document_faults_are_input_errors(argv):
     rc, out, err = run(argv + ["--max-degree", "1"])

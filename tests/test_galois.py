@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from hopfcyclic.crossed import adjoint
 from hopfcyclic import linalg
-from hopfcyclic.cyclic import build_cyclic, connes_data, hc_connes
+from hopfcyclic.cyclic import build_cyclic, connes_data, hc_connes, hochschild
 from hopfcyclic.galois import (
     AlgebraData,
     ComoduleAlgebra,
@@ -462,6 +462,56 @@ def test_base_change_kz4_over_kz2(kz4):
     assert bc.hc_source == bc.hc_target == [4, 0, 4, 0]
     # the separability element of kZ2 inside: (1 (x) 1 + g^2 (x) g^2) / 2
     assert bc.separability_element == {0: QQ.coerce("1/2"), 3: QQ.coerce("1/2")}
+
+
+def _kz2_inside_kz4_facts(ca, base) -> tuple:
+    z = relative_cyclic(ca, base, max_degree=4)
+    return (
+        [z.dim(n) for n in range(5)],
+        hochschild(z, 0, 3),
+        hc_connes(z, 0, 3),
+        [z.carrier(n).free_cols for n in range(5)],
+        separable_base_change(ca, base, unit_base(ca), high=3).ok,
+    )
+
+
+def test_relative_object_does_not_depend_on_the_base_basis(kz4):
+    # kZ2 = span{1, g^2} inside kZ4, once by its coordinate basis and once
+    # spanned by 1 + g^2 and 1 - g^2
+    ca = comodule_from_hopf(kz4)
+    coord = base_from_vectors(ca, [{0: QQ.one}, {2: QQ.one}], name="kZ2")
+    mixed = base_from_vectors(
+        ca, [{0: QQ.one, 2: QQ.one}, {0: QQ.one, 2: -QQ.one}], name="kZ2")
+    facts = _kz2_inside_kz4_facts(ca, coord)
+    assert facts[:3] == ([4, 8, 16, 32, 64], [4, 0, 0, 0], [4, 0, 4, 0])
+    assert facts[4]
+    assert _kz2_inside_kz4_facts(ca, mixed) == facts
+
+
+def test_relative_object_over_a_base_with_four_entry_relators(kz4, monkeypatch):
+    # B = span{1, g^2, g + g^3}, the inversion-fixed part of kZ4 ~ Q x Q x Q(i),
+    # is Q x Q x Q; so A (x)_B ... (x)_B A with n + 1 factors is
+    # Q + Q + Q(i)^(x)(n+1), of dimension 2 + 2^(n+1).  Its balancing
+    # relators x (g + g^3) (x) y - x (x) (g + g^3) y have four entries, so
+    # the carriers are eliminated by echelonize, not only contracted
+    ca = comodule_from_hopf(kz4)
+    base = base_from_vectors(
+        ca, [{0: QQ.one}, {2: QQ.one}, {1: QQ.one, 3: QQ.one}], name="sym")
+    widths = []
+    echelonize = linalg.echelonize
+
+    def recorded(rows, *args, **kwargs):
+        rows = list(rows)
+        widths.extend(len(r) for r in rows)
+        return echelonize(rows, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "echelonize", recorded)
+    z = relative_cyclic(ca, base, max_degree=4)
+    assert [z.dim(n) for n in range(5)] == [4, 6, 10, 18, 34]
+    assert widths and max(widths) == 4
+    monkeypatch.undo()
+    assert hochschild(z, 0, 3) == [4, 0, 0, 0]
+    assert hc_connes(z, 0, 3) == [4, 0, 4, 0]
 
 
 def test_base_change_to_itself_is_the_identity(kz2):

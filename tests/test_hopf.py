@@ -11,6 +11,7 @@ from hopfcyclic.hopf import (
     FiniteGroup,
     HopfAlgebra,
     TensorIndex,
+    balancing_relators,
     conjugacy_data,
     diagonal_power,
     group_algebra,
@@ -189,6 +190,37 @@ def test_non_normal_subalgebra_rejected():
     sub = group_subalgebra(h, [g.identity, t])
     with pytest.raises(ValueError, match="not normal"):
         quotient_by_normal(h, sub)
+
+
+def test_balancing_relators_are_the_columns_of_the_balancing_map():
+    # b = 1 + (12) in kS3; R_b and L_b multiply by b on the right and left
+    h = group_algebra(FiniteGroup.symmetric(3))
+    d = h.dim
+    eye = SparseMatrix.identity(d, QQ)
+    b = SparseMatrix(d, 1, QQ, {0: {h.basis.index("e"): QQ.one,
+                                    h.basis.index("(12)"): QQ.one}})
+    left_b, right_b = h.mult @ b.kron(eye), h.mult @ eye.kron(b)
+    ltab = [left_b.column(j) for j in range(d)]
+    rtab = [right_b.column(j) for j in range(d)]
+
+    def nonzero_columns(m: SparseMatrix) -> list:
+        return [m.column(j) for j in range(m.ncols) if m.column(j)]
+
+    # an inner junction: x b (x) y - x (x) b y
+    inner = right_b.kron(eye) - eye.kron(left_b)
+    got = list(balancing_relators(TensorIndex([d, d]), [(0, rtab, 1, ltab)]))
+    assert got == nonzero_columns(inner)
+    # two junctions: tuple by tuple, each tuple's relators in junction order
+    cyclic = left_b.kron(eye) - eye.kron(right_b)
+    got = list(balancing_relators(TensorIndex([d, d]), [(0, rtab, 1, ltab), (0, ltab, 1, rtab)]))
+    assert got == [col for j in range(d * d)
+                   for col in (inner.column(j), cyclic.column(j)) if col]
+    # the outer legs: b x (x) y (x) z - x (x) y (x) z b
+    got = list(balancing_relators(TensorIndex([d, d, d]), [(0, ltab, 2, rtab)]))
+    assert got == nonzero_columns(left_b.kron(eye).kron(eye) - eye.kron(eye).kron(right_b))
+    # one slot: b x - x b
+    got = list(balancing_relators(TensorIndex([d]), [(0, ltab, 0, rtab)]))
+    assert got == nonzero_columns(left_b - right_b)
 
 
 @pytest.mark.parametrize("group", [FiniteGroup.symmetric(3), FiniteGroup.dihedral(4)],
