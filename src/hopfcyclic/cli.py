@@ -98,10 +98,6 @@ _GROUP_BUILDERS = {
     "d4": lambda: FiniteGroup.dihedral(4),
 }
 
-_MODULE_NAMES = ("adjoint", "coadjoint", "trivial", "sign")
-
-_EXTENSION_NAMES = ("s3_over_a3", "kz4_over_kz2", "twisted_klein")
-
 
 def _canonical(doc) -> str:
     return json.dumps(doc, sort_keys=True)
@@ -118,29 +114,26 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _load_doc(ref: str):
-    """A file path or an inline JSON object; parse errors keep location."""
-    text = ref
-    if not ref.lstrip().startswith(("{", "[")):
-        path = Path(ref)
-        if not path.is_file():
-            raise InputError(f"no such file or builtin: {ref}")
-        text = path.read_text()
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(
-            f"cannot parse {ref if text is not ref else 'inline document'}: "
-            f"{exc.msg} at line {exc.lineno}, column {exc.colno}"
-        ) from exc
-
-
 def _load_object(ref, what: str) -> dict:
-    """_load_doc for documents that must be JSON objects."""
-    doc = _load_doc(ref) if isinstance(ref, str) else ref
+    """A document given as a file path, inline JSON or an already-parsed
+    value, which must be a JSON object; parse errors keep their location."""
+    doc = ref
+    if isinstance(ref, str):
+        text = ref
+        if not ref.lstrip().startswith(("{", "[")):
+            path = Path(ref)
+            if not path.is_file():
+                raise InputError(f"no such file or builtin: {ref}")
+            text = path.read_text()
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InputError(
+                f"cannot parse {ref if text is not ref else 'inline document'}: "
+                f"{exc.msg} at line {exc.lineno}, column {exc.colno}"
+            ) from exc
     if not isinstance(doc, dict):
-        label = _ref_label(ref)
-        raise InputError(f"{what} document {label} is not a JSON object")
+        raise InputError(f"{what} document {_ref_label(ref)} is not a JSON object")
     return doc
 
 
@@ -155,6 +148,150 @@ def resolve_field(spec: str):
     raise InputError(f"unknown field {spec!r}: use q or f<prime>")
 
 
+# Every document the command line reads, as rows (field, required, shape)
+# per kind.  `required` is True, False, or the name of a list field whose
+# length stands in for the field when it is left out.  A shape is
+# (tag, bounds, *args): `_SHAPES[tag]` says which values it admits, and
+# `_walk` descends into "object", "keyed" and "entries" values.  A bound is
+# a field walked earlier (its value, or its length for a list) or "dim H",
+# "dim A", "dim B" or "|G|" of a resolved reference.  A row whose bounds are
+# not known yet is skipped, so a document with references ("ref") is walked
+# once before they are resolved and once after.
+_NAT, _STR, _REF = ("nat", ()), ("str", ()), ("ref", ())
+_D = ("dim",)
+_BASIS, _NAME = ("basis", False, ("labels", _D)), ("name", False, _STR)
+_SCHEMA = {
+    "hopf": [
+        ("dim", True, _NAT), _BASIS, _NAME,
+        ("mult", True, ("entries", _D * 3)), ("comult", True, ("entries", _D * 3)),
+        ("unit", True, ("scalars", _D)), ("counit", True, ("scalars", _D)),
+        ("antipode", True, ("entries", _D * 2)),
+    ],
+    "algebra": [
+        ("dim", "basis", _NAT), _BASIS, _NAME,
+        ("mult", True, ("entries", _D * 3)), ("unit", True, ("scalars", _D)),
+    ],
+    # action [i, j, k, c]: e_i . m_j contains c m_k;
+    # coaction [j, k, i, c]: rho(m_j) contains c m_k (x) e_i
+    "module": [
+        ("dim", True, _NAT), _BASIS, _NAME,
+        ("action", True, ("entries", ("dim H", "dim", "dim"))),
+        ("coaction", True, ("entries", ("dim", "dim", "dim H"))),
+    ],
+    "crossed": [("base", True, _REF)],  # resolve_module walks the rest
+    "group": [("table", True, ("table", ())),
+              ("elements", False, ("labels", ("table",)))],
+    "grading extension": [("algebra", True, _REF),
+                          ("grading", True, ("object", (), "grading"))],
+    "grading": [
+        ("group", True, _REF),
+        ("blocks", True, ("keyed", ("|G|", "dim A"), 1, "block",
+                          ("indices", ("dim A",)))),
+    ],
+    "crossed-product extension": [
+        ("crossed_product", True, ("object", (), "crossed product")), _NAME,
+    ],
+    "crossed product": [
+        ("base", True, _REF), ("group", True, _REF),
+        ("action", False, ("keyed", ("|G|", "dim B"), 1, "action",
+                           ("entries", ("dim B", "dim B")))),
+        ("cocycle", False, ("keyed", ("|G|", "dim B"), 2, "cocycle",
+                            ("entries", ("dim B",)))),
+    ],
+    "torus": [("r", True, ("pos", ())), ("a", True, ("matrix", ("r",))),
+              ("q_order", False, ("order", ()))],
+}
+
+
+def _integer(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _below(x, bound: int) -> bool:
+    return _integer(x) and 0 <= x < bound
+
+
+# tag: (whether value v fits the bounds n, the message when it does not)
+_SHAPES = {
+    "nat": (lambda v, n: _integer(v) and v >= 0,
+            "{name} must be a non-negative integer, not {v!r}"),
+    "pos": (lambda v, n: _integer(v) and v > 0,
+            "{name} must be a positive integer, not {v!r}"),
+    "order": (lambda v, n: v in (None, "infinite") or _integer(v) and v > 0,
+              '{name} must be a positive integer, "infinite" or null, not {v!r}'),
+    "str": (lambda v, n: isinstance(v, str), "{name} must be a string, not {v!r}"),
+    "labels": (lambda v, n: v is None or isinstance(v, list) and len(v) == n[0]
+               and all(isinstance(x, str) for x in v),
+               "{name} must be a list of {n[0]} strings"),
+    "scalars": (lambda v, n: isinstance(v, list) and len(v) == n[0],
+                "{name} must be a list of {n[0]} scalars"),
+    "entries": (lambda v, n: isinstance(v, list), "{name} must be a list"),
+    "indices": (lambda v, n: isinstance(v, list) and all(_below(i, n[0]) for i in v),
+                "{name} is not a list of basis indices below {n[0]}"),
+    "table": (lambda v, n: isinstance(v, list) and all(
+        isinstance(row, list) and len(row) == len(v)
+        and all(_below(x, len(v)) for x in row) for row in v),
+        "{name} must be n lists of n element indices below n"),
+    "matrix": (lambda v, n: isinstance(v, list) and len(v) == n[0] and all(
+        isinstance(row, list) and len(row) == n[0] and all(map(_integer, row))
+        for row in v), "{name} must be a {n[0]} x {n[0]} matrix of integers"),
+    "object": (lambda v, n: isinstance(v, dict), "{name!r} must be a JSON object"),
+    "keyed": (lambda v, n: isinstance(v, dict), "{name!r} must be a JSON object"),
+    "ref": (lambda v, n: True, ""),
+}
+
+
+def _check(doc: dict, kind: str, what: str, bounds: dict | None = None) -> dict:
+    """Walk `doc` against the rows of `_SCHEMA[kind]` and return the bounds
+    it gives; the first fault is an InputError naming `what`.  The document
+    is only read."""
+    bounds = dict(bounds or {})
+    for key, required, shape in _SCHEMA[kind]:
+        if key not in doc:
+            if isinstance(required, str) and isinstance(doc.get(required), list):
+                bounds[key] = len(doc[required])
+            elif required:
+                raise InputError(f"{what} is missing field {key!r}")
+        elif all(b in bounds for b in shape[1]):
+            _walk(doc[key], shape, what, key, bounds)
+            bounds[key] = len(doc[key]) if isinstance(doc[key], list) else doc[key]
+    return bounds
+
+
+def _walk(val, shape, what: str, name: str, bounds: dict) -> None:
+    """Check one value against a shape.  An "object" holds the rows of the
+    kind in its args; a "keyed" object maps keys of one group element index
+    ("x") or two ("x,y") to values, named by a noun, of an inner shape;
+    "entries" is a list of [index, ..., scalar], one index below each bound."""
+    tag, over, *args = shape
+    n = [bounds[b] for b in over]
+    fits, message = _SHAPES[tag]
+    if not fits(val, n):
+        raise InputError(f"{what}: " + message.format(name=name, v=val, n=n))
+    if tag == "object":
+        _check(val, args[0], what, bounds)
+    elif tag == "keyed":
+        arity, noun, inner = args
+        for key, item in val.items():
+            parts = key.split(",") if arity == 2 else [key]
+            if len(parts) != arity:
+                raise InputError(f"{what}: {noun} key {key!r} is not 'x,y'")
+            for part in map(str.strip, parts):
+                if not (part.isdecimal() and int(part) < n[0]):
+                    raise InputError(
+                        f"{what}: {part!r} is not a group element index below {n[0]}"
+                    )
+            _walk(item, inner, what, f"{noun} {key!r}", bounds)
+    elif tag == "entries":
+        for e in val:
+            if not (isinstance(e, list) and len(e) == len(n) + 1
+                    and all(map(_below, e, n))):
+                raise InputError(
+                    f"{what}: {name} entry {e!r} is not "
+                    f"[{'index, ' * len(n)}scalar] with indices below {n}"
+                )
+
+
 def resolve_group(ref):
     """Returns (group, canonical document).  `ref` may be a builtin name,
     a path, inline JSON, or an already-parsed document."""
@@ -164,19 +301,7 @@ def resolve_group(ref):
             g = build()
             return g, group_to_json(g)
     doc = _load_object(ref, "group")
-    what = f"group document {_ref_label(ref)}"
-    table = _member(doc, "table", what)
-    n = len(table) if isinstance(table, list) else 0
-    if not (isinstance(table, list) and all(
-            isinstance(row, list) and len(row) == n
-            and all(_is_index(x, n) for x in row) for row in table)):
-        raise InputError(f"{what}: table must be n lists of n element indices below n")
-    labels = doc.get("elements")
-    if labels is not None and not (
-        isinstance(labels, list) and len(labels) == n
-        and all(isinstance(x, str) for x in labels)
-    ):
-        raise InputError(f"{what}: elements must be a list of {n} strings")
+    _check(doc, "group", f"group document {_ref_label(ref)}")
     try:
         return group_from_json(doc), doc
     except ValueError as exc:
@@ -191,37 +316,24 @@ def resolve_hopf(ref, field):
         return h, hopf_to_json(h)
     label = _ref_label(ref)
     doc = _load_object(ref, "hopf")
-    _check_structure(doc, f"hopf document {label}")
-    try:
-        h = hopf_from_json(doc, field, name=doc.get("name", label))
-    except KeyError as exc:
-        raise InputError(f"hopf document {label} is missing field {exc}") from exc
-    return h, doc
+    _check(doc, "hopf", f"hopf document {label}")
+    return hopf_from_json(doc, field, name=doc.get("name", label)), doc
 
 
 def resolve_algebra(ref, field):
     """An algebra to be graded: a Hopf builtin/document (a Hopf algebra is
     an algebra), or a bare {dim, basis, mult, unit} document."""
-    if isinstance(ref, str) and (
-        ref in _GROUP_BUILDERS or not ref.lstrip().startswith("{")
-    ):
+    if isinstance(ref, str) and ref in _GROUP_BUILDERS:
         return resolve_hopf(ref, field)[0]
     doc = _load_object(ref, "algebra")
     if "comult" in doc:
-        return resolve_hopf(doc, field)[0]
-    d = _check_structure(doc, "algebra document")
-    try:
-        basis = doc.get("basis") or [f"e{i}" for i in range(d)]
-        mult = SparseMatrix.from_entries(
-            d, d * d, field, ((k, i * d + j, c) for i, j, k, c in doc["mult"])
-        )
-        unit = {
-            i: field.coerce(c)
-            for i, c in enumerate(doc["unit"])
-            if field.coerce(c)
-        }
-    except KeyError as exc:
-        raise InputError(f"algebra document is missing field {exc}") from exc
+        return resolve_hopf(ref, field)[0]
+    d = _check(doc, "algebra", "algebra document")["dim"]
+    basis = doc.get("basis") or [f"e{i}" for i in range(d)]
+    mult = SparseMatrix.from_entries(
+        d, d * d, field, ((k, i * d + j, c) for i, j, k, c in doc["mult"])
+    )
+    unit = {i: field.coerce(c) for i, c in enumerate(doc["unit"]) if field.coerce(c)}
     return AlgebraData(field, basis, mult, unit, name=doc.get("name", "A"))
 
 
@@ -275,100 +387,10 @@ def resolve_module(ref: str, h):
         except ValueError as exc:
             raise InputError(str(exc)) from exc
     else:
-        doc = _load_doc(ref)
-        return _module_from_doc(h, doc, ref), doc
+        doc = _load_object(ref, "module")
+        _check(doc, "module", f"module document {_ref_label(ref)}", {"dim H": h.dim})
+        return crossed_from_json(h, doc), doc
     return m, crossed_to_json(m)
-
-
-def _is_index(x, bound: int) -> bool:
-    return not isinstance(x, bool) and isinstance(x, int) and 0 <= x < bound
-
-
-def _entries(val, bounds: tuple, what: str) -> list:
-    """A list of [index, ..., scalar] entries, one index per bound."""
-    if not isinstance(val, list):
-        raise InputError(f"{what} must be a list")
-    for e in val:
-        if not (isinstance(e, list) and len(e) == len(bounds) + 1
-                and all(map(_is_index, e, bounds))):
-            raise InputError(
-                f"{what} entry {e!r} is not [{'index, ' * len(bounds)}scalar] "
-                f"with indices below {list(bounds)}"
-            )
-    return val
-
-
-def _check_structure(doc: dict, what: str) -> int:
-    """Check the shape of a Hopf or algebra document before it is built and
-    return its dimension: `dim` a non-negative integer (it may be left out
-    beside a basis), `basis` a list of `dim` strings, `mult`/`comult`
-    entries [i, j, k, c] and `antipode` entries [i, j, c] with indices below
-    `dim`, `unit`/`counit` lists of `dim` scalars.  A field that is left out
-    is reported by the builder."""
-    basis = doc.get("basis")
-    if "dim" in doc or not isinstance(basis, list):
-        dim = _member(doc, "dim", what)
-    else:
-        dim = len(basis)
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
-        raise InputError(f"{what}: dim must be a non-negative integer, not {dim!r}")
-    if basis is not None and not (
-        isinstance(basis, list) and len(basis) == dim
-        and all(isinstance(b, str) for b in basis)
-    ):
-        raise InputError(f"{what}: basis must be a list of {dim} strings")
-    for key, slots in (("mult", 3), ("comult", 3), ("antipode", 2)):
-        if key in doc:
-            _entries(doc[key], (dim,) * slots, f"{what}: {key}")
-    for key in ("unit", "counit"):
-        if key in doc and not (isinstance(doc[key], list) and len(doc[key]) == dim):
-            raise InputError(f"{what}: {key} must be a list of {dim} scalars")
-    return dim
-
-
-def _member(doc: dict, key: str, what: str, is_object: bool = False):
-    """doc[key] for a field of a nested document: it must be present and,
-    with `is_object`, a JSON object."""
-    if key not in doc:
-        raise InputError(f"{what} is missing field {key!r}")
-    val = doc[key]
-    if is_object and not isinstance(val, dict):
-        raise InputError(f"{what}: {key!r} must be a JSON object")
-    return val
-
-
-def _element(key: str, order: int, what: str) -> int:
-    """The group element an object key names by its index."""
-    key = key.strip()
-    if not (key.isdecimal() and int(key) < order):
-        raise InputError(
-            f"{what}: {key!r} is not a group element index below {order}"
-        )
-    return int(key)
-
-
-def _module_from_doc(h, doc, ref: str):
-    """crossed_from_json behind the document-shape checks it does not make."""
-    label = _ref_label(ref)
-    if not isinstance(doc, dict):
-        raise InputError(f"module document {label} is not a JSON object")
-    dim = doc.get("dim", 0)  # a missing dim is reported as a missing field
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
-        raise InputError(
-            f"module document {label}: dim must be a non-negative "
-            f"integer, not {dim!r}"
-        )
-    # action [i, j, k, c]: e_i . m_j contains c m_k;
-    # coaction [j, k, i, c]: rho(m_j) contains c m_k (x) e_i
-    for key, bounds in (("action", (h.dim, dim, dim)),
-                        ("coaction", (dim, dim, h.dim))):
-        _entries(doc.get(key, []), bounds, f"module document {label}: {key}")
-    try:
-        return crossed_from_json(h, doc)
-    except KeyError as exc:
-        raise InputError(
-            f"module document {label} is missing field {exc}"
-        ) from exc
 
 
 def resolve_extension(ref: str, field):
@@ -411,44 +433,36 @@ def resolve_extension(ref: str, field):
     doc = _load_object(ref, "extension")
     what = f"extension document {_ref_label(ref)}"
     if "grading" in doc:
-        grading = _member(doc, "grading", what, is_object=True)
-        alg = resolve_algebra(_member(doc, "algebra", what), field)
-        g, _ = resolve_group(_member(grading, "group", what))
-        blocks = {}
-        for key, idxs in _member(grading, "blocks", what, is_object=True).items():
-            if not (isinstance(idxs, list)
-                    and all(_is_index(i, alg.dim) for i in idxs)):
-                raise InputError(
-                    f"{what}: block {key!r} is not a list of basis indices "
-                    f"below {alg.dim}"
-                )
-            blocks[_element(key, g.order, what)] = idxs
+        _check(doc, "grading extension", what)
+        grading = doc["grading"]
+        alg = resolve_algebra(doc["algebra"], field)
+        g, _ = resolve_group(grading["group"])
+        _check(doc, "grading extension", what, {"dim A": alg.dim, "|G|": g.order})
+        blocks = {int(key): idxs for key, idxs in grading["blocks"].items()}
         try:
             grading_degrees(g, alg.dim, blocks)
         except ValueError as exc:
             raise InputError(f"{what}: {exc}") from exc
         return strongly_graded(g, alg, blocks, name=alg.name), doc
     if "crossed_product" in doc:
-        spec = _member(doc, "crossed_product", what, is_object=True)
-        g, _ = resolve_group(_member(spec, "group", what))
-        base_ref = _member(spec, "base", what)
-        if base_ref == "k":
-            base = AlgebraData(
-                field, ("1",),
-                SparseMatrix(1, 1, field, {0: {0: field.one}}),
-                {0: field.one}, name="k",
-            )
+        _check(doc, "crossed-product extension", what)
+        spec = doc["crossed_product"]
+        g, _ = resolve_group(spec["group"])
+        if spec["base"] == "k":
+            one = SparseMatrix(1, 1, field, {0: {0: field.one}})
+            base = AlgebraData(field, ("1",), one, {0: field.one}, name="k")
         else:
-            base, _ = resolve_hopf(base_ref, field)
+            base, _ = resolve_hopf(spec["base"], field)
         bd = base.dim
+        _check(doc, "crossed-product extension", what, {"dim B": bd, "|G|": g.order})
         action = None
         if "action" in spec:
             action = {}
-            for key, triples in _member(spec, "action", what, is_object=True).items():
+            for key, triples in spec["action"].items():
                 cols: dict = {}
-                for i, j, c in _entries(triples, (bd, bd), f"{what}: action {key!r}"):
+                for i, j, c in triples:
                     cols.setdefault(j, {})[i] = field.coerce(c)
-                action[_element(key, g.order, what)] = SparseMatrix(bd, bd, field, cols)
+                action[int(key)] = SparseMatrix(bd, bd, field, cols)
             missing = [x for x in range(g.order) if x not in action]
             if missing:
                 raise InputError(
@@ -457,20 +471,11 @@ def resolve_extension(ref: str, field):
         cocycle = None
         if "cocycle" in spec:
             cocycle = {}
-            for key, entries in _member(spec, "cocycle", what, is_object=True).items():
-                pair = key.split(",")
-                if len(pair) != 2:
-                    raise InputError(f"{what}: cocycle key {key!r} is not 'x,y'")
-                x, y = (_element(t, g.order, what) for t in pair)
-                cocycle[(x, y)] = {
-                    i: field.coerce(c)
-                    for i, c in _entries(entries, (bd,), f"{what}: cocycle {key!r}")
-                }
-        return (
-            crossed_product(base, g, action=action, cocycle=cocycle,
-                            name=doc.get("name")),
-            doc,
-        )
+            for key, entries in spec["cocycle"].items():
+                x, y = map(int, key.split(","))
+                cocycle[(x, y)] = {i: field.coerce(c) for i, c in entries}
+        name = doc.get("name")
+        return crossed_product(base, g, action=action, cocycle=cocycle, name=name), doc
     raise InputError(f"{what} needs a 'grading' or 'crossed_product' entry")
 
 
@@ -541,13 +546,10 @@ def _cmd_verify(args, field, inputs, checks, tables) -> None:
         inputs[f"hopf {_ref_label(refs[0])}"] = _sha(_canonical(doc))
         checks += _check_entries(verify_hopf(h))
     elif kind == "crossed":
-        doc = _load_doc(refs[0])
-        if not isinstance(doc, dict) or "base" not in doc:
-            raise InputError("crossed documents must carry a 'base' Hopf algebra")
-        base = doc["base"]
-        h, _ = resolve_hopf(base if isinstance(base, str) else _canonical(base),
-                            field)
-        m = _module_from_doc(h, doc, refs[0])
+        doc = _load_object(refs[0], "module")
+        _check(doc, "crossed", f"module document {_ref_label(refs[0])}")
+        h, _ = resolve_hopf(doc["base"], field)
+        m, _ = resolve_module(refs[0], h)
         inputs[f"crossed {_ref_label(refs[0])}"] = _sha(_canonical(doc))
         checks += _check_entries(verify_crossed(m))
         checks += _check_entries(verify_modular(m))
@@ -624,14 +626,11 @@ def _cmd_burghelea(args, field, inputs, checks, tables) -> None:
 def _cmd_qtorus(args, field, inputs, checks, tables) -> None:
     doc = _load_object(args.document, "torus")
     inputs["torus"] = _sha(_canonical(doc))
+    _check(doc, "torus", f"torus document {_ref_label(args.document)}")
+    order = doc.get("q_order")
     try:
-        order = doc.get("q_order")
-        if order in ("infinite", None):
-            order = None
-        else:
-            order = int(order)
-        tc = TorusCocycle(int(doc["r"]), doc["a"], order)
-    except (KeyError, TypeError, ValueError) as exc:
+        tc = TorusCocycle(doc["r"], doc["a"], None if order == "infinite" else order)
+    except ValueError as exc:  # the exponent matrix is not antisymmetric
         raise InputError(f"bad torus document: {exc}") from exc
     th = torus_homology(tc, 0, args.max_degree)
     lat = th.lattice

@@ -328,6 +328,12 @@ def test_unknown_builtin_is_an_input_error():
      "coaction entry [0, 0, 2"),
     ('{"dim": 1,\n "action": []}',
      "module document <inline> is missing field 'coaction'"),
+    ('{"dim": 1, "basis": 5, "action": [[0, 0, 0, "1"], [1, 0, 0, "1"]],'
+     ' "coaction": [[0, 0, 0, "1"]]}', "basis must be a list of 1 strings"),
+    ('{"dim": 1, "basis": ["a", "b"], "action": [], "coaction": []}',
+     "basis must be a list of 1 strings"),
+    ('{"dim": 1, "name": 5, "action": [], "coaction": []}',
+     "name must be a string, not 5"),
 ])
 def test_malformed_module_document_is_an_input_error(doc, message):
     rc, out, err = run(["hh", "z2", doc, "--max-degree", "2"])
@@ -415,6 +421,16 @@ def _s3_grading(blocks: str) -> str:
     (["galois", '{"algebra": "z2", "grading": {"group": {"table": [[0, 1], [1, 0]],'
                 ' "elements": [1, 2]}, "blocks": {"0": [0], "1": [1]}}}'],
      "group document <embedded>: elements must be a list of 2 strings"),
+    (["qtorus", '{"r": 1, "a": [[0.5]]}'], "a must be a 1 x 1 matrix of integers"),
+    (["qtorus", '{"r": 2, "a": [[0, 1.7], [-1.7, 0]]}'],
+     "a must be a 2 x 2 matrix of integers"),
+    (["qtorus", '{"r": true, "a": [[0]]}'], "r must be a positive integer, not True"),
+    (["qtorus", '{"r": 2, "a": [[0, 1], [-1, 0]], "q_order": 2.5}'],
+     'q_order must be a positive integer, "infinite" or null, not 2.5'),
+    (["qtorus", '{"r": 2, "a": [[0, 1], [-1, 0]], "q_order": true}'],
+     'q_order must be a positive integer, "infinite" or null, not True'),
+    (["verify", "crossed", '{"base": [1], "dim": 1, "action": [], "coaction": []}'],
+     "hopf document <embedded> is not a JSON object"),
 ], ids=["denominator-divisible-by-p", "hopf-list", "extension-list",
         "algebra-list", "torus-list", "grading-list", "grading-without-algebra",
         "cocycle-key", "cocycle-index", "action-index", "action-incomplete",
@@ -424,7 +440,9 @@ def _s3_grading(blocks: str) -> str:
         "algebra-mult-index", "group-table-int", "group-table-string",
         "group-table-ragged", "group-table-bool", "group-elements-int",
         "group-table-missing", "grading-group-table-int",
-        "grading-group-elements-ints"])
+        "grading-group-elements-ints", "torus-entry-float",
+        "torus-entry-float-antisymmetric", "torus-rank-bool", "torus-order-float",
+        "torus-order-bool", "crossed-base-list"])
 def test_bad_input_is_an_input_error(argv, message):
     rc, out, err = run(argv + ["--max-degree", "2"])
     assert rc == 2 and out == ""
@@ -510,8 +528,93 @@ def _faulty_group_document(draw):
     return ["galois", json.dumps(grading)]
 
 
+_MODULE = crossed_to_json(adjoint(group_algebra(FiniteGroup.cyclic(2))))
+
+
+@st.composite
+def _faulty_module_document(draw):
+    doc = copy.deepcopy(_MODULE)
+    fault = draw(st.sampled_from(["type", "short", "index", "missing"]))
+    if fault == "type":
+        key = draw(st.sampled_from(["dim", "basis", "name", "action", "coaction"]))
+        doc[key] = draw(_WRONG.filter(lambda v: not (
+            key == "basis" and v is None or key == "name" and isinstance(v, str))))
+    elif fault == "short":
+        entries = doc[draw(st.sampled_from(["action", "coaction"]))]
+        k = draw(st.integers(0, len(entries) - 1))
+        entries[k] = entries[k][:draw(st.integers(0, 3))]
+    elif fault == "index":
+        entries = doc[draw(st.sampled_from(["action", "coaction"]))]
+        entry = entries[draw(st.integers(0, len(entries) - 1))]
+        entry[draw(st.integers(0, 2))] = draw(st.sampled_from([-1, 2, 9]))
+    else:
+        del doc[draw(st.sampled_from(["dim", "action", "coaction"]))]
+    return ["hh", "z2", json.dumps(doc)]
+
+
+_CROSSED_PRODUCT = {
+    "crossed_product": {
+        "base": "k",
+        "group": "z2",
+        "action": {"0": [[0, 0, "1"]], "1": [[0, 0, "1"]]},
+        "cocycle": {"0,0": [[0, "1"]], "0,1": [[0, "1"]],
+                    "1,0": [[0, "1"]], "1,1": [[0, "-1"]]},
+    },
+    "name": "k_i",
+}
+
+
+@st.composite
+def _faulty_crossed_product_document(draw):
+    doc = copy.deepcopy(_CROSSED_PRODUCT)
+    spec = doc["crossed_product"]
+    table = draw(st.sampled_from(["action", "cocycle"]))
+    key = draw(st.sampled_from(sorted(spec[table])))
+    fault = draw(st.sampled_from(["type", "index", "key", "missing"]))
+    if fault == "type":
+        owner, field = draw(st.sampled_from([
+            (doc, "crossed_product"), (doc, "name"), (spec, "base"), (spec, "group"),
+            (spec, table), (spec[table], key)]))
+        owner[field] = draw(
+            _WRONG.filter(lambda v: field != "name" or not isinstance(v, str)))
+    elif fault == "index":
+        entry = spec[table][key][0]
+        entry[draw(st.integers(0, len(entry) - 2))] = draw(st.sampled_from([-1, 1, 9]))
+    elif fault == "key":
+        bad = (["2", "x", "-1", "0,1"] if table == "action"
+               else ["2,0", "0", "0,x", "1,1,1"])
+        spec[table][draw(st.sampled_from(bad))] = spec[table][key]
+    else:
+        owner, field = draw(st.sampled_from([
+            (doc, "crossed_product"), (spec, "base"), (spec, "group"),
+            (spec["action"], key if table == "action" else "1")]))
+        del owner[field]
+    return ["galois", json.dumps(doc)]
+
+
+_TORUS = {"r": 2, "a": [[0, 1], [-1, 0]], "q_order": 3}
+
+
+@st.composite
+def _faulty_torus_document(draw):
+    doc = copy.deepcopy(_TORUS)
+    fault = draw(st.sampled_from(["type", "row", "entry", "missing"]))
+    if fault == "type":
+        key = draw(st.sampled_from(["r", "a", "q_order"]))
+        doc[key] = draw(_WRONG.filter(lambda v: key != "q_order" or v not in (None, 5)))
+    elif fault == "row":
+        doc["a"][draw(st.integers(0, 1))] = draw(_WRONG)
+    elif fault == "entry":
+        doc["a"][draw(st.integers(0, 1))][draw(st.integers(0, 1))] = draw(
+            _WRONG.filter(lambda v: not isinstance(v, int) or isinstance(v, bool)))
+    else:
+        del doc[draw(st.sampled_from(["r", "a"]))]
+    return ["qtorus", json.dumps(doc)]
+
+
 @given(argv=st.one_of(_faulty_hopf_document(), _faulty_grading_document(),
-                      _faulty_group_document()))
+                      _faulty_group_document(), _faulty_module_document(),
+                      _faulty_crossed_product_document(), _faulty_torus_document()))
 @settings(max_examples=150, deadline=None)
 def test_document_faults_are_input_errors(argv):
     rc, out, err = run(argv + ["--max-degree", "1"])
@@ -554,3 +657,20 @@ def test_nonstrong_grading_fails_as_math_error(tmp_path):
     rc, _, err = run(["galois", str(path)])
     assert rc == 1
     assert "not strong" in err
+
+
+def test_bare_algebra_document_from_a_file(tmp_path):
+    # the upper-triangular algebra of the test above, referenced by its path
+    # from the extension document, fails the same way as when given inline
+    algebra = {
+        "basis": ["e11", "e22", "e12"],
+        "mult": [[0, 0, 0, "1"], [1, 1, 1, "1"], [0, 2, 2, "1"], [2, 1, 2, "1"]],
+        "unit": ["1", "1", "0"],
+    }
+    path = tmp_path / "ut2.json"
+    path.write_text(json.dumps(algebra))
+    grading = {"group": "z2", "blocks": {"0": [0, 1], "1": [2]}}
+    for ref in (str(path), algebra):
+        rc, _, err = run(["galois", json.dumps({"algebra": ref, "grading": grading})])
+        assert rc == 1
+        assert "not strong" in err
