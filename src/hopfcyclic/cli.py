@@ -74,7 +74,7 @@ from .hopf import (
     hopf_to_json,
     verify_hopf,
 )
-from .linalg import QQ, PrimeField, ScalarError, SparseMatrix, TruncationError
+from .linalg import QQ, PrimeField, ScalarError, SparseMatrix, TruncationError, vec_add_at
 from .qtorus import TorusCocycle, box_check, degree_lattice, torus_homology
 from .reporting import CheckReport
 
@@ -272,6 +272,7 @@ def _walk(val, shape, what: str, name: str, bounds: dict) -> None:
         _check(val, args[0], what, bounds)
     elif tag == "keyed":
         arity, noun, inner = args
+        seen: dict = {}
         for key, item in val.items():
             parts = key.split(",") if arity == 2 else [key]
             if len(parts) != arity:
@@ -281,6 +282,12 @@ def _walk(val, shape, what: str, name: str, bounds: dict) -> None:
                     raise InputError(
                         f"{what}: {part!r} is not a group element index below {n[0]}"
                     )
+            first = seen.setdefault(tuple(map(int, parts)), key)
+            if first != key:
+                raise InputError(
+                    f"{what}: {noun} keys {first!r} and {key!r} name the same "
+                    + ("pair of group elements" if arity == 2 else "group element")
+                )
             _walk(item, inner, what, f"{noun} {key!r}", bounds)
     elif tag == "entries":
         for e in val:
@@ -457,12 +464,10 @@ def resolve_extension(ref: str, field):
         _check(doc, "crossed-product extension", what, {"dim B": bd, "|G|": g.order})
         action = None
         if "action" in spec:
-            action = {}
-            for key, triples in spec["action"].items():
-                cols: dict = {}
-                for i, j, c in triples:
-                    cols.setdefault(j, {})[i] = field.coerce(c)
-                action[int(key)] = SparseMatrix(bd, bd, field, cols)
+            action = {
+                int(key): SparseMatrix.from_entries(bd, bd, field, triples)
+                for key, triples in spec["action"].items()
+            }
             missing = [x for x in range(g.order) if x not in action]
             if missing:
                 raise InputError(
@@ -472,8 +477,9 @@ def resolve_extension(ref: str, field):
         if "cocycle" in spec:
             cocycle = {}
             for key, entries in spec["cocycle"].items():
-                x, y = map(int, key.split(","))
-                cocycle[(x, y)] = {i: field.coerce(c) for i, c in entries}
+                w = cocycle[tuple(map(int, key.split(",")))] = {}
+                for i, c in entries:
+                    vec_add_at(w, i, field.coerce(c))
         name = doc.get("name")
         return crossed_product(base, g, action=action, cocycle=cocycle, name=name), doc
     raise InputError(f"{what} needs a 'grading' or 'crossed_product' entry")

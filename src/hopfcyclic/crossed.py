@@ -181,15 +181,9 @@ def verify_crossed(m: CrossedModule) -> CheckReport:
                                     vec_add_at(col, jm * hd + p2, cleg * cco * cact * c1 * cs * c2)
             if col:
                 cols[i * md + j] = col
-    rhs = SparseMatrix(md * hd, hd * md, f, cols)
-    ok = lhs == rhs
-    witness = None
-    if not ok:
-        for key in range(hd * md):
-            if lhs.cols.get(key, {}) != rhs.cols.get(key, {}):
-                witness = f"h={h.basis[key // md]}, m={m.basis[key % md]}"
-                break
-    rep.add("crossed compatibility", ok, witness)
+    rep.check("crossed compatibility", (
+        f"h={h.basis[key // md]}, m={m.basis[key % md]}"
+        for key in range(hd * md) if lhs.cols.get(key) != cols.get(key)))
     return rep
 
 
@@ -210,14 +204,9 @@ def verify_modular(m: CrossedModule) -> CheckReport:
     """Crossed axioms plus modularity (u = identity)."""
     rep = verify_crossed(m)
     u = u_map(m)
-    ok = u == SparseMatrix.identity(m.dim, m.field)
-    witness = None
-    if not ok:
-        for j in range(m.dim):
-            if u.column(j) != {j: m.field.one}:
-                witness = f"u({m.basis[j]}) != {m.basis[j]}"
-                break
-    rep.add("modularity (u = id)", ok, witness)
+    rep.check("modularity (u = id)", (
+        f"u({m.basis[j]}) != {m.basis[j]}"
+        for j in range(m.dim) if u.cols.get(j) != {j: m.field.one}))
     return rep
 
 
@@ -629,16 +618,16 @@ def decompose_group_case(m: CrossedModule) -> GroupDecomposition:
     rep.add("components sum to the whole module",
             span.dim == md and sum(c.dim for c in components.values()) == md)
 
-    conj_ok = True
-    for x, comp in components.items():
-        for a in range(g.order):
-            target = g.conjugate(a, x)
-            tcomp = components.get(target)
-            for v in comp.basis:
-                img = m.act_vec({a: f.one}, v)
-                if img and (tcomp is None or not tcomp.contains(img)):
-                    conj_ok = False
-    rep.add("action permutes components by conjugation", conj_ok)
+    def unconjugated():
+        for x, comp in components.items():
+            for a in range(g.order):
+                tcomp = components.get(g.conjugate(a, x))
+                for v in comp.basis:
+                    img = m.act_vec({a: f.one}, v)
+                    if img and (tcomp is None or not tcomp.contains(img)):
+                        yield f"g={g.labels[a]}, x={g.labels[x]}"
+
+    rep.check("action permutes components by conjugation", unconjugated())
 
     conj = conjugacy_data(g)
     modules = {}
@@ -689,36 +678,29 @@ def decompose_group_case(m: CrossedModule) -> GroupDecomposition:
             iso.ncols == md and rank(iso) == md)
 
     # H-linearity and colinearity of the evaluation map against the direct sum
-    offsets = []
+    pieces = []  # (x, the block of iso on Ind_x, Ind_x)
     off = 0
-    for x in induced:
-        offsets.append((x, off))
-        off += induced[x].dim
-    lin_ok = True
-    colin_ok = True
-    idh = SparseMatrix.identity(hd, f)
-    for x, off in offsets:
-        ind = induced[x]
+    for x, ind in induced.items():
         block = SparseMatrix(
             md, ind.dim, f, {t: iso.column(off + t) for t in range(ind.dim)}
         )
-        if m.action @ idh.kron(block) != block @ ind.action:
-            lin_ok = False
-        if m.coaction @ block != block.kron(idh) @ ind.coaction:
-            colin_ok = False
-    rep.add("evaluation map is H-linear", lin_ok)
-    rep.add("evaluation map is H-colinear", colin_ok)
+        pieces.append((x, block, ind))
+        off += ind.dim
+    idh = SparseMatrix.identity(hd, f)
+    rep.check("evaluation map is H-linear", (
+        f"x={g.labels[x]}" for x, block, ind in pieces
+        if m.action @ idh.kron(block) != block @ ind.action))
+    rep.check("evaluation map is H-colinear", (
+        f"x={g.labels[x]}" for x, block, ind in pieces
+        if m.coaction @ block != block.kron(idh) @ ind.coaction))
 
-    modular = True
-    witness = None
-    for x, comp in components.items():
-        for v in comp.basis:
-            if m.act_vec({x: f.one}, v) != v:
-                modular = False
-                witness = f"{g.labels[x]} acts nontrivially on its component"
-                break
+    nontrivial = next((
+        f"{g.labels[x]} acts nontrivially on its component"
+        for x, comp in components.items() for v in comp.basis
+        if m.act_vec({x: f.one}, v) != v), None)
+    modular = nontrivial is None
     umod = u_map(m) == SparseMatrix.identity(md, f)
-    rep.add("modularity criterion agrees with u = id", modular == umod, witness)
+    rep.add("modularity criterion agrees with u = id", modular == umod, nontrivial)
     return GroupDecomposition(components, conj.transversal, modules, induced, iso,
                               modular, rep)
 

@@ -221,140 +221,99 @@ def _extend(fn: Callable[[int], Vec], vec: Vec) -> Vec:
 # ---------------------------------------------------------------------------
 
 
+def _face_face(z: CyclicObject, n: int, c: int):
+    """d_i d_j = d_{j-1} d_i for i < j."""
+    faces = [z.face_fn(n, i, c) for i in range(n + 1)]
+    for j in range(1, n + 1):
+        for i in range(j):
+            if z.apply_face(n - 1, i, faces[j]) != z.apply_face(n - 1, j - 1, faces[i]):
+                yield f"(i={i}, j={j}, column {c})"
+
+
+def _degen_degen(z: CyclicObject, n: int, c: int):
+    """s_i s_j = s_{j+1} s_i for i <= j."""
+    degs = [z.degen_fn(n, i, c) for i in range(n + 1)]
+    for j in range(n + 1):
+        for i in range(j + 1):
+            if z.apply_degen(n + 1, i, degs[j]) != z.apply_degen(n + 1, j + 1, degs[i]):
+                yield f"(i={i}, j={j}, column {c})"
+
+
+def _face_degen(z: CyclicObject, n: int, c: int):
+    """d_i s_j = id (i = j, j+1), s_{j-1} d_i (i < j), s_j d_{i-1} (i > j+1)."""
+    degs = [z.degen_fn(n, j, c) for j in range(n + 1)]
+    for j in range(n + 1):
+        for i in range(n + 2):
+            if i in (j, j + 1):
+                want = {c: z.field.one}
+            elif i < j:
+                want = z.apply_degen(n - 1, j - 1, z.face_fn(n, i, c))
+            else:
+                want = z.apply_degen(n - 1, j, z.face_fn(n, i - 1, c))
+            if z.apply_face(n + 1, i, degs[j]) != want:
+                yield f"(i={i}, j={j}, column {c})"
+
+
+def _cyclic_face(z: CyclicObject, n: int, c: int):
+    """d_0 t_n = d_n and d_i t_n = t_{n-1} d_{i-1} for 0 < i <= n."""
+    tau = z.cyclic_fn(n, c)
+    if z.apply_face(n, 0, tau) != z.face_fn(n, n, c):
+        yield f"(i=0, column {c})"
+    for i in range(1, n + 1):
+        if z.apply_face(n, i, tau) != z.apply_cyclic(n - 1, z.face_fn(n, i - 1, c)):
+            yield f"(i={i}, column {c})"
+
+
+def _cyclic_degen(z: CyclicObject, n: int, c: int):
+    """s_0 t_n = t_{n+1}^2 s_n and s_i t_n = t_{n+1} s_{i-1} for 0 < i <= n."""
+    tau = z.cyclic_fn(n, c)
+    want = z.apply_cyclic(n + 1, z.apply_cyclic(n + 1, z.degen_fn(n, n, c)))
+    if z.apply_degen(n, 0, tau) != want:
+        yield f"(i=0, column {c})"
+    for i in range(1, n + 1):
+        if z.apply_degen(n, i, tau) != z.apply_cyclic(n + 1, z.degen_fn(n, i - 1, c)):
+            yield f"(i={i}, column {c})"
+
+
+def _cyclic_order(z: CyclicObject, n: int, c: int):
+    """t_n^{n+1} = id."""
+    v: Vec = {c: z.field.one}
+    for _ in range(n + 1):
+        v = z.apply_cyclic(n, v)
+    if v != {c: z.field.one}:
+        yield f"column {c}"
+
+
+# (family, lowest degree, failures at one column); the last three need t_n
+_IDENTITY_FAMILIES = (
+    ("face-face", 2, _face_face),
+    ("degeneracy-degeneracy", 0, _degen_degen),
+    ("face-degeneracy", 0, _face_degen),
+    ("cyclic-face", 1, _cyclic_face),
+    ("cyclic-degeneracy", 0, _cyclic_degen),
+    ("cyclic operator order", 0, _cyclic_order),
+)
+
+
 def verify_cyclic_identities(
     z: CyclicObject, max_degree: int | None = None, columns=None
 ) -> CheckReport:
     """All simplicial and cyclic identities, verified column by column from
     the evaluators.  Compositions may pass through degrees beyond the
-    truncation; that is fine because evaluators are not truncated.
+    truncation; that is fine because evaluators are not truncated.  An
+    object without a cyclic operator gets the three simplicial families.
 
     `columns`: optional callable degree -> iterable of column indices, for
     sampled verification; defaults to every column.
     """
     d_top = z.top if max_degree is None else max_degree
     rep = CheckReport(f"cyclic identities for {z.name or 'cyclic object'}")
-    one = z.field.one
-
-    def cols_at(n):
-        if columns is None:
-            return range(z.dim(n))
-        return columns(n)
-
-    # face-face: d_i d_j = d_{j-1} d_i for i < j
-    for n in range(2, d_top + 1):
-        ok, witness = True, None
-        for c in cols_at(n):
-            faces = [z.face_fn(n, i, c) for i in range(n + 1)]
-            for j in range(1, n + 1):
-                for i in range(j):
-                    if z.apply_face(n - 1, i, faces[j]) != z.apply_face(
-                        n - 1, j - 1, faces[i]
-                    ):
-                        ok, witness = False, f"(i={i}, j={j}, column {c})"
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        rep.add(f"face-face at degree {n}", ok, witness)
-
-    # degeneracy-degeneracy: s_i s_j = s_{j+1} s_i for i <= j
-    for n in range(0, d_top + 1):
-        ok, witness = True, None
-        for c in cols_at(n):
-            degs = [z.degen_fn(n, i, c) for i in range(n + 1)]
-            for j in range(n + 1):
-                for i in range(j + 1):
-                    if z.apply_degen(n + 1, i, degs[j]) != z.apply_degen(
-                        n + 1, j + 1, degs[i]
-                    ):
-                        ok, witness = False, f"(i={i}, j={j}, column {c})"
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        rep.add(f"degeneracy-degeneracy at degree {n}", ok, witness)
-
-    # face-degeneracy mixed identities
-    for n in range(0, d_top + 1):
-        ok, witness = True, None
-        for c in cols_at(n):
-            degs = [z.degen_fn(n, j, c) for j in range(n + 1)]
-            for j in range(n + 1):
-                for i in range(n + 2):
-                    got = z.apply_face(n + 1, i, degs[j])
-                    if i in (j, j + 1):
-                        want = {c: one}
-                    elif i < j:
-                        want = z.apply_degen(n - 1, j - 1, z.face_fn(n, i, c))
-                    else:
-                        want = z.apply_degen(n - 1, j, z.face_fn(n, i - 1, c))
-                    if got != want:
-                        ok, witness = False, f"(i={i}, j={j}, column {c})"
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        rep.add(f"face-degeneracy at degree {n}", ok, witness)
-
-    if z.simplicial_only:
-        # no cyclic operator (e.g. relative objects with coefficients other
-        # than the algebra itself): the three cyclic families do not apply
-        return rep
-
-    # cyclic-face: d_i t_n = t_{n-1} d_{i-1} (0 < i <= n), d_0 t_n = d_n
-    for n in range(1, d_top + 1):
-        ok, witness = True, None
-        for c in cols_at(n):
-            tau = z.cyclic_fn(n, c)
-            if z.apply_face(n, 0, tau) != z.face_fn(n, n, c):
-                ok, witness = False, f"(i=0, column {c})"
-            else:
-                for i in range(1, n + 1):
-                    if z.apply_face(n, i, tau) != z.apply_cyclic(
-                        n - 1, z.face_fn(n, i - 1, c)
-                    ):
-                        ok, witness = False, f"(i={i}, column {c})"
-                        break
-            if not ok:
-                break
-        rep.add(f"cyclic-face at degree {n}", ok, witness)
-
-    # cyclic-degeneracy: s_i t_n = t_{n+1} s_{i-1} (0 < i <= n),
-    # s_0 t_n = t_{n+1}^2 s_n
-    for n in range(0, d_top + 1):
-        ok, witness = True, None
-        for c in cols_at(n):
-            tau = z.cyclic_fn(n, c)
-            want = z.apply_cyclic(
-                n + 1, z.apply_cyclic(n + 1, z.degen_fn(n, n, c))
-            )
-            if z.apply_degen(n, 0, tau) != want:
-                ok, witness = False, f"(i=0, column {c})"
-            else:
-                for i in range(1, n + 1):
-                    if z.apply_degen(n, i, tau) != z.apply_cyclic(
-                        n + 1, z.degen_fn(n, i - 1, c)
-                    ):
-                        ok, witness = False, f"(i={i}, column {c})"
-                        break
-            if not ok:
-                break
-        rep.add(f"cyclic-degeneracy at degree {n}", ok, witness)
-
-    # cyclic order: t_n^{n+1} = id
-    for n in range(0, d_top + 1):
-        ok, witness = True, None
-        for c in cols_at(n):
-            v: Vec = {c: one}
-            for _ in range(n + 1):
-                v = z.apply_cyclic(n, v)
-            if v != {c: one}:
-                ok, witness = False, f"column {c}"
-                break
-        rep.add(f"cyclic operator order at degree {n}", ok, witness)
+    families = _IDENTITY_FAMILIES[:3] if z.simplicial_only else _IDENTITY_FAMILIES
+    for family, low, failures in families:
+        for n in range(low, d_top + 1):
+            cols = range(z.dim(n)) if columns is None else columns(n)
+            rep.check(f"{family} at degree {n}",
+                      (w for c in cols for w in failures(z, n, c)))
     return rep
 
 
@@ -442,33 +401,33 @@ def aux_resolution_report(z: CyclicObject, max_degree: int | None = None) -> Che
     rep = CheckReport(f"resolution contraction for {z.name}")
     one = z.field.one
 
-    for n in range(1, d_top):
-        ok, witness = True, None
+    def contraction_failures(n):
         for c in range(z.dim(n)):
             lhs = z.boundary(n + 1).apply(extra(n, c))
             rhs: Vec = {c: one}
             back = _extend(lambda k: extra(n - 1, k), z.boundary(n).column(c))
             vec_iadd_scaled(rhs, back, -one)
             if lhs != rhs:
-                ok, witness = False, f"column {c}"
-                break
-        rep.add(f"contraction identity at degree {n}", ok, witness)
+                yield f"column {c}"
+
+    for n in range(1, d_top):
+        rep.check(f"contraction identity at degree {n}", contraction_failures(n))
 
     # at degree 0 the homotopy misses the augmentation idempotent:
     # b_1(s(x)) = x - counit(x) * unit
     h = z.hopf
-    ok, witness = True, None
-    for c in range(z.dim(0)):
-        lhs = z.boundary(1).apply(extra(0, c))
-        rhs = {c: one}
-        eps = h.counit_of(c)
-        if eps:
-            for u, cu in h.unit.items():
-                vec_add_at(rhs, u, -(eps * cu))
-        if lhs != rhs:
-            ok, witness = False, f"column {c}"
-            break
-    rep.add("contraction identity at degree 0 (augmented)", ok, witness)
+
+    def augmented_failures():
+        for c in range(z.dim(0)):
+            rhs = {c: one}
+            eps = h.counit_of(c)
+            if eps:
+                for u, cu in h.unit.items():
+                    vec_add_at(rhs, u, -(eps * cu))
+            if z.boundary(1).apply(extra(0, c)) != rhs:
+                yield f"column {c}"
+
+    rep.check("contraction identity at degree 0 (augmented)", augmented_failures())
     return rep
 
 
@@ -766,14 +725,14 @@ def bar_complex(h: HopfAlgebra, mdim: int, action: SparseMatrix, top: int) -> Ch
             eps = h.counit_of(slots[0])
             if eps:
                 acc[tgt.flatten(slots[1:])] = eps
+            # the i-th term carries the sign (-1)^i, by negating the field
+            # scalar: an int sign times a GF(p) scalar is undefined
             for i in range(1, n):
-                sign = -1 if i % 2 else 1
                 for p, cp in h.mult_pairs(slots[i - 1], slots[i]):
                     key = tgt.flatten(slots[: i - 1] + (p,) + slots[i + 1:])
-                    vec_add_at(acc, key, sign * cp)
-            sign = -1 if n % 2 else 1
+                    vec_add_at(acc, key, -cp if i % 2 else cp)
             for mj, ca in action.cols.get(slots[n - 1] * mdim + slots[n], {}).items():
-                vec_add_at(acc, tgt.flatten(slots[: n - 1] + (mj,)), sign * ca)
+                vec_add_at(acc, tgt.flatten(slots[: n - 1] + (mj,)), -ca if n % 2 else ca)
             if acc:
                 cols[c] = acc
         diffs.append(SparseMatrix(dims[n - 1], dims[n], f, cols))
@@ -831,19 +790,16 @@ def sbi_check(hh: list, hc: list) -> CheckReport:
     nodes.extend([0, 0])
     labels.extend(["0", "0"])
 
-    lo, hi = 0, min(nodes[0], nodes[1])
-    ok, witness = True, None
-    for i in range(1, len(nodes)):
-        d = nodes[i]
-        nxt = nodes[i + 1] if i + 1 < len(nodes) else 0
-        nlo = max(d - hi, 0)
-        nhi = min(d - lo, d, nxt)
-        if nlo > nhi:
-            ok = False
-            witness = f"no feasible rank at node {labels[i]} (position {i})"
-            break
-        lo, hi = nlo, nhi
-    rep.add("rank intervals consistent along the sequence", ok, witness)
+    def infeasible():
+        lo, hi = 0, min(nodes[0], nodes[1])
+        for i in range(1, len(nodes)):
+            d = nodes[i]
+            nxt = nodes[i + 1] if i + 1 < len(nodes) else 0
+            lo, hi = max(d - hi, 0), min(d - lo, d, nxt)
+            if lo > hi:
+                yield f"no feasible rank at node {labels[i]} (position {i})"
+
+    rep.check("rank intervals consistent along the sequence", infeasible())
     return rep
 
 

@@ -125,16 +125,10 @@ def verify_algebra(a: AlgebraData) -> CheckReport:
     eye = SparseMatrix.identity(d, f)
     lhs = a.mult @ a.mult.kron(eye)
     rhs = a.mult @ eye.kron(a.mult)
-    ok, wit = True, None
-    if lhs != rhs:
-        ok = False
-        for c in range(d * d * d):
-            if lhs.column(c) != rhs.column(c):
-                i, r = divmod(c, d * d)
-                j, k = divmod(r, d)
-                wit = f"({a.basis[i]}, {a.basis[j]}, {a.basis[k]})"
-                break
-    rep.add("multiplication is associative", ok, wit)
+    triple = TensorIndex([d] * 3)
+    rep.check("multiplication is associative", (
+        "(" + ", ".join(a.basis[i] for i in triple.unflatten(c)) + ")"
+        for c in range(d * d * d) if lhs.cols.get(c) != rhs.cols.get(c)))
     um = a.unit_matrix()
     rep.add("left unit law", a.mult @ um.kron(eye) == eye)
     rep.add("right unit law", a.mult @ eye.kron(um) == eye)
@@ -538,14 +532,15 @@ def galois_check(ca: ComoduleAlgebra) -> GaloisExtension:
     proj = balanced.projection_matrix()
     zero_cls = SparseMatrix.zero(balanced.dim, hd, f)
     eye_a = SparseMatrix.identity(d, f)
-    ok = True
-    for bv in bvecs:
-        left, right = ca.mult_matrices(bv)
-        move = left.kron(eye_a) - eye_a.kron(right)
-        if proj @ (move @ kappa) != zero_cls:
-            ok = False
-            break
-    rep.add("the translation classes centralize the base", ok)
+
+    def uncentralized():
+        for bv in bvecs:
+            left, right = ca.mult_matrices(bv)
+            move = left.kron(eye_a) - eye_a.kron(right)
+            if proj @ (move @ kappa) != zero_cls:
+                yield None
+
+    rep.check("the translation classes centralize the base", uncentralized())
 
     eps_unit = SparseMatrix(
         d, hd, f,
@@ -560,10 +555,10 @@ def galois_check(ca: ComoduleAlgebra) -> GaloisExtension:
         ca.mult @ kappa == eps_unit,
     )
 
-    anti_ok, anti_wit = True, None
     kcls = {t: kappa_classes.column(t) for t in range(hd)}
-    for s in range(hd):
-        for t in range(hd):
+
+    def not_anti():
+        for s, t in itertools.product(range(hd), repeat=2):
             got = balanced.project_vec(
                 _pair_product(ca, kappa.column(s), kappa.column(t))
             )
@@ -571,11 +566,9 @@ def galois_check(ca: ComoduleAlgebra) -> GaloisExtension:
             for k, c in h.mult_pairs(t, s):
                 vec_iadd_scaled(want, kcls[k], c)
             if got != want:
-                anti_ok, anti_wit = False, f"(h={h.basis[s]}, k={h.basis[t]})"
-                break
-        if not anti_ok:
-            break
-    rep.add("the translation map is an anti-morphism", anti_ok, anti_wit)
+                yield f"(h={h.basis[s]}, k={h.basis[t]})"
+
+    rep.check("the translation map is an anti-morphism", not_anti())
 
     cyclic_balanced = QuotientSpace(d * d, f, itertools.chain(bal_gens, (
         r for left, right in tables
@@ -586,48 +579,42 @@ def galois_check(ca: ComoduleAlgebra) -> GaloisExtension:
     def hat(vec: Vec) -> Vec:
         return cyclic_balanced.project_vec(vec)
 
-    ex1_ok, ex1_wit = True, None
-    for t in range(hd):
-        lhs: Vec = {}
-        for (t1, t2), c in h.comult_pairs(t):
-            for q, c2 in hat(kappa.column(t1)).items():
-                vec_add_at(lhs, q * hd + t2, c * c2)
-        rhs_vec: Vec = {}
-        for p, c in kappa.cols.get(t, {}).items():
-            i, j = divmod(p, d)
-            for (j0, j1), c2 in ca.coact_pairs(j):
-                for q, cq in projhat.cols.get(i * d + j0, {}).items():
-                    vec_add_at(rhs_vec, q * hd + j1, c * c2 * cq)
-        if lhs != rhs_vec:
-            ex1_ok, ex1_wit = False, f"h={h.basis[t]}"
-            break
-    rep.add(
-        "comultiplying the input matches coacting on the second leg", ex1_ok, ex1_wit
-    )
+    def second_leg_failures():
+        for t in range(hd):
+            lhs: Vec = {}
+            for (t1, t2), c in h.comult_pairs(t):
+                for q, c2 in hat(kappa.column(t1)).items():
+                    vec_add_at(lhs, q * hd + t2, c * c2)
+            rhs_vec: Vec = {}
+            for p, c in kappa.cols.get(t, {}).items():
+                i, j = divmod(p, d)
+                for (j0, j1), c2 in ca.coact_pairs(j):
+                    for q, cq in projhat.cols.get(i * d + j0, {}).items():
+                        vec_add_at(rhs_vec, q * hd + j1, c * c2 * cq)
+            if lhs != rhs_vec:
+                yield f"h={h.basis[t]}"
 
-    ex2_ok, ex2_wit = True, None
-    for t in range(hd):
-        lhs = {}
-        for (t1, t2), c in h.comult_pairs(t):
-            anti = h.antipode_of(t1)
-            kt2 = hat(kappa.column(t2))
-            for s, cs in anti.items():
-                for q, c2 in kt2.items():
-                    vec_add_at(lhs, q * hd + s, c * cs * c2)
-        rhs_vec = {}
-        for p, c in kappa.cols.get(t, {}).items():
-            i, j = divmod(p, d)
-            for (i0, i1), c2 in ca.coact_pairs(i):
-                for q, cq in projhat.cols.get(i0 * d + j, {}).items():
-                    vec_add_at(rhs_vec, q * hd + i1, c * c2 * cq)
-        if lhs != rhs_vec:
-            ex2_ok, ex2_wit = False, f"h={h.basis[t]}"
-            break
-    rep.add(
-        "antipode-twisted comultiplication matches coacting on the first leg",
-        ex2_ok,
-        ex2_wit,
-    )
+    def first_leg_failures():
+        for t in range(hd):
+            lhs: Vec = {}
+            for (t1, t2), c in h.comult_pairs(t):
+                kt2 = hat(kappa.column(t2))
+                for s, cs in h.antipode_of(t1).items():
+                    for q, c2 in kt2.items():
+                        vec_add_at(lhs, q * hd + s, c * cs * c2)
+            rhs_vec: Vec = {}
+            for p, c in kappa.cols.get(t, {}).items():
+                i, j = divmod(p, d)
+                for (i0, i1), c2 in ca.coact_pairs(i):
+                    for q, cq in projhat.cols.get(i0 * d + j, {}).items():
+                        vec_add_at(rhs_vec, q * hd + i1, c * c2 * cq)
+            if lhs != rhs_vec:
+                yield f"h={h.basis[t]}"
+
+    rep.check("comultiplying the input matches coacting on the second leg",
+              second_leg_failures())
+    rep.check("antipode-twisted comultiplication matches coacting on the first leg",
+              first_leg_failures())
     rep.require()
     return GaloisExtension(
         ca, base, balanced, cyclic_balanced, beta, kappa, kappa_classes, rep
@@ -696,24 +683,21 @@ def um_actions(g: GaloisExtension, m: Bimodule, morphisms=()) -> UMActions:
         return out
 
     right_mats: dict = {}
-    stable, stable_wit = True, None
-    for t in range(hd):
-        cols = {}
-        for s in range(invariants.dim):
-            img = conj(t, invariants.basis_matrix().column(s), True)
-            coords = invariants.coords(img)
-            if coords is None:
-                stable, stable_wit = False, f"(h={h.basis[t]}, invariant basis {s})"
-                break
-            if coords:
-                cols[s] = coords
-        if not stable:
-            break
-        right_mats[t] = SparseMatrix(invariants.dim, invariants.dim, f, cols)
-    rep.add(
-        "the invariants are stable under the translated action", stable, stable_wit
-    )
-    if not stable:
+
+    def unstable():
+        # builds right_mats as it goes: complete once the search passes
+        for t in range(hd):
+            cols = {}
+            for s in range(invariants.dim):
+                coords = invariants.coords(
+                    conj(t, invariants.basis_matrix().column(s), True))
+                if coords is None:
+                    yield f"(h={h.basis[t]}, invariant basis {s})"
+                if coords:
+                    cols[s] = coords
+            right_mats[t] = SparseMatrix(invariants.dim, invariants.dim, f, cols)
+
+    if not rep.check("the invariants are stable under the translated action", unstable()):
         rep.require()
 
     quotient = QuotientSpace(md, f, [w for row in comms for w in row if w])
@@ -732,19 +716,17 @@ def um_actions(g: GaloisExtension, m: Bimodule, morphisms=()) -> UMActions:
         for t, c in h.unit.items():
             acc = acc + mats[t].scale(c)
         rep.add(unit_check, acc == eye)
-        ok, wit = True, None
-        for t in range(hd):
-            for s in range(hd):
+
+        def unassociative():
+            for t, s in itertools.product(range(hd), repeat=2):
                 want = SparseMatrix.zero(dim_, dim_, f)
                 for k, c in h.mult_pairs(t, s):
                     want = want + mats[k].scale(c)
                 got = mats[t] @ mats[s] if left_side else mats[s] @ mats[t]
                 if got != want:
-                    ok, wit = False, f"(h={h.basis[t]}, k={h.basis[s]})"
-                    break
-            if not ok:
-                break
-        rep.add(assoc_check, ok, wit)
+                    yield f"(h={h.basis[t]}, k={h.basis[s]})"
+
+        rep.check(assoc_check, unassociative())
         cols = {}
         for t in range(hd):
             for s in range(dim_):
@@ -1408,9 +1390,9 @@ def trace_map(ca: ComoduleAlgebra, m: CrossedModule, tr: SparseMatrix,
         "the trace is a comodule map",
         m.coaction @ tr == tr.kron(SparseMatrix.identity(h.dim, f)) @ ca.coaction,
     )
-    ok, wit = True, None
-    for a in range(ca.dim):
-        for x in range(ca.dim):
+
+    def untwisted():
+        for a, x in itertools.product(range(ca.dim), repeat=2):
             lhs = tr.apply(ca.product_vec({a: one}, {x: one}))
             rhs: Vec = {}
             for (a0, a1), c in ca.coact_pairs(a):
@@ -1418,11 +1400,9 @@ def trace_map(ca: ComoduleAlgebra, m: CrossedModule, tr: SparseMatrix,
                 if w:
                     vec_iadd_scaled(rhs, m.act_vec({a1: one}, w), c)
             if lhs != rhs:
-                ok, wit = False, f"(a={ca.basis[a]}, x={ca.basis[x]})"
-                break
-        if not ok:
-            break
-    rep.add("the trace twists products through the coaction", ok, wit)
+                yield f"(a={ca.basis[a]}, x={ca.basis[x]})"
+
+    rep.check("the trace twists products through the coaction", untwisted())
     rep.require()
 
     top = max_degree + 1

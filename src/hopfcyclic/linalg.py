@@ -1328,16 +1328,10 @@ def quasi_iso_check(
     of the induced map is computed exactly as rank([f K | im]) - rank(im)
     where K is a kernel basis upstairs and im the boundary image downstairs.
     """
-    chain_ok = True
-    witness = None
-    for n, fn in sorted(f.items()):
-        if n - 1 in f and 1 <= n <= min(c.top_degree, d.top_degree):
-            lhs = d.diff(n) @ fn
-            rhs = f[n - 1] @ c.diff(n)
-            if lhs != rhs:
-                chain_ok = False
-                witness = f"chain-map square fails at degree {n}"
-                break
+    witness = next((
+        f"chain-map square fails at degree {n}" for n, fn in sorted(f.items())
+        if n - 1 in f and 1 <= n <= min(c.top_degree, d.top_degree)
+        and d.diff(n) @ fn != f[n - 1] @ c.diff(n)), None)
     degrees = []
     for n in range(low, high + 1):
         if n not in f:
@@ -1362,4 +1356,4 @@ def quasi_iso_check(
         stacked = fk.hstack(bd)
         induced = rank(stacked) - d.boundary_rank(n + 1)
         degrees.append(DegreeComparison(n, hc, hd, induced))
-    return QuasiIsoReport(chain_ok, degrees, witness)
+    return QuasiIsoReport(witness is None, degrees, witness)

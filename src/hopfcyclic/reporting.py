@@ -2,14 +2,19 @@
 
 Every verifier in the package returns a CheckReport: an ordered list of named
 checks, each pass/fail with an optional human-readable witness (the basis
-element or identity instance that failed).  Reports render to text lines;
-the CLI serialises their checks itself.  A report is truthy iff every check
-passed.
+element or identity instance that failed).  A check that searches instances
+passes a lazy iterable of failing-instance labels to `CheckReport.check`,
+which stops at the first and records it as the witness; a plain boolean
+goes to `CheckReport.add`.  Reports render to text lines; the CLI
+serialises their checks itself.  A report is truthy iff every check passed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
+
+_NO_FAILURE = object()
 
 
 @dataclass
@@ -32,6 +37,13 @@ class CheckReport:
     def add(self, name: str, passed: bool, witness: str | None = None) -> bool:
         self.checks.append(CheckResult(name, bool(passed), witness if not passed else None))
         return bool(passed)
+
+    def check(self, name: str, failures: Iterable) -> bool:
+        """Record `name` as passed iff `failures` yields nothing.  Only the
+        first failing-instance label is drawn; it becomes the witness (a
+        label of None records a failure without one)."""
+        first = next(iter(failures), _NO_FAILURE)
+        return self.add(name, first is _NO_FAILURE, first)
 
     @property
     def ok(self) -> bool:

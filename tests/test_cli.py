@@ -4,15 +4,19 @@ shape, determinism, and the error paths for broken inputs."""
 import copy
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfcyclic.cli import main
+from hopfcyclic.cli import main, resolve_extension
 from hopfcyclic.crossed import adjoint, crossed_to_json
 from hopfcyclic.hopf import FiniteGroup, group_algebra, hopf_to_json
+from hopfcyclic.linalg import QQ
 
 
 def run(argv):
@@ -431,6 +435,15 @@ def _s3_grading(blocks: str) -> str:
      'q_order must be a positive integer, "infinite" or null, not True'),
     (["verify", "crossed", '{"base": [1], "dim": 1, "action": [], "coaction": []}'],
      "hopf document <embedded> is not a JSON object"),
+    (["galois", '{"algebra": "z2", "grading": {"group": "z2",'
+                ' "blocks": {"0": [0], "1": [0], "01": [1]}}}'],
+     "block keys '1' and '01' name the same group element"),
+    (["galois", '{"crossed_product": {"base": "k", "group": "z2", "action":'
+                ' {"0": [[0, 0, "1"]], "1": [[0, 0, "1"]], " 1": [[0, 0, "1"]]}}}'],
+     "action keys '1' and ' 1' name the same group element"),
+    (["galois", '{"crossed_product": {"base": "k", "group": "z2",'
+                ' "cocycle": {"1,0": [[0, "1"]], "01,0": [[0, "1"]]}}}'],
+     "cocycle keys '1,0' and '01,0' name the same pair of group elements"),
 ], ids=["denominator-divisible-by-p", "hopf-list", "extension-list",
         "algebra-list", "torus-list", "grading-list", "grading-without-algebra",
         "cocycle-key", "cocycle-index", "action-index", "action-incomplete",
@@ -442,7 +455,8 @@ def _s3_grading(blocks: str) -> str:
         "group-table-missing", "grading-group-table-int",
         "grading-group-elements-ints", "torus-entry-float",
         "torus-entry-float-antisymmetric", "torus-rank-bool", "torus-order-float",
-        "torus-order-bool", "crossed-base-list"])
+        "torus-order-bool", "crossed-base-list", "block-key-twice",
+        "action-key-twice", "cocycle-key-twice"])
 def test_bad_input_is_an_input_error(argv, message):
     rc, out, err = run(argv + ["--max-degree", "2"])
     assert rc == 2 and out == ""
@@ -674,3 +688,46 @@ def test_bare_algebra_document_from_a_file(tmp_path):
         rc, _, err = run(["galois", json.dumps({"algebra": ref, "grading": grading})])
         assert rc == 1
         assert "not strong" in err
+
+
+def _crossed_product_z2(**spec) -> str:
+    return json.dumps({"crossed_product": {"base": "k", "group": "z2", **spec}})
+
+
+def test_crossed_product_entries_add_up():
+    # repeated indices add, as in every other entries field: the action of
+    # g with 1 + 1 is the non-unital 2, not the identity
+    for triples in ([[0, 0, "1"], [0, 0, "1"]], [[0, 0, "2"]]):
+        rc, _, err = run(["galois", _crossed_product_z2(
+            action={"0": [[0, 0, "1"]], "1": triples})])
+        assert rc == 1
+        assert "multiplication is associative" in err
+    summed, _ = resolve_extension(
+        _crossed_product_z2(cocycle={"1,1": [[0, "1"], [0, "1"]]}), QQ)
+    two, _ = resolve_extension(_crossed_product_z2(cocycle={"1,1": [[0, "2"]]}), QQ)
+    one, _ = resolve_extension(_crossed_product_z2(cocycle={"1,1": [[0, "1"]]}), QQ)
+    assert summed.mult == two.mult != one.mult
+
+
+def test_certification_survives_optimized_python():
+    """Every check is an explicit comparison, none an assert, so `python -O`
+    fails and passes exactly the same checks."""
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).parent.parent / "src")}
+
+    def run_optimized(argv):
+        proc = subprocess.run([sys.executable, "-O", "-m", "hopfcyclic.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=300)
+        return proc.returncode, proc.stdout
+
+    doc = hopf_to_json(group_algebra(FiniteGroup.cyclic(2)))
+    doc["antipode"][1][1] = 0
+    assert run_optimized(["verify", "hopf", json.dumps(doc)])[0] == 1
+    nonmodular = json.dumps({"dim": 1, "action": [[0, 0, 0, "1"], [1, 0, 0, "-1"]],
+                             "coaction": [[0, 0, 1, "1"]]})
+    argv = ["verify", "cyclic", "z2", nonmodular, "--max-degree", "2", "--format", "json"]
+    rc, out = run_optimized(argv)
+    _, plain = run_json(argv[:-2])
+    assert rc == 1
+    assert json.loads(out)["checks"] == plain["checks"]
+    assert [c for c in plain["checks"] if not c["passed"]]
+    assert run_optimized(["hh", "z3", "adjoint", "--max-degree", "2"])[0] == 0

@@ -523,6 +523,20 @@ def test_group_homology_trivial_and_sign():
     assert group_homology(z2, 1, sgn, 0, 3) == [0, 0, 0, 0]
 
 
+def test_bar_oracle_over_prime_fields():
+    """Bar signs are field scalars, so the oracle runs in characteristic p:
+    over GF(2) every degree of kZ/2 with adjoint coefficients survives."""
+    f5, f2 = PrimeField(5), PrimeField(2)
+    k3 = group_algebra(FiniteGroup.cyclic(3), f5)
+    z = build_cyclic(k3, adjoint(k3), 4)
+    assert tor_oracle(k3, adjoint(k3), 0, 3) == hochschild(z, 0, 3) == [3, 0, 0, 0]
+    k2 = group_algebra(FiniteGroup.cyclic(2), f2)
+    z = build_cyclic(k2, adjoint(k2), 4)
+    assert tor_oracle(k2, adjoint(k2), 0, 3) == hochschild(z, 0, 3) == [2, 2, 2, 2]
+    triv = SparseMatrix(1, 2, f2, {0: {0: f2.one}, 1: {0: f2.one}})
+    assert group_homology(FiniteGroup.cyclic(2), 1, triv, 0, 3, field=f2) == [1, 1, 1, 1]
+
+
 def test_group_homology_free_module():
     z3 = FiniteGroup.cyclic(3)
     cols = {}
