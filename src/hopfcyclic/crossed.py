@@ -33,7 +33,7 @@ from .linalg import (
     rank_kernel,
     vec_add_at,
 )
-from .hopf import HopfAlgebra, HopfSubalgebra, FiniteGroup, TensorIndex, balancing_relators, conjugacy_data, group_subalgebra, op_cop
+from .hopf import HopfAlgebra, HopfSubalgebra, FiniteGroup, TensorIndex, algebra_generators, balancing_relators, conjugacy_data, group_subalgebra, mismatch_labels, op_cop
 from .reporting import CheckReport
 
 
@@ -150,18 +150,15 @@ def verify_crossed(m: CrossedModule) -> CheckReport:
     idm = SparseMatrix.identity(md, f)
     idh = SparseMatrix.identity(hd, f)
 
-    lhs = m.action @ h.mult.kron(idm)
-    rhs = m.action @ idh.kron(m.action)
-    rep.add("action associativity", lhs == rhs)
-    rep.add("unit acts as identity", m.action @ h.unit_matrix().kron(idm) == idm)
-
-    lhs = m.coaction.kron(idh) @ m.coaction
-    rhs = idm.kron(h.comult) @ m.coaction
-    rep.add("coaction coassociativity", lhs == rhs)
-    rep.add(
-        "counit after coaction is identity",
-        idm.kron(h.counit_matrix()) @ m.coaction == idm,
-    )
+    hb, mb = h.basis, m.basis
+    rep.check("action associativity", mismatch_labels(
+        m.action @ h.mult.kron(idm), m.action @ idh.kron(m.action), hb, hb, mb))
+    rep.check("unit acts as identity", mismatch_labels(
+        m.action @ h.unit_matrix().kron(idm), idm, mb))
+    rep.check("coaction coassociativity", mismatch_labels(
+        m.coaction.kron(idh) @ m.coaction, idm.kron(h.comult) @ m.coaction, mb))
+    rep.check("counit after coaction is identity", mismatch_labels(
+        idm.kron(h.counit_matrix()) @ m.coaction, idm, mb))
 
     # crossed condition, built columnwise over basis (i of H, j of M)
     lhs = m.coaction @ m.action  # (M x H) <- (H x M)
@@ -443,14 +440,14 @@ def induce(sub: HopfSubalgebra, ambient: HopfAlgebra, n: CrossedModule) -> Cross
     f = h.field
     hd, kd, nd = h.dim, k.dim, n.dim
 
-    # h iota(k) (x) m - h (x) k m, one basis element k of the subalgebra at
-    # a time
+    # h iota(k) (x) m - h (x) k m, one algebra generator k of the
+    # subalgebra at a time
     tix = TensorIndex([hd, nd])
     q = QuotientSpace(hd * nd, f, (
-        r for jk in range(kd)
+        r for kv in algebra_generators(k, [{jk: f.one} for jk in range(kd)], k.name)
         for r in balancing_relators(tix, [(
-            0, h.product_tables(sub.inclusion.column(jk))[1],
-            1, [n.act_vec({jk: f.one}, {jm: f.one}) for jm in range(nd)],
+            0, h.product_tables(sub.inclusion.apply(kv))[1],
+            1, [n.act_vec(kv, {jm: f.one}) for jm in range(nd)],
         )])
     ))
     expected = (hd // kd) * nd

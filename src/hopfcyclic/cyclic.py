@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Callable
 
 from .crossed import CrossedModule, action_tensor, decompose_group_case, induce, quotient_coaction, trivial_coaction, u_map, verify_crossed
-from .hopf import CentralizerData, FiniteGroup, HopfAlgebra, HopfSubalgebra, TensorIndex, augmentation_ideal_vectors, balancing_relators, conjugacy_data, group_algebra, quotient_by_normal, separability_element
+from .hopf import CentralizerData, FiniteGroup, HopfAlgebra, HopfSubalgebra, TensorIndex, algebra_generators, augmentation_ideal_vectors, balancing_relators, conjugacy_data, group_algebra, quotient_by_normal, separability_element
 from .linalg import (
     QQ,
     Bicomplex,
@@ -908,13 +908,15 @@ def semisimple_reduction(
     separability_element(k, [k.unit])  # raises when absent
     hbar, proj = quotient_by_normal(h, sub)
 
-    # the reduced module M / K+M: a m - eps(a) m for a in K
+    # the reduced module M / K+M: a m - eps(a) m for the algebra generators
+    # a of K, since bc m - eps(bc) m = (b (c m) - eps(b) c m)
+    # + eps(b) (c m - eps(c) m)
     tix = TensorIndex([m.dim])
     qm = QuotientSpace(m.dim, f, (
-        r for a in range(k.dim)
+        r for a in algebra_generators(k, [{j: f.one} for j in range(k.dim)], k.name)
         for r in balancing_relators(tix, [(
-            0, [m.act_vec(sub.inclusion.column(a), {j: f.one}) for j in range(m.dim)],
-            0, [{j: k.counit_of(a)} for j in range(m.dim)],
+            0, [m.act_vec(sub.inclusion.apply(a), {j: f.one}) for j in range(m.dim)],
+            0, [{j: k.counit_vec(a)} for j in range(m.dim)],
         )])
     ))
 

@@ -38,12 +38,14 @@ objects through the same slot products.
 
 The balanced quotients (A (x)_B A, its cyclic form and the relative
 carriers) take their relators from ``hopf.balancing_relators``, one list
-of slot junctions per base vector, streamed into ``QuotientSpace``.  Every
-operator out of one of these quotients (the Galois map, the faces,
-degeneracies and cyclic operators of the relative object, the comparison
-map, the transported actions) is built by ``QuotientSpace.induced_matrix``,
-which checks on the whole relator span that it descends; maps into a plain
-space use a relator-free quotient as target.
+of slot junctions per algebra generator of the base, streamed into
+``QuotientSpace``; the generators are found once, when the base is
+certified, by ``hopf.algebra_generators``.  Every operator out of one of
+these quotients (the Galois map, the faces, degeneracies and cyclic
+operators of the relative object, the comparison map, the transported
+actions) is built by ``QuotientSpace.induced_matrix``, which checks on the
+whole relator span that it descends; maps into a plain space use a
+relator-free quotient as target.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ from .cyclic import (
     sbi_check,
     verify_cyclic_identities,
 )
-from .hopf import AlgebraData, FiniteGroup, HopfAlgebra, TensorIndex, balancing_relators, conjugacy_data, group_algebra, separability_element
+from .hopf import AlgebraData, FiniteGroup, HopfAlgebra, TensorIndex, algebra_generators, balancing_relators, conjugacy_data, group_algebra, mismatch_labels, separability_element
 from .linalg import (
     QQ,
     QuasiIsoReport,
@@ -73,7 +75,6 @@ from .linalg import (
     Subspace,
     Vec,
     bilinear,
-    canonical_vec,
     flip_matrix,
     quasi_iso_check,
     rank,
@@ -130,8 +131,8 @@ def verify_algebra(a: AlgebraData) -> CheckReport:
         "(" + ", ".join(a.basis[i] for i in triple.unflatten(c)) + ")"
         for c in range(d * d * d) if lhs.cols.get(c) != rhs.cols.get(c)))
     um = a.unit_matrix()
-    rep.add("left unit law", a.mult @ um.kron(eye) == eye)
-    rep.add("right unit law", a.mult @ eye.kron(um) == eye)
+    rep.check("left unit law", mismatch_labels(a.mult @ um.kron(eye), eye, a.basis))
+    rep.check("right unit law", mismatch_labels(a.mult @ eye.kron(um), eye, a.basis))
     return rep
 
 
@@ -144,16 +145,13 @@ def verify_comodule_algebra(ca: ComoduleAlgebra) -> CheckReport:
     rho = ca.coaction
     eye_a = SparseMatrix.identity(d, f)
     eye_h = SparseMatrix.identity(hd, f)
-    rep.add(
-        "coaction is coassociative",
-        rho.kron(eye_h) @ rho == eye_a.kron(h.comult) @ rho,
-    )
-    rep.add("coaction is counital", eye_a.kron(h.counit_matrix()) @ rho == eye_a)
+    rep.check("coaction is coassociative", mismatch_labels(
+        rho.kron(eye_h) @ rho, eye_a.kron(h.comult) @ rho, ca.basis))
+    rep.check("coaction is counital", mismatch_labels(
+        eye_a.kron(h.counit_matrix()) @ rho, eye_a, ca.basis))
     mid = eye_a.kron(flip_matrix(hd, d, f)).kron(eye_h)
-    rep.add(
-        "coaction is multiplicative",
-        rho @ ca.mult == ca.mult.kron(h.mult) @ mid @ rho.kron(rho),
-    )
+    rep.check("coaction is multiplicative", mismatch_labels(
+        rho @ ca.mult, ca.mult.kron(h.mult) @ mid @ rho.kron(rho), ca.basis, ca.basis))
     unit_pair: Vec = {}
     for i, c in ca.unit.items():
         for k, c2 in h.unit.items():
@@ -314,10 +312,13 @@ def twisted_group_algebra(gamma: FiniteGroup, cocycle, field=QQ,
 
 @dataclass
 class BaseData:
-    """A verified unital subalgebra together with its inclusion."""
+    """A verified unital subalgebra together with its inclusion and the
+    algebra generators (ambient vectors) that its balancing relators are
+    generated from; the scalars need none."""
 
     space: Subspace
     inclusion: SparseMatrix  # ambient dim x base dim
+    generators: list
     name: str = "B"
 
     @property
@@ -325,16 +326,13 @@ class BaseData:
         return self.space.dim
 
 
-def _check_subalgebra(a: AlgebraData, space: Subspace, name: str) -> None:
+def _check_subalgebra(a: AlgebraData, space: Subspace, name: str) -> BaseData:
+    """Certify a unital subalgebra; closure under multiplication is
+    certified by `algebra_generators`, whose generators are kept."""
     if not space.contains(dict(a.unit)):
         raise ValueError(f"{name} does not contain the unit of {a.name}")
-    bm = space.basis_matrix()
-    for r in range(space.dim):
-        for s in range(space.dim):
-            if not space.contains(a.product_vec(bm.column(r), bm.column(s))):
-                raise ValueError(
-                    f"{name} is not closed under multiplication in {a.name}"
-                )
+    return BaseData(space, space.basis_matrix(),
+                    algebra_generators(a, space.basis, name), name)
 
 
 def coinvariants(ca: ComoduleAlgebra) -> BaseData:
@@ -342,23 +340,18 @@ def coinvariants(ca: ComoduleAlgebra) -> BaseData:
     be a unital subalgebra."""
     f, d = ca.field, ca.dim
     _, kernel = rank_kernel(ca.coaction - trivial_coaction(ca.h, d))
-    space = Subspace(d, f, kernel)
-    name = f"{ca.name}^co"
-    _check_subalgebra(ca, space, name)
-    return BaseData(space, space.basis_matrix(), name)
+    return _check_subalgebra(ca, Subspace(d, f, kernel), f"{ca.name}^co")
 
 
 def unit_base(a: AlgebraData) -> BaseData:
     """The scalars k.1 as a base subalgebra."""
     space = Subspace(a.dim, a.field, [dict(a.unit)])
-    return BaseData(space, space.basis_matrix(), "k")
+    return BaseData(space, space.basis_matrix(), [], "k")
 
 
 def base_from_vectors(a: AlgebraData, vectors, name: str = "B") -> BaseData:
     """Span the given ambient vectors and certify a unital subalgebra."""
-    space = Subspace(a.dim, a.field, vectors)
-    _check_subalgebra(a, space, name)
-    return BaseData(space, space.basis_matrix(), name)
+    return _check_subalgebra(a, Subspace(a.dim, a.field, vectors), name)
 
 
 # ---------------------------------------------------------------------------
@@ -404,20 +397,17 @@ def verify_bimodule(m: Bimodule) -> CheckReport:
     eye_m = SparseMatrix.identity(md, f)
     um = a.unit_matrix()
     rep = CheckReport(f"bimodule axioms for {m.name} over {a.name}")
-    rep.add(
-        "left action is associative",
-        m.left @ a.mult.kron(eye_m) == m.left @ eye_a.kron(m.left),
-    )
-    rep.add(
-        "right action is associative",
-        m.right @ eye_m.kron(a.mult) == m.right @ m.right.kron(eye_a),
-    )
-    rep.add(
-        "left and right actions commute",
-        m.right @ m.left.kron(eye_a) == m.left @ eye_a.kron(m.right),
-    )
-    rep.add("unit acts as identity on the left", m.left @ um.kron(eye_m) == eye_m)
-    rep.add("unit acts as identity on the right", m.right @ eye_m.kron(um) == eye_m)
+    ab, mb = a.basis, [f"u{j}" for j in range(md)]
+    rep.check("left action is associative", mismatch_labels(
+        m.left @ a.mult.kron(eye_m), m.left @ eye_a.kron(m.left), ab, ab, mb))
+    rep.check("right action is associative", mismatch_labels(
+        m.right @ eye_m.kron(a.mult), m.right @ m.right.kron(eye_a), mb, ab, ab))
+    rep.check("left and right actions commute", mismatch_labels(
+        m.right @ m.left.kron(eye_a), m.left @ eye_a.kron(m.right), ab, mb, ab))
+    rep.check("unit acts as identity on the left", mismatch_labels(
+        m.left @ um.kron(eye_m), eye_m, mb))
+    rep.check("unit acts as identity on the right", mismatch_labels(
+        m.right @ eye_m.kron(um), eye_m, mb))
     return rep
 
 
@@ -492,9 +482,10 @@ def galois_check(ca: ComoduleAlgebra) -> GaloisExtension:
     one = f.one
     base = coinvariants(ca)
     bvecs = [base.inclusion.column(r) for r in range(base.dim)]
-    # x b (x) y - x (x) b y, and for the cyclic square also b x (x) y - x (x) y b
+    # x b (x) y - x (x) b y, and for the cyclic square also b x (x) y - x (x) y b,
+    # for the algebra generators b of the base
     sq = TensorIndex([d, d])
-    tables = [ca.product_tables(bv) for bv in bvecs]
+    tables = [ca.product_tables(bv) for bv in base.generators]
     bal_gens = [r for left, right in tables
                 for r in balancing_relators(sq, [(0, right, 1, left)])]
     balanced = QuotientSpace(d * d, f, bal_gens)
@@ -794,8 +785,10 @@ def relative_cyclic(ca: AlgebraData, base: BaseData, m: Bimodule | None = None,
 
     The degree-n carrier is M (x)_B A^{(x)_B n} with the outer legs also
     identified across the base: the free tensor power modulo
-    ``balancing_relators`` with, for each non-unit base vector, the n inner
-    junctions (p, p+1) and the outer junction (0, n).  Faces
+    ``balancing_relators`` with, for each algebra generator of the base
+    (``BaseData.generators``), the n inner junctions (p, p+1) and the outer
+    junction (0, n); for b and c in B the junctions of bc are sums of those
+    of b and c, so the generators give the whole relator span.  Faces
     multiply adjacent slots (the first and last through the bimodule
     actions), degeneracies insert the unit, and for M = A the cyclic
     operator rotates; for other coefficients the object is simplicial only.
@@ -812,17 +805,13 @@ def relative_cyclic(ca: AlgebraData, base: BaseData, m: Bimodule | None = None,
     md = bim.dim
     one = f.one
 
-    # a multiple c.1 of the unit gives only zero relators, (c.a) (x) x -
-    # a (x) (c.x) = 0, so only the other base vectors are balanced; a scalar
-    # base gives no relators at all
-    unit = canonical_vec(ca.unit, f)
-    bvecs = [bv for bv in (base.inclusion.column(r) for r in range(base.dim))
-             if canonical_vec(bv, f) != unit]
+    # the junctions of the base's algebra generators span every balancing
+    # relator; a scalar base has none and gives no relators at all
     tables = [
         ca.product_tables(bv)
         + ([bim.left_vec(bv, {j: one}) for j in range(md)],
            [bim.right_vec({j: one}, bv) for j in range(md)])
-        for bv in bvecs
+        for bv in base.generators
     ]
 
     @lru_cache(maxsize=None)
@@ -1151,8 +1140,9 @@ def lambda_iso(g: GaloisExtension, m: Bimodule | None = None,
 def _separability_element(ca: AlgebraData, middle: BaseData,
                           inner: BaseData) -> Vec:
     """Restrict to the middle base B and solve for its separability element
-    over the inner base C (see `hopf.separability_element`); returns a
-    representative in B (x) B coordinates or raises."""
+    over the inner base C, balanced over C's algebra generators (see
+    `hopf.separability_element`); returns a representative in B (x) B
+    coordinates or raises."""
     f = ca.field
     bd = middle.dim
     bcols = [middle.inclusion.column(r) for r in range(bd)]
@@ -1168,8 +1158,8 @@ def _separability_element(ca: AlgebraData, middle: BaseData,
     balg = AlgebraData(f, tuple(f"b{r}" for r in range(bd)), bmult,
                        middle.space.coords(dict(ca.unit)), name=middle.name)
     cvecs = []
-    for r in range(inner.dim):
-        coords = middle.space.coords(inner.inclusion.column(r))
+    for gv in inner.generators:
+        coords = middle.space.coords(gv)
         if coords is None:
             raise ValueError(f"{inner.name} is not contained in {middle.name}")
         cvecs.append(coords)

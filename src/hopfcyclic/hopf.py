@@ -6,9 +6,10 @@ multiplication tensor, with the product (`product_vec`, `mult_pairs`) that
 every layer above uses, and `separability_element` is the one solver for
 separability elements over a subalgebra.  `balancing_relators` generates the
 relators of every balanced tensor product: relative carriers, A (x)_B A,
-induction and the reduction by an augmentation ideal.  `HopfAlgebra` is an
-`AlgebraData`, so a Hopf algebra is passed as it is wherever an algebra is
-expected.
+induction and the reduction by an augmentation ideal, each balanced over
+the subalgebra generators that `algebra_generators` picks.  `HopfAlgebra`
+is an `AlgebraData`, so a Hopf algebra is passed as it is wherever an
+algebra is expected.
 
 A Hopf algebra here is the data (mult, unit, comult, counit, antipode) over an
 exact field, with the seven axiom identities checked as exact matrix
@@ -29,6 +30,7 @@ number of nonzero entries of the result.
 
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import dataclass
 from operator import mul
@@ -36,6 +38,7 @@ from typing import Iterator, Sequence
 
 from .linalg import (
     QQ,
+    Echelon,
     Field,
     LinAlgError,
     QuotientSpace,
@@ -371,8 +374,8 @@ class AlgebraData:
 
 
 def separability_element(b: AlgebraData, inner) -> Vec:
-    """Solve for e in b (x)_C b, where C is the span of the vectors `inner`
-    of b, with mult(e) = 1 and x e = e x for every x in b.
+    """Solve for e in b (x)_C b, where C is the subalgebra generated by the
+    vectors `inner` of b, with mult(e) = 1 and x e = e x for every x in b.
 
     The equations are posed on the balanced square, after certifying that
     each centrality constraint descends to it; the solution comes back as a
@@ -415,6 +418,46 @@ def separability_element(b: AlgebraData, inner) -> Vec:
     for s, c in sol.items():
         vec_iadd_scaled(lift, sect.column(s), c)
     return lift
+
+
+def algebra_generators(a: AlgebraData, vectors: Sequence[Vec], name: str = "the span") -> list:
+    """Algebra generators of the unital subalgebra spanned by `vectors`.
+
+    The generators are picked greedily in the given order: a vector already
+    in the subalgebra generated so far (at first the scalars) is skipped,
+    any other becomes a generator, and the span of words in the generators
+    is closed again under right multiplication by each of them.  Balancing
+    over these generators spans every balancing relator of the subalgebra:
+    x bc (x) y - x (x) bc y is the c-relator at (xb, y) plus the b-relator
+    at (x, cy).  Raises ValueError unless the closure has the dimension of
+    the span, which certifies that the span is a unital subalgebra.
+    """
+    f = a.field
+    target = Subspace(a.dim, f, vectors).dim
+    ech = Echelon(f, a.dim, [], [])
+    words: list = []  # a basis of the subalgebra generated so far
+    gens: list = []
+    pending: collections.deque = collections.deque()  # (word, generator) products to take
+
+    def absorb(w: Vec) -> None:
+        nonlocal ech
+        r = ech.reduce(w)
+        if r:
+            ech = Echelon(f, a.dim, ech.pivots + [min(r)], ech.rows + [r])
+            words.append(w)
+            pending.extend((w, g) for g in gens)
+
+    absorb(dict(a.unit))
+    for v in vectors:
+        if not ech.reduce(v):
+            continue
+        gens.append(v)
+        pending.extend((w, v) for w in words)
+        while pending:
+            absorb(a.product_vec(*pending.popleft()))
+    if len(words) != target:
+        raise ValueError(f"{name} is not closed under multiplication in {a.name}")
+    return gens
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +555,16 @@ class HopfAlgebra(AlgebraData):
     def is_cocommutative(self) -> bool:
         return flip_matrix(self.dim, self.dim, self.field) @ self.comult == self.comult
 
-    def label_tuple(self, tup: Sequence[int]) -> str:
-        return "(" + ",".join(self.basis[i] for i in tup) + ")"
+
+def mismatch_labels(a: SparseMatrix, b: SparseMatrix, *bases: Sequence[str]) -> Iterator[str]:
+    """Labels "(x,y,...)" of the columns where a and b differ, in column
+    order, when the columns index the tensor product of the given bases, as
+    the failures of a matrix identity for `CheckReport.check`.  Columns are
+    compared lazily, so a search stops at its first failure, and exactly as
+    strictly as a == b: a stored empty column differs from none."""
+    index = TensorIndex([len(labels) for labels in bases])
+    return ("(" + ",".join(labels[i] for labels, i in zip(bases, index.unflatten(j))) + ")"
+            for j in range(a.ncols) if a.cols.get(j) != b.cols.get(j))
 
 
 def verify_hopf(h: HopfAlgebra) -> CheckReport:
@@ -524,38 +575,31 @@ def verify_hopf(h: HopfAlgebra) -> CheckReport:
     idm = SparseMatrix.identity(d, f)
     unit_m = h.unit_matrix()
     counit_m = h.counit_matrix()
-
-    def mismatches(a: SparseMatrix, b: SparseMatrix, index: TensorIndex):
-        # exactly as strict as a == b: a stored empty column differs from none
-        return (h.label_tuple(index.unflatten(j)) for j in range(a.ncols)
-                if a.cols.get(j) != b.cols.get(j))
-
-    t3 = TensorIndex([d] * 3)
-    t2 = TensorIndex([d] * 2)
-    t1 = TensorIndex([d])
+    b1, b2, b3 = ((h.basis,) * n for n in (1, 2, 3))
 
     rep.check("associativity",
-              mismatches(h.mult @ h.mult.kron(idm), h.mult @ idm.kron(h.mult), t3))
-    rep.check("left unit", mismatches(h.mult @ unit_m.kron(idm), idm, t1))
-    rep.check("right unit", mismatches(h.mult @ idm.kron(unit_m), idm, t1))
-    rep.check("coassociativity", mismatches(
-        h.comult.kron(idm) @ h.comult, idm.kron(h.comult) @ h.comult, t1))
-    rep.check("left counit", mismatches(counit_m.kron(idm) @ h.comult, idm, t1))
-    rep.check("right counit", mismatches(idm.kron(counit_m) @ h.comult, idm, t1))
+              mismatch_labels(h.mult @ h.mult.kron(idm), h.mult @ idm.kron(h.mult), *b3))
+    rep.check("left unit", mismatch_labels(h.mult @ unit_m.kron(idm), idm, *b1))
+    rep.check("right unit", mismatch_labels(h.mult @ idm.kron(unit_m), idm, *b1))
+    rep.check("coassociativity", mismatch_labels(
+        h.comult.kron(idm) @ h.comult, idm.kron(h.comult) @ h.comult, *b1))
+    rep.check("left counit", mismatch_labels(counit_m.kron(idm) @ h.comult, idm, *b1))
+    rep.check("right counit", mismatch_labels(idm.kron(counit_m) @ h.comult, idm, *b1))
 
     mid_flip = idm.kron(flip_matrix(d, d, f)).kron(idm)
     rhs = h.mult.kron(h.mult) @ mid_flip @ h.comult.kron(h.comult)
-    rep.check("comultiplication is multiplicative", mismatches(h.comult @ h.mult, rhs, t2))
+    rep.check("comultiplication is multiplicative",
+              mismatch_labels(h.comult @ h.mult, rhs, *b2))
     rep.add("comultiplication of the unit", h.comult @ unit_m == unit_m.kron(unit_m))
     rep.check("counit is multiplicative",
-              mismatches(counit_m @ h.mult, counit_m.kron(counit_m), t2))
+              mismatch_labels(counit_m @ h.mult, counit_m.kron(counit_m), *b2))
     rep.add("counit of the unit", h.counit_vec(h.unit) == f.one)
 
     eta_eps = unit_m @ counit_m
     ls = h.mult @ h.antipode.kron(idm) @ h.comult
     rs = h.mult @ idm.kron(h.antipode) @ h.comult
-    rep.check("left antipode identity", mismatches(ls, eta_eps, t1))
-    rep.check("right antipode identity", mismatches(rs, eta_eps, t1))
+    rep.check("left antipode identity", mismatch_labels(ls, eta_eps, *b1))
+    rep.check("right antipode identity", mismatch_labels(rs, eta_eps, *b1))
     return rep
 
 
@@ -719,17 +763,16 @@ def hopf_subalgebra(h: HopfAlgebra, k: HopfAlgebra, inclusion: SparseMatrix) -> 
     if rank(inclusion) != k.dim:
         raise ValueError("inclusion is not injective")
     rep = CheckReport(f"embedding {k.name} in {h.name}")
-    rep.add("multiplicative", inclusion @ k.mult == h.mult @ inclusion.kron(inclusion))
+    kb = k.basis
+    rep.check("multiplicative", mismatch_labels(
+        inclusion @ k.mult, h.mult @ inclusion.kron(inclusion), kb, kb))
     rep.add("unital", inclusion.apply(k.unit) == h.unit)
-    rep.add(
-        "comultiplicative",
-        inclusion.kron(inclusion) @ k.comult == h.comult @ inclusion,
-    )
-    rep.add(
-        "counital",
-        k.counit_matrix() == h.counit_matrix() @ inclusion,
-    )
-    rep.add("antipode", inclusion @ k.antipode == h.antipode @ inclusion)
+    rep.check("comultiplicative", mismatch_labels(
+        inclusion.kron(inclusion) @ k.comult, h.comult @ inclusion, kb))
+    rep.check("counital", mismatch_labels(
+        k.counit_matrix(), h.counit_matrix() @ inclusion, kb))
+    rep.check("antipode", mismatch_labels(
+        inclusion @ k.antipode, h.antipode @ inclusion, kb))
     rep.require()
     return HopfSubalgebra(k, inclusion)
 
@@ -793,13 +836,16 @@ def quotient_by_normal(h: HopfAlgebra, sub: HopfSubalgebra) -> tuple:
     # the ideal must be a two-sided ideal, a coideal, and antipode-stable
     checks = CheckReport(f"quotient of {h.name}")
     idh = SparseMatrix.identity(h.dim, f)
-    checks.add("left ideal", (proj @ h.mult @ idh.kron(ideal)).is_zero())
-    checks.add("right ideal", (proj @ h.mult @ ideal.kron(idh)).is_zero())
-    checks.add("coideal", (proj.kron(proj) @ h.comult @ ideal).is_zero())
-    checks.add(
-        "counit kills ideal", (h.counit_matrix() @ ideal).is_zero()
-    )
-    checks.add("antipode preserves ideal", (proj @ h.antipode @ ideal).is_zero())
+    hb, ib = h.basis, [f"ideal[{t}]" for t in range(ideal.ncols)]
+
+    def nonzero(m: SparseMatrix, *bases):
+        return mismatch_labels(m, SparseMatrix.zero(m.nrows, m.ncols, f), *bases)
+
+    checks.check("left ideal", nonzero(proj @ h.mult @ idh.kron(ideal), hb, ib))
+    checks.check("right ideal", nonzero(proj @ h.mult @ ideal.kron(idh), ib, hb))
+    checks.check("coideal", nonzero(proj.kron(proj) @ h.comult @ ideal, ib))
+    checks.check("counit kills ideal", nonzero(h.counit_matrix() @ ideal, ib))
+    checks.check("antipode preserves ideal", nonzero(proj @ h.antipode @ ideal, ib))
     checks.require()
 
     labels = [f"q{i}" for i in range(q.dim)]
@@ -820,11 +866,15 @@ def quotient_by_normal(h: HopfAlgebra, sub: HopfSubalgebra) -> tuple:
     verify_hopf(quot).require(quot.name)
     # the projection must be a Hopf algebra map
     morph = CheckReport("projection is a Hopf map")
-    morph.add("multiplicative", proj @ h.mult == quot.mult @ proj.kron(proj))
+    morph.check("multiplicative", mismatch_labels(
+        proj @ h.mult, quot.mult @ proj.kron(proj), hb, hb))
     morph.add("unital", proj.apply(h.unit) == quot.unit)
-    morph.add("comultiplicative", proj.kron(proj) @ h.comult == quot.comult @ proj)
-    morph.add("counital", quot.counit_matrix() @ proj == h.counit_matrix())
-    morph.add("antipode", proj @ h.antipode == quot.antipode @ proj)
+    morph.check("comultiplicative", mismatch_labels(
+        proj.kron(proj) @ h.comult, quot.comult @ proj, hb))
+    morph.check("counital", mismatch_labels(
+        quot.counit_matrix() @ proj, h.counit_matrix(), hb))
+    morph.check("antipode", mismatch_labels(
+        proj @ h.antipode, quot.antipode @ proj, hb))
     morph.require()
     return quot, proj
 

@@ -216,6 +216,17 @@ def test_galois_grading_document_matches_builtin():
     assert from_doc["tables"] == builtin["tables"]
 
 
+def test_galois_over_a_base_with_two_generators():
+    # kD4 graded by Z/2 over the Klein group {r0, r2, s0, s2}, whose algebra
+    # needs two generators; HC counts the 5 conjugacy classes of D4
+    doc = json.dumps({"algebra": "d4", "grading": {
+        "group": "z2", "blocks": {"0": [0, 2, 4, 6], "1": [1, 3, 5, 7]}}})
+    rc, rep = run_json(["galois", doc, "--max-degree", "2"])
+    assert rc == 0
+    assert rep["tables"]["hc (relative)"] == rep["tables"]["hc (transported)"] == [5, 0, 5]
+    assert rep["tables"]["relative dims"] == [6, 12, 24]
+
+
 def test_galois_crossed_product_document():
     doc = json.dumps(
         {

@@ -14,7 +14,7 @@ from hopfcyclic.cyclic import (
     sbi_check,
     verify_cyclic_identities,
 )
-from hopfcyclic.galois import verify_algebra
+from hopfcyclic.galois import regular_bimodule, verify_algebra, verify_bimodule
 from hopfcyclic.hopf import AlgebraData, FiniteGroup, HopfAlgebra, group_algebra, hopf_to_json, verify_hopf
 from hopfcyclic.linalg import QQ, SparseMatrix, vec_add_at
 
@@ -148,7 +148,19 @@ def test_mutated_action_failures():
     row = max(action.cols[last])
     action.cols[last][row] = QQ.coerce("7")
     bad = CrossedModule(h, m.dim, action, m.coaction, m.basis, name="bad")
-    assert failing(verify_crossed(bad)) == [("action associativity", False, None)]
+    # g . (g . g) meets the bumped entry; (gg) . g does not
+    assert failing(verify_crossed(bad)) == [("action associativity", False, "(g,g,g)")]
+
+
+def test_collapsing_right_action_failures():
+    # u_j . e_i = u0: still associative, but g (u0 . 1) = u1 while
+    # (g u0) . 1 = u0, and u1 . 1 = u0
+    m = regular_bimodule(group_algebra(FiniteGroup.cyclic(2)))
+    m.right = SparseMatrix(2, 4, QQ, {k: {0: QQ.one} for k in range(4)})
+    assert failing(verify_bimodule(m)) == [
+        ("left and right actions commute", False, "(g,u0,1)"),
+        ("unit acts as identity on the right", False, "(u1)"),
+    ]
 
 
 def test_ungraded_swap_action_failures():

@@ -1,11 +1,14 @@
 """Hopf-Galois extensions: the Galois and translation maps, relative cyclic
 objects, the slot-product comparison, base change, and graded folding."""
 
+import dataclasses
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfcyclic.crossed import adjoint
-from hopfcyclic import linalg
+from hopfcyclic import galois, linalg
 from hopfcyclic.cyclic import build_cyclic, connes_data, hc_connes, hochschild
 from hopfcyclic.galois import (
     AlgebraData,
@@ -32,7 +35,7 @@ from hopfcyclic.galois import (
     verify_comodule_algebra,
 )
 from hopfcyclic.hopf import FiniteGroup, group_algebra
-from hopfcyclic.linalg import QQ, QuotientSpace, SparseMatrix, WellDefinednessError
+from hopfcyclic.linalg import QQ, QuotientSpace, SparseMatrix, WellDefinednessError, canonical_vec
 
 
 @pytest.fixture(scope="module")
@@ -393,6 +396,80 @@ def test_balancing_and_cyclic_relators_need_no_elimination(
     quotients, _ = connes_data(build_cyclic(ks3, adjoint(ks3), 4), 4)
     assert [q.dim for q in quotients] == [6, 15, 76, 330, 1560]
     assert len(rows_in) == 10 and not any(rows_in)
+
+
+def _balanced_over_every_vector(ca, base):
+    """`base` with every non-unit basis vector as a generator: the reference
+    that balances the carriers over the whole base, not its generators."""
+    unit = canonical_vec(ca.unit, QQ)
+    vecs = [bv for bv in map(base.inclusion.column, range(base.dim))
+            if canonical_vec(bv, QQ) != unit]
+    return dataclasses.replace(base, generators=vecs)
+
+
+def _a3_in_s3(request):
+    g = request.getfixturevalue("s3_galois")
+    return g.ca, g.base
+
+
+def _sym_in_z4(request):
+    # four-entry relators: B = span{1, g^2, g + g^3}, generated by g + g^3
+    ca = comodule_from_hopf(request.getfixturevalue("kz4"))
+    return ca, base_from_vectors(
+        ca, [{0: QQ.one}, {2: QQ.one}, {1: QQ.one, 3: QQ.one}], name="sym")
+
+
+def _klein_in_d4(request):
+    # the degree-0 part {r0, r2, s0, s2} of kD4 graded by Z/2 needs two generators
+    d4 = group_algebra(FiniteGroup.dihedral(4), QQ)
+    ca = strongly_graded(FiniteGroup.cyclic(2), d4, {0: [0, 2, 4, 6], 1: [1, 3, 5, 7]},
+                         name="kD4")
+    return ca, coinvariants(ca)
+
+
+@pytest.mark.parametrize("case, generators, two_term", [
+    (_a3_in_s3, [{3: 1}], True),
+    (_sym_in_z4, [{1: 1, 3: 1}], False),
+    (_klein_in_d4, [{2: 1}, {4: 1}], True),
+], ids=["a3-in-s3", "sym-in-z4", "klein-in-d4"])
+def test_generator_balanced_carriers_match_every_vector_balancing(
+        case, generators, two_term, request):
+    ca, base = case(request)
+    assert base.generators == generators
+    z = relative_cyclic(ca, base, max_degree=3)
+    ref = relative_cyclic(ca, _balanced_over_every_vector(ca, base), max_degree=3)
+    for n in range(4):
+        q, qref = z.carrier(n), ref.carrier(n)
+        assert q.dim == qref.dim
+        # the same relator span: each side's relator basis dies in the other
+        assert not any(qref.project_vec(r) for r in q._relator_basis())
+        assert not any(q.project_vec(r) for r in qref._relator_basis())
+        # two-term relators are only contracted, so their span alone fixes
+        # the quotient basis; longer ones leave the choice to echelonize,
+        # whose pivots depend on the rows it is given
+        if two_term:
+            assert q.free_cols == qref.free_cols
+
+
+def test_degree_four_carrier_of_s3_over_a3_takes_half_the_relators(s3_galois, monkeypatch):
+    # kA3 is generated by one 3-cycle, so the 7776-dimensional free power
+    # takes 5 junctions x 7776 tuples, all nonzero, instead of twice that
+    consumed = Counter()
+    stream = galois.balancing_relators
+
+    def counted(tix, junctions):
+        for r in stream(tix, junctions):
+            consumed[tix.size] += 1
+            yield r
+
+    monkeypatch.setattr(galois, "balancing_relators", counted)
+    ca, base = s3_galois.ca, s3_galois.base
+    assert relative_cyclic(ca, base, max_degree=4).carrier(4).dim == 64
+    assert consumed[6 ** 5] == 38_880
+    consumed.clear()
+    ref = relative_cyclic(ca, _balanced_over_every_vector(ca, base), max_degree=4)
+    assert ref.carrier(4).dim == 64
+    assert consumed[6 ** 5] == 77_760
 
 
 def test_relative_hc_of_group_algebra_counts_classes(kz3):

@@ -11,6 +11,7 @@ from hopfcyclic.hopf import (
     FiniteGroup,
     HopfAlgebra,
     TensorIndex,
+    algebra_generators,
     balancing_relators,
     conjugacy_data,
     diagonal_power,
@@ -221,6 +222,36 @@ def test_balancing_relators_are_the_columns_of_the_balancing_map():
     # one slot: b x - x b
     got = list(balancing_relators(TensorIndex([d]), [(0, ltab, 0, rtab)]))
     assert got == nonzero_columns(left_b - right_b)
+
+
+def _group_vectors(g: FiniteGroup, labels) -> list:
+    return [{g.labels.index(x): QQ.one} for x in labels]
+
+
+def test_algebra_generators_of_subgroup_algebras():
+    # kA3 is generated by one 3-cycle; the Klein group {r0, r2, s0, s2} in
+    # D4 needs two generators, and the third non-unit element is their product
+    s3 = FiniteGroup.symmetric(3)
+    a3 = [{x: QQ.one} for x in range(6) if s3.element_order(x) != 2]
+    gens = algebra_generators(group_algebra(s3), a3)
+    assert gens == a3[1:2]
+    d4 = FiniteGroup.dihedral(4)
+    gens = algebra_generators(group_algebra(d4), _group_vectors(d4, ["r0", "r2", "s0", "s2"]))
+    assert gens == _group_vectors(d4, ["r2", "s0"])
+
+
+def test_algebra_generators_of_orthogonal_idempotents():
+    # k x k on the idempotents e1, e2 with e1 + e2 = 1: e2 = 1 - e1 is skipped
+    mult = SparseMatrix(2, 4, QQ, {0: {0: QQ.one}, 3: {1: QQ.one}})
+    a = AlgebraData(QQ, ("e1", "e2"), mult, {0: QQ.one, 1: QQ.one}, name="kxk")
+    assert algebra_generators(a, [{0: QQ.one}, {1: QQ.one}]) == [{0: QQ.one}]
+
+
+def test_algebra_generators_certify_closure():
+    # span{1, g} in kZ4 generates all of kZ4
+    kz4 = group_algebra(FiniteGroup.cyclic(4))
+    with pytest.raises(ValueError, match="^span1g is not closed under multiplication"):
+        algebra_generators(kz4, [{0: QQ.one}, {1: QQ.one}], name="span1g")
 
 
 @pytest.mark.parametrize("group", [FiniteGroup.symmetric(3), FiniteGroup.dihedral(4)],
