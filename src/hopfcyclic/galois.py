@@ -794,10 +794,18 @@ def relative_cyclic(ca: AlgebraData, base: BaseData, m: Bimodule | None = None,
     operator rotates; for other coefficients the object is simplicial only.
     Each operator is built once per degree and index on the free tensor
     power and pushed to the carriers by ``QuotientSpace.induced_matrix``,
-    which checks on the whole relator span that it descends; the
-    simplicial/cyclic identity suite then runs on the assembled object.
-    When the base is the scalars this is the standard cyclic object of the
-    algebra.
+    which checks on the whole relator span that it descends.  The
+    simplicial/cyclic identity suite runs on the free tensor powers
+    (through degree 2, at the carriers' basis representatives
+    ``free_cols``, sampled by ``_sample_columns``): the quotient inherits
+    every identity, since projecting commutes with each operator that
+    descends, so an identity at a quotient column is the projection of the
+    same identity at its representative.  Construction pushes every
+    operator those identities compose (out of degrees 0..3) that stays
+    inside the truncation; any other, such as a degeneracy out of degree
+    max_degree, is built and checked when first asked for.  No carrier
+    above max_degree is built.  When the base is the scalars this is the
+    standard cyclic object of the algebra.
     """
     f = ca.field
     ad = ca.dim
@@ -901,7 +909,40 @@ def relative_cyclic(ca: AlgebraData, base: BaseData, m: Bimodule | None = None,
     z.algebra = ca
     z.base = base
     z.bimodule = bim
-    verify_cyclic_identities(z, min(2, max_degree), _sample_columns(z)).require(z.name)
+
+    # descent of every operator that the identities through degree
+    # `checked` compose, inside the truncation; any other is checked when
+    # it is first asked for
+    checked = min(2, max_degree)
+    for n in range(min(checked + 1, max_degree) + 1):
+        for i in range(n + 1):
+            if n:
+                operator("face", n, i)
+            if n < max_degree:
+                operator("degen", n, i)
+        if m is None:
+            operator("cyc", n, 0)
+
+    # the identities on the free tensor powers, at the carriers' basis
+    # representatives; the quotient inherits them through descent
+    def free_fn(kind: str):
+        amb, shift, _ = families[kind]
+        return lambda n, i, col: amb(n, i, index(n).unflatten(col), index(n + shift))
+
+    free_cyc = free_fn("cyc")
+    free = CyclicObject(
+        f, max_degree, lambda n: index(n).size, free_fn("face"), free_fn("degen"),
+        (lambda n, col: free_cyc(n, 0, col)) if m is None else None, name=z.name,
+    )
+    # _sample_columns sizes up the degree-2 carrier; below degree 2 every
+    # column is checked instead
+    sample = _sample_columns(z) if checked == 2 else None
+
+    def columns(n: int) -> list:
+        reps = carrier(n).free_cols
+        return reps if sample is None else [reps[c] for c in sample(n)]
+
+    verify_cyclic_identities(free, checked, columns).require(z.name)
     return z
 
 
@@ -1049,28 +1090,25 @@ class LambdaComparison:
 def _check_commutation(rep: CheckReport, src: CyclicObject, tgt: CyclicObject,
                        mats: dict, max_degree: int, cyclic: bool) -> None:
     """Add one check per face, degeneracy and (when cyclic) cyclic operator
-    through max_degree: the degreewise maps mats[n] intertwine src and tgt."""
+    through max_degree: the degreewise maps mats[n] intertwine src and tgt.
+    A failure names the first source column where the two sides differ."""
+
+    def check(name: str, where: str, lhs: SparseMatrix, rhs: SparseMatrix) -> None:
+        rep.check(name, (f"{where}, column {j}" for j in range(lhs.ncols)
+                         if lhs.cols.get(j) != rhs.cols.get(j)))
+
     for n in range(1, max_degree + 1):
         for i in range(n + 1):
-            rep.add(
-                f"face {i} commutes at degree {n}",
-                tgt.face(n, i) @ mats[n] == mats[n - 1] @ src.face(n, i),
-                f"degree {n}, face {i}",
-            )
+            check(f"face {i} commutes at degree {n}", f"degree {n}, face {i}",
+                  tgt.face(n, i) @ mats[n], mats[n - 1] @ src.face(n, i))
     for n in range(max_degree):
         for i in range(n + 1):
-            rep.add(
-                f"degeneracy {i} commutes at degree {n}",
-                tgt.degen(n, i) @ mats[n] == mats[n + 1] @ src.degen(n, i),
-                f"degree {n}, degeneracy {i}",
-            )
+            check(f"degeneracy {i} commutes at degree {n}", f"degree {n}, degeneracy {i}",
+                  tgt.degen(n, i) @ mats[n], mats[n + 1] @ src.degen(n, i))
     if cyclic:
         for n in range(max_degree + 1):
-            rep.add(
-                f"cyclic operator commutes at degree {n}",
-                tgt.cyclic(n) @ mats[n] == mats[n] @ src.cyclic(n),
-                f"degree {n}",
-            )
+            check(f"cyclic operator commutes at degree {n}", f"degree {n}",
+                  tgt.cyclic(n) @ mats[n], mats[n] @ src.cyclic(n))
 
 
 def lambda_iso(g: GaloisExtension, m: Bimodule | None = None,

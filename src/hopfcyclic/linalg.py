@@ -867,6 +867,13 @@ class QuotientSpace:
     reduces by the echelon, and ``section_vec`` embeds quotient basis
     vectors as ambient unit vectors (a genuine section: project o section
     = id).
+
+    ``free_cols`` is fixed by the relator span while every relator has at
+    most two entries; longer ones reach ``echelonize``, whose pivots depend
+    on the order in which the relators arrive, so the same span can give
+    another quotient basis.  No report depends on the choice: dimensions
+    and homology do not, and any section serves as the basis
+    representatives of an identity check on the free model.
     """
 
     def __init__(self, ambient_dim: int, field: Field, relators: Iterable[Vec]):

@@ -14,9 +14,18 @@ from hopfcyclic.cyclic import (
     sbi_check,
     verify_cyclic_identities,
 )
-from hopfcyclic.galois import regular_bimodule, verify_algebra, verify_bimodule
+from hopfcyclic.galois import (
+    _check_commutation,
+    comodule_from_hopf,
+    galois_check,
+    lambda_iso,
+    regular_bimodule,
+    verify_algebra,
+    verify_bimodule,
+)
 from hopfcyclic.hopf import AlgebraData, FiniteGroup, HopfAlgebra, group_algebra, hopf_to_json, verify_hopf
 from hopfcyclic.linalg import QQ, SparseMatrix, vec_add_at
+from hopfcyclic.reporting import CheckReport
 
 
 def failing(rep):
@@ -160,6 +169,27 @@ def test_collapsing_right_action_failures():
     assert failing(verify_bimodule(m)) == [
         ("left and right actions commute", False, "(g,u0,1)"),
         ("unit acts as identity on the right", False, "(u1)"),
+    ]
+
+
+def test_mutated_comparison_failures():
+    # kZ2 over the scalars: the degree-1 comparison is a permutation of
+    # (m, a) tuples; send source column 2 = (g, 1) to target 0 instead of 1
+    kz2 = group_algebra(FiniteGroup.cyclic(2), QQ)
+    comp = lambda_iso(galois_check(comodule_from_hopf(kz2)), max_degree=1, compare_hc=False)
+    assert comp.matrices[1].cols[2] == {1: QQ.one}
+    mats = dict(comp.matrices)
+    cols = {j: dict(col) for j, col in mats[1].cols.items()}
+    cols[2] = {0: QQ.one}
+    mats[1] = SparseMatrix(mats[1].nrows, mats[1].ncols, QQ, cols)
+    rep = CheckReport("mutated comparison")
+    _check_commutation(rep, comp.relative, comp.hopf_side, mats, 1, cyclic=True)
+    # s_0 and t_1 reach (g, 1) from source column 1 = (g) and (1, g)
+    assert failing(rep) == [
+        ("face 0 commutes at degree 1", False, "degree 1, face 0, column 2"),
+        ("face 1 commutes at degree 1", False, "degree 1, face 1, column 2"),
+        ("degeneracy 0 commutes at degree 0", False, "degree 0, degeneracy 0, column 1"),
+        ("cyclic operator commutes at degree 1", False, "degree 1, column 1"),
     ]
 
 

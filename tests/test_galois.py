@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from hopfcyclic.crossed import adjoint
 from hopfcyclic import galois, linalg
-from hopfcyclic.cyclic import build_cyclic, connes_data, hc_connes, hochschild
+from hopfcyclic.cyclic import build_cyclic, connes_data, hc_connes, hochschild, verify_cyclic_identities
 from hopfcyclic.galois import (
     AlgebraData,
     ComoduleAlgebra,
@@ -353,8 +353,8 @@ def test_relative_object_refuses_a_right_action_that_is_not_associative():
         relative_cyclic(ca, base, m, max_degree=1)
 
 
-def test_relative_object_pushes_each_operator_through_induced_matrix_once(
-        s3_galois, monkeypatch):
+def _recorded_pushes(monkeypatch) -> list:
+    """The `what` of every operator pushed through induced_matrix from now on."""
     whats = []
     push = QuotientSpace.induced_matrix
 
@@ -363,7 +363,23 @@ def test_relative_object_pushes_each_operator_through_induced_matrix_once(
         return push(self, op, source, what)
 
     monkeypatch.setattr(QuotientSpace, "induced_matrix", counted)
+    return whats
+
+
+def test_relative_object_pushes_each_operator_through_induced_matrix_once(
+        s3_galois, monkeypatch):
+    whats = _recorded_pushes(monkeypatch)
     z = relative_cyclic(s3_galois.ca, s3_galois.base, max_degree=2)
+    # construction pushes exactly the operators between degrees 0..2
+    in_truncation = (
+        [f"face {i} at degree {n}" for n in (1, 2) for i in range(n + 1)]
+        + [f"degeneracy {i} at degree {n}" for n in (0, 1) for i in range(n + 1)]
+        + [f"the cyclic operator at degree {n}" for n in range(3)]
+    )
+    assert Counter(whats) == Counter(in_truncation)
+    # a degeneracy out of the top degree waits until it is asked for
+    z.degen(2, 1)
+    assert whats[-1] == "degeneracy 1 at degree 2"
     for n in range(3):
         z.cyclic(n)
         for i in range(n + 1):
@@ -371,9 +387,94 @@ def test_relative_object_pushes_each_operator_through_induced_matrix_once(
             if n:
                 z.face(n, i)
     assert len(whats) == len(set(whats))
-    assert {f"face {i} at degree {n}" for n in (1, 2) for i in range(n + 1)} <= set(whats)
-    assert {f"degeneracy {i} at degree {n}" for n in range(3) for i in range(n + 1)} <= set(whats)
-    assert {f"the cyclic operator at degree {n}" for n in range(3)} <= set(whats)
+    assert set(whats) == set(in_truncation) | {f"degeneracy {i} at degree 2" for i in range(3)}
+
+
+def test_relative_object_defers_operators_its_identities_do_not_compose(kz2, monkeypatch):
+    # the identities through degree 2 compose operators out of degrees 0..3;
+    # at top 4 the faces and the cyclic operator out of degree 4 wait
+    whats = _recorded_pushes(monkeypatch)
+    ca = comodule_from_hopf(kz2)
+    z = relative_cyclic(ca, unit_base(ca), max_degree=4)
+    assert Counter(whats) == Counter(
+        [f"face {i} at degree {n}" for n in (1, 2, 3) for i in range(n + 1)]
+        + [f"degeneracy {i} at degree {n}" for n in range(4) for i in range(n + 1)]
+        + [f"the cyclic operator at degree {n}" for n in range(4)]
+    )
+    z.boundary(4)
+    assert whats[-5:] == [f"face {i} at degree 4" for i in range(5)]
+
+
+def _s3_over_a3(request):
+    g = request.getfixturevalue("s3_galois")
+    return g.ca, g.base, None
+
+
+def _kz4_over_kz2_case(request):
+    ca = _kz4_over_kz2()
+    return ca, coinvariants(ca), None
+
+
+def _twisted_klein(request):
+    ca = request.getfixturevalue("klein_twisted")
+    return ca, coinvariants(ca), None
+
+
+def _kz3_regular(request):
+    ca = comodule_from_hopf(request.getfixturevalue("kz3"))
+    return ca, unit_base(ca), regular_bimodule(ca)
+
+
+def _kz3_twisted(request):
+    # kZ3 with the right action twisted by the automorphism g -> g^2:
+    # u_j . g^i = u_{j + 2i}
+    ca = comodule_from_hopf(request.getfixturevalue("kz3"))
+    right = SparseMatrix(3, 9, QQ, {j * 3 + i: {(j + 2 * i) % 3: QQ.one}
+                                    for j in range(3) for i in range(3)})
+    m = galois.Bimodule(ca, 3, ca.mult, right, name="kZ3_tw")
+    assert verify_bimodule(m).ok
+    return ca, unit_base(ca), m
+
+
+@pytest.mark.parametrize("case", [
+    _s3_over_a3, _kz4_over_kz2_case, _twisted_klein, _kz3_regular, _kz3_twisted,
+], ids=["s3-over-a3", "kz4-over-kz2", "twisted-klein", "kz3-regular", "kz3-twisted"])
+def test_quotient_level_identities_agree_with_the_free_model_check(case, request):
+    # the quotient-level identity suite, run on every column; its degree-2
+    # compositions reach one degree past the truncation, so it builds that
+    # carrier lazily, and each degeneracy into it descends
+    ca, base, m = case(request)
+    z = relative_cyclic(ca, base, m, max_degree=3)
+    assert z.simplicial_only == (m is not None)
+    assert verify_cyclic_identities(z, 2).ok
+    for i in range(4):
+        s = z.degen(3, i)
+        assert (s.nrows, s.ncols) == (z.carrier(4).dim, z.dim(3))
+
+
+def test_galois_s3_over_a3_builds_no_carrier_above_the_truncation(s3_graded, monkeypatch):
+    # what `galois s3_over_a3 --max-degree 2` builds: the Galois certificate
+    # and the comparison, which needs carriers through degree 3 only
+    # (6^4 = 1296 ambient, where the degree-4 carrier has 7776)
+    ambient = []
+    consumed = Counter()
+    init, stream = QuotientSpace.__init__, galois.balancing_relators
+
+    def recorded(self, ambient_dim, field, relators):
+        ambient.append(ambient_dim)
+        init(self, ambient_dim, field, relators)
+
+    def counted(tix, junctions):
+        for r in stream(tix, junctions):
+            consumed[tix.size] += 1
+            yield r
+
+    monkeypatch.setattr(QuotientSpace, "__init__", recorded)
+    monkeypatch.setattr(galois, "balancing_relators", counted)
+    comp = lambda_iso(galois_check(s3_graded), max_degree=2)
+    assert comp.report.ok and comp.hc_relative == [3, 0, 3]
+    assert max(ambient) == 6 ** 4
+    assert sum(consumed.values()) == 5_979
 
 
 def test_balancing_and_cyclic_relators_need_no_elimination(
