@@ -2,10 +2,10 @@
 """Survey adjoint cyclic homology across small group algebras.
 
 For each group the direct cyclic dimensions are computed on the lambda
-complex, cross-checked against the Tsygan bicomplex, and compared with the
-conjugacy-class count (the expected pattern is (c, 0, c, 0, ...)); the
-centralizer folding is re-derived from group homology as a second, fully
-independent route.
+complex, cross-checked against Connes' (b, B) bicomplex on normalized
+chains, and compared with the conjugacy-class count (the expected pattern
+is (c, 0, c, 0, ...)); the centralizer folding is re-derived from group
+homology as a second, fully independent route.
 """
 
 import argparse

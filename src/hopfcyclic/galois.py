@@ -1111,6 +1111,15 @@ def _check_commutation(rep: CheckReport, src: CyclicObject, tgt: CyclicObject,
                   tgt.cyclic(n) @ mats[n], mats[n] @ src.cyclic(n))
 
 
+def _comparison_top(max_degree: int, want_hc: bool) -> int:
+    """The truncation of both objects of a comparison through max_degree:
+    max_degree + 1 when cyclic homology through max_degree is computed (its
+    complex needs one carrier more), else max_degree, but never below
+    min(2, max_degree + 1), the degree through which the identity suites
+    of ``relative_cyclic`` and ``build_cyclic`` check (min(2, top))."""
+    return max_degree + 1 if want_hc or max_degree < 2 else max_degree
+
+
 def lambda_iso(g: GaloisExtension, m: Bimodule | None = None,
                max_degree: int = 3, compare_hc: bool = True) -> LambdaComparison:
     """Certify that the slot-product map is an isomorphism of (cyclic,
@@ -1122,7 +1131,8 @@ def lambda_iso(g: GaloisExtension, m: Bimodule | None = None,
     ca = g.ca
     h = ca.h
     f = ca.field
-    top = max_degree + 1
+    want_hc = compare_hc and m is None and f.characteristic == 0
+    top = _comparison_top(max_degree, want_hc)
     z = relative_cyclic(ca, g.base, m, top)
     if m is None:
         mbar = ab_crossed_module(g)
@@ -1159,7 +1169,7 @@ def lambda_iso(g: GaloisExtension, m: Bimodule | None = None,
     _check_commutation(rep, z, target, mats, max_degree, cyclic=m is None)
     rep.require()
     hc_rel = hc_hopf = None
-    if compare_hc and m is None and f.characteristic == 0:
+    if want_hc:
         hc_rel = hc_connes(z, 0, max_degree)
         hc_hopf = hc_connes(target, 0, max_degree)
         rep.add(
@@ -1433,7 +1443,7 @@ def trace_map(ca: ComoduleAlgebra, m: CrossedModule, tr: SparseMatrix,
     rep.check("the trace twists products through the coaction", untwisted())
     rep.require()
 
-    top = max_degree + 1
+    top = _comparison_top(max_degree, False)
     src = relative_cyclic(ca, unit_base(ca), None, top)
     tgt = build_cyclic(h, m, top)
     bim = src.bimodule

@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfcyclic.crossed import adjoint, modular_pair_module, one_dimensional, trivial_module
-from hopfcyclic import linalg
+from hopfcyclic.crossed import adjoint, coadjoint, modular_pair_module, one_dimensional, trivial_module
+from hopfcyclic import cyclic, linalg
 from hopfcyclic.cyclic import (
     CyclicObject,
     _sample_columns,
@@ -25,10 +25,11 @@ from hopfcyclic.cyclic import (
     semisimple_reduction,
     shapiro_check,
     tor_oracle,
+    tsygan_bicomplex,
     verify_cyclic_identities,
 )
 from hopfcyclic.hopf import FiniteGroup, TensorIndex, conjugacy_data, group_algebra, group_subalgebra, separability_element
-from hopfcyclic.linalg import QQ, PrimeField, SparseMatrix, TruncationError
+from hopfcyclic.linalg import QQ, LinAlgError, PrimeField, SparseMatrix, TruncationError, WellDefinednessError, homology_dims, total_complex
 
 
 @pytest.fixture(scope="module")
@@ -309,6 +310,99 @@ def test_characteristic_gate():
         hc_connes(z, 0, 2)
     with pytest.raises(CharacteristicError):
         hc_bicomplex(z, 0, 2)
+
+
+def _route_case(case, request):
+    """(Hopf algebra, crossed module) for a route-agreement case."""
+    name, coefficients = case.split("-", 1)
+    h = request.getfixturevalue("sweedler_h4" if name == "h4" else name)
+    if coefficients == "ad":
+        return h, adjoint(h)
+    if coefficients == "coad":
+        return h, coadjoint(h)
+    # H4's two crossed modular pairs: (g, counit) and (1, g -> -1)
+    delta = {0: 1, 1: -1} if coefficients == "pair-sign" else None
+    m, _ = modular_pair_module(h, 1 if coefficients == "pair-g" else 0, delta)
+    return m.h, m
+
+
+@pytest.mark.parametrize("case, want", [
+    ("kz2-ad", [2, 0, 2, 0]),
+    ("kz3-ad", [3, 0, 3, 0]),
+    ("ks3-ad", [3, 0, 3, 0]),
+    ("ks3-coad", [1, 0, 1, 0]),
+    # degeneracy relators that are not coordinate tuples
+    ("h4-ad", [2, 1, 2, 1]),
+    ("h4-coad", [1, 0, 1, 0]),
+    ("h4-pair-g", [1, 0, 2, 0]),
+    ("h4-pair-sign", [0, 1, 0, 2]),
+])
+def test_cyclic_routes_agree_with_the_staircase_oracle(case, want, request):
+    h, m = _route_case(case, request)
+    z = build_cyclic(h, m, 4)
+    staircase = homology_dims(total_complex(tsygan_bicomplex(z, 3), 3), 0, 3)
+    assert hc_bicomplex(z, 0, 3) == hc_connes(z, 0, 3) == staircase == want
+
+
+def test_bicomplex_route_works_on_normalized_chains(ks3, monkeypatch):
+    # normalized carriers have dims 6 * 5^n, so the total complex is
+    # [6, 30, 150 + 6, 750 + 30, 3750 + 150 + 6]; the staircase's
+    # last-face-omitted boundary is never built
+    z = build_cyclic(ks3, adjoint(ks3), 4)
+    totals = []
+    tot = cyclic.total_complex
+
+    def recorded(b, top):
+        c = tot(b, top)
+        totals.append(c.dims)
+        return c
+
+    def refused(self, n):
+        raise AssertionError(f"norm_boundary({n}) materialized")
+
+    monkeypatch.setattr(cyclic, "total_complex", recorded)
+    monkeypatch.setattr(CyclicObject, "norm_boundary", refused)
+    assert hc_bicomplex(z, 0, 3) == [3, 0, 3, 0]
+    assert totals == [[6, 30, 156, 780, 3906]]
+
+
+def _corrupted(z, kind):
+    """z with one evaluator corrupted; the identity suite is not run."""
+    face, degen, cyc = z.face_fn, z.degen_fn, z.cyclic_fn
+    if kind == "last degeneracy at the front":
+        degen = lambda n, i, c: z.degen_fn(n, 0 if i == n else i, c)
+    elif kind == "degeneracies reversed":
+        degen = lambda n, i, c: z.degen_fn(n, n - i, c)
+    elif kind == "cyclic operator negated in odd degrees":
+        cyc = lambda n, c: ({k: -v for k, v in z.cyclic_fn(n, c).items()}
+                            if n % 2 else z.cyclic_fn(n, c))
+    else:  # the inverse rotation, t^n
+        def cyc(n, c):
+            v = {c: z.field.one}
+            for _ in range(n):
+                v = z.apply_cyclic(n, v)
+            return v
+    return CyclicObject(z.field, z.top, z.dim_fn, face, degen, cyc, name=kind)
+
+
+@pytest.mark.parametrize("algebra, kind, error, match", [
+    ("kz3", "last degeneracy at the front", WellDefinednessError,
+     "boundary at degree 3 on normalized chains"),
+    ("kz3", "degeneracies reversed", LinAlgError, "does not anticommute"),
+    ("kz3", "cyclic operator negated in odd degrees", LinAlgError,
+     "does not anticommute"),
+    ("kz3", "inverse rotation", LinAlgError, "does not anticommute"),
+    ("sweedler_h4", "last degeneracy at the front", WellDefinednessError,
+     "boundary at degree 3 on normalized chains"),
+    ("sweedler_h4", "cyclic operator negated in odd degrees", LinAlgError,
+     "does not anticommute"),
+    ("sweedler_h4", "inverse rotation", LinAlgError, "does not anticommute"),
+])
+def test_bicomplex_route_refuses_corrupted_operators(algebra, kind, error, match, request):
+    h = request.getfixturevalue(algebra)
+    z = _corrupted(build_cyclic(h, adjoint(h), 4), kind)
+    with pytest.raises(error, match=match):
+        hc_bicomplex(z, 0, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from hopfcyclic.galois import (
     verify_comodule_algebra,
 )
 from hopfcyclic.hopf import FiniteGroup, group_algebra
-from hopfcyclic.linalg import QQ, QuotientSpace, SparseMatrix, WellDefinednessError, canonical_vec
+from hopfcyclic.linalg import QQ, PrimeField, QuotientSpace, SparseMatrix, WellDefinednessError, canonical_vec
 
 
 @pytest.fixture(scope="module")
@@ -477,6 +477,30 @@ def test_galois_s3_over_a3_builds_no_carrier_above_the_truncation(s3_graded, mon
     assert sum(consumed.values()) == 5_979
 
 
+@pytest.mark.parametrize("field, hc", [(PrimeField(5), None), (QQ, [3, 0, 3])])
+def test_lambda_iso_builds_the_top_carrier_only_for_cyclic_homology(
+        s3_group, field, hc, monkeypatch):
+    # the comparison through degree 2 needs carriers through degree 2; only
+    # cyclic homology through degree 2 (over Q) needs the degree-3 carrier,
+    # on the 6^4 = 1296-dimensional ambient
+    ambient = []
+    init = QuotientSpace.__init__
+
+    def recorded(self, ambient_dim, f, relators):
+        ambient.append(ambient_dim)
+        init(self, ambient_dim, f, relators)
+
+    monkeypatch.setattr(QuotientSpace, "__init__", recorded)
+    alg = group_algebra(s3_group, field, name="kS3")
+    blocks = {0: [i for i in range(6) if s3_group.element_order(i) != 2],
+              1: [i for i in range(6) if s3_group.element_order(i) == 2]}
+    ca = strongly_graded(FiniteGroup.cyclic(2), alg, blocks, name="kS3")
+    comp = lambda_iso(galois_check(ca), max_degree=2)
+    assert comp.report.ok and comp.hc_relative == hc
+    assert comp.relative.top == (2 if hc is None else 3)
+    assert (6 ** 4 in ambient) == (hc is not None)
+
+
 def test_balancing_and_cyclic_relators_need_no_elimination(
         s3_galois, s3_group, monkeypatch):
     # every relator of the kS3 / kA3 carriers and of the kS3 lambda-quotients
@@ -604,6 +628,10 @@ def test_lambda_iso_with_explicit_coefficients_is_simplicial(kz2):
     assert lc.report.ok
     assert lc.hc_relative is None and lc.hc_hopf is None
     assert lc.relative.simplicial_only
+    # no cyclic homology, so no degree-3 carrier; below degree 2 the top
+    # stays one up, so the identity suites still check through degree 2
+    assert lc.relative.top == lc.hopf_side.top == 2
+    assert lambda_iso(g, m=regular_bimodule(g.ca), max_degree=1).relative.top == 2
 
 
 def test_comparison_map_must_descend():
@@ -759,6 +787,8 @@ def test_identity_trace_matches_the_comparison(kz3):
     g = galois_check(ca)
     lc = lambda_iso(g, max_degree=2, compare_hc=False)
     assert all(tc.matrices[n] == lc.matrices[n] for n in range(3))
+    # neither computes cyclic homology, so neither builds degree 3
+    assert tc.source.top == lc.relative.top == 2
 
 
 def test_zero_trace_induces_the_zero_morphism(kz2):
