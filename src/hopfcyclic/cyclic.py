@@ -11,7 +11,11 @@ Two carriers are built here:
 
 Every operator is given by an evaluator closure producing one column at a
 time; matrices are materialized from the closures, so identity checks that
-leave the truncation window can still be verified column by column.
+leave the truncation window can still be verified column by column.  The
+evaluators address slots by their strides, and those of the coefficient
+object read tables memoized per object (see ``build_cyclic``); the
+identity suite checks those same evaluators, as every other caller uses
+them.
 
 Homology routes: Hochschild via the alternating face sum; cyclic homology via
 the cyclic-coinvariant quotient complex (characteristic zero only, enforced)
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Callable
 
 from .crossed import CrossedModule, action_tensor, decompose_group_case, induce, quotient_coaction, trivial_coaction, u_map, verify_crossed
@@ -339,12 +344,42 @@ def _sample_columns(z: CyclicObject):
 # ---------------------------------------------------------------------------
 
 
+def _drop_slot(h: HopfAlgebra, s: int, col: int) -> Vec:
+    """Drop the slot of stride s from the flat index col through the
+    counit: col = (high * hd + slot) * s + low goes to high * s + low."""
+    high, rest = divmod(col, s * h.dim)
+    slot, low = divmod(rest, s)
+    c = h.counit_of(slot)
+    return {high * s + low: c} if c else {}
+
+
+def _split_slot(h: HopfAlgebra, s: int, col: int) -> Vec:
+    """Comultiply the slot of stride s in the flat index col: the legs
+    (a, b), flattened to a * hd + b as in the comultiplication tensor, take
+    the slot's place, and the slots above it move up by one."""
+    hd = h.dim
+    high, rest = divmod(col, s * hd)
+    slot, low = divmod(rest, s)
+    base = high * hd * hd
+    return {(base + ab) * s + low: c
+            for ab, c in h.comult.cols.get(slot, {}).items() if c}
+
+
+def _insert_slot(h: HopfAlgebra, v: Vec, s: int, col: int) -> Vec:
+    """Insert a slot holding v at stride s of the flat index col: the
+    digits of stride >= s move up by one slot."""
+    high, low = divmod(col, s)
+    base = high * h.dim
+    return {(base + u) * s + low: c for u, c in v.items() if c}
+
+
 def build_aux_cyclic(h: HopfAlgebra, max_degree: int, check: bool = True) -> CyclicObject:
     """Cyclic object with carrier H^{(x)(n+1)} in degree n: faces drop a slot
     through the counit, degeneracies comultiply a slot, the cyclic operator
     rotates the last slot to the front.  Carries the extra degeneracy
-    (insert the unit in front) used to contract the boundary.  `check` runs
-    the identity suite through degree 2."""
+    (insert the unit in front) used to contract the boundary.  Slots are
+    addressed by their strides, as in ``build_cyclic``.  `check` runs the
+    identity suite through degree 2."""
     f = h.field
     hd = h.dim
 
@@ -356,30 +391,17 @@ def build_aux_cyclic(h: HopfAlgebra, max_degree: int, check: bool = True) -> Cyc
         return hd ** (n + 1)
 
     def face_fn(n, i, col):
-        slots = index(n).unflatten(col)
-        c = h.counit_of(slots[i])
-        if not c:
-            return {}
-        return {index(n - 1).flatten(slots[:i] + slots[i + 1:]): c}
+        return _drop_slot(h, index(n).strides[i], col)
 
     def degen_fn(n, i, col):
-        slots = index(n).unflatten(col)
-        tgt = index(n + 1)
-        out: Vec = {}
-        for (a, b), c in h.comult_pairs(slots[i]):
-            vec_add_at(out, tgt.flatten(slots[:i] + (a, b) + slots[i + 1:]), c)
-        return out
+        return _split_slot(h, index(n).strides[i], col)
 
     def cyclic_fn(n, col):
-        ti = index(n)
-        slots = ti.unflatten(col)
-        return {ti.flatten(slots[-1:] + slots[:-1]): f.one}
+        rest, last = divmod(col, hd)
+        return {last * index(n).strides[0] + rest: f.one}
 
     def extra_degen_fn(n, col):
-        out: Vec = {}
-        for u, cu in h.unit.items():
-            out[u * index(n).size + col] = cu
-        return out
+        return _insert_slot(h, h.unit, index(n).size, col)
 
     z = CyclicObject(f, max_degree, dim_fn, face_fn, degen_fn, cyclic_fn,
                      name=f"Z~({h.name})")
@@ -456,6 +478,15 @@ def build_cyclic(
     diagnostic runs (the identity suite then pinpoints the failure).
     `check` runs the identity suite through degree 2, on sampled columns
     once the degree-2 carrier exceeds 256; diagnostic builds skip it.
+
+    The counit faces and the degeneracies are index arithmetic on slot
+    strides.  The last face and the cyclic operator (n >= 1) are one
+    fan-out evaluator over tables memoized per object: x S(l) for every
+    pair of basis elements, the slot digits of each prefix index, and per
+    degree, last slot and module index the Sweedler legs with their action
+    and coaction terms.  These evaluators are the only definition of the
+    operators: materialization, ``apply_*`` and the identity suite all
+    call them.
     """
     if m.h is not h:
         raise ValueError("module is not over the given Hopf algebra")
@@ -477,77 +508,83 @@ def build_cyclic(
     def dim_fn(n):
         return hd**n * md
 
+    @lru_cache(maxsize=None)
+    def digits(k):
+        """The slot digits of every index of H^{(x)k}, in flat order."""
+        return list(product(range(hd), repeat=k))
+
+    @lru_cache(maxsize=None)
+    def by_leg():
+        """by_leg()[l][x] = x S(l) as [(p, coeff)]: the slot rows, shared
+        by every leg, slot and degree."""
+        return [[list(h.product_vec({x: f.one}, h.antipode_of(l)).items())
+                 for x in range(hd)] for l in range(hd)]
+
+    # With l_0 (x) l_1 (x) ... the iterated coproduct of the last slot
+    # h^{n-1} of (h^0, ..., h^{n-1}, m), the last face is
+    #   d_n = h^0 S(l_{n-2}) (x) ... (x) h^{n-2} S(l_0) (x) l_{n-1} m
+    # and the cyclic operator, on the n+1 legs of h^{n-1}, is
+    #   tau_n = m_(1) S(l_{n-1}) (x) h^0 S(l_{n-2}) (x) ... (x) l_n m_(0).
+    # In both, prefix slot j goes to h^j S(l_{n-2-j}) at stride
+    # hd^(n-2-j) * md, and the rest depends only on the tail
+    # h^{n-1} * md + m of the column.
+    @lru_cache(maxsize=None)
+    def fans(n, tau):
+        """(prefix digits, prefix strides, fan table) of d_n, or with tau
+        of tau_n.  Per tail the table lists terms (head, rows, action):
+        head holds the (index, coeff) of the slots above the prefix, rows[j]
+        is by_leg()[l_{n-2-j}], and action the (m', coeff) of the module."""
+        rows_of = by_leg()
+        s0 = index(n).strides[0]
+        table = []
+        for last in range(hd):
+            for mi in range(md):
+                terms = []
+                for legs, cleg in h.sweedler(last, n + tau):
+                    rows = tuple(rows_of[l] for l in reversed(legs[:n - 1]))
+                    if not tau:
+                        terms.append(([(0, cleg)], rows, m.act_pairs(legs[n - 1], mi)))
+                        continue
+                    for (m0, m1), cco in m.coact_pairs(mi):
+                        c = cleg * cco
+                        head = [(p * s0, c * cp) for p, cp in rows_of[legs[n - 1]][m1]]
+                        terms.append((head, rows, m.act_pairs(legs[n], m0)))
+                table.append(terms)
+        return digits(n - 1), index(n - 1).strides, table
+
+    def fan_out(n, col, tau):
+        """Column col of d_n, or with tau of tau_n."""
+        prefixes, strides, table = fans(n, tau)
+        prefix, tail = divmod(col, hd * md)
+        digs = prefixes[prefix]
+        out: Vec = {}
+        for head, rows, act in table[tail]:
+            for combo in product(head, *[row[x] for x, row in zip(digs, rows)]):
+                k, c = combo[0]
+                for (p, cp), s in zip(combo[1:], strides):
+                    k += p * s
+                    c *= cp
+                for mj, ca in act:
+                    vec_add_at(out, k + mj, c * ca)
+        return out
+
     def face_fn(n, i, col):
         if i < n:
-            # drop slot i through the counit: col = (high * hd + slot) * s + low
-            # with s the slot's stride, and the target index is high * s + low
-            s = index(n).strides[i]
-            high, rest = divmod(col, s * hd)
-            slot, low = divmod(rest, s)
-            c = h.counit_of(slot)
-            if not c:
-                return {}
-            return {high * s + low: c}
-        slots = index(n).unflatten(col)
-        tgt = index(n - 1)
-        # last face: fan the final slot out through the antipode
-        out: Vec = {}
-        last, mi = slots[n - 1], slots[n]
-        for legs, cleg in h.sweedler(last, n):
-            partial = [((), cleg)]
-            for k in range(n - 1):
-                leg = legs[n - 2 - k]
-                new = []
-                for tup, cc in partial:
-                    for s_idx, cs in h.antipode_of(leg).items():
-                        for p, cp in h.mult_pairs(slots[k], s_idx):
-                            new.append((tup + (p,), cc * cs * cp))
-                partial = new
-            for tup, cc in partial:
-                for mj, ca in m.act_pairs(legs[n - 1], mi):
-                    vec_add_at(out, tgt.flatten(tup + (mj,)), cc * ca)
-        return out
+            return _drop_slot(h, index(n).strides[i], col)
+        return fan_out(n, col, False)
 
     def degen_fn(n, i, col):
-        slots = index(n).unflatten(col)
-        tgt = index(n + 1)
-        out: Vec = {}
         if i < n:
-            for (a, b), c in h.comult_pairs(slots[i]):
-                vec_add_at(out, tgt.flatten(slots[:i] + (a, b) + slots[i + 1:]), c)
-        else:
-            for u, cu in h.unit.items():
-                vec_add_at(out, tgt.flatten(slots[:n] + (u,) + slots[n:]), cu)
-        return out
+            return _split_slot(h, index(n).strides[i], col)
+        return _insert_slot(h, h.unit, md, col)
 
     def cyclic_fn(n, col):
-        ti = index(n)
-        slots = ti.unflatten(col)
-        mi = slots[n]
+        if n:
+            return fan_out(n, col, True)
         out: Vec = {}
-        if n == 0:
-            for (m0, m1), c in m.coact_pairs(mi):
-                for mj, ca in m.act_pairs(m1, m0):
-                    vec_add_at(out, mj, c * ca)
-            return out
-        last = slots[n - 1]
-        for legs, cleg in h.sweedler(last, n + 1):
-            for (m0, m1), cco in m.coact_pairs(mi):
-                partial = []
-                for s_idx, cs in h.antipode_of(legs[n - 1]).items():
-                    for p, cp in h.mult_pairs(m1, s_idx):
-                        partial.append(((p,), cleg * cco * cs * cp))
-                for k in range(1, n):
-                    leg = legs[n - k - 1]
-                    new = []
-                    for tup, cc in partial:
-                        for s_idx, cs in h.antipode_of(leg).items():
-                            for p, cp in h.mult_pairs(slots[k - 1], s_idx):
-                                new.append((tup + (p,), cc * cs * cp))
-                    partial = new
-                for tup, cc in partial:
-                    for mj, ca in m.act_pairs(legs[n], m0):
-                        vec_add_at(out, ti.flatten(tup + (mj,)), cc * ca)
+        for (m0, m1), c in m.coact_pairs(col):
+            for mj, ca in m.act_pairs(m1, m0):
+                vec_add_at(out, mj, c * ca)
         return out
 
     z = CyclicObject(f, max_degree, dim_fn, face_fn, degen_fn, cyclic_fn,
@@ -700,7 +737,11 @@ def mixed_bicomplex(z: CyclicObject, max_total: int) -> Bicomplex:
     and N_n is the sum of the powers of t_n.  Both are pushed to the
     normalized carriers by ``QuotientSpace.induced_matrix``, which checks
     that they descend; ``Bicomplex`` checks B^2 = 0 and bB + Bb = 0, and
-    the total complex checks that its boundary squares to zero.
+    the total complex checks that its boundary squares to zero.  Last,
+    d_0 tau_n = d_n is checked column by column from the evaluators at
+    every degree 1..max_total + 1: B is built from tau and the
+    degeneracies alone, so a tau that breaks that identity can pass every
+    check above and give wrong dimensions.
     """
     _gate_characteristic(z)
     reach = max_total + 1
@@ -749,7 +790,16 @@ def mixed_bicomplex(z: CyclicObject, max_total: int) -> Bicomplex:
                 vert[(p, q)] = b[n]
             if p >= 1 and n >= 0:
                 horiz[(p, q)] = big_b[n]
-    return Bicomplex(cells, horiz, vert, f)
+    bic = Bicomplex(cells, horiz, vert, f)
+    rep = CheckReport(f"cyclic operator of {z.name or 'cyclic object'}")
+    for n in range(1, reach + 1):
+        if not rep.check(f"d_0 t_n = d_n at degree {n}", (
+            f"column {c}" for c in range(z.dim(n))
+            if z.apply_face(n, 0, z.cyclic_fn(n, c)) != z.face_fn(n, n, c)
+        )):
+            break
+    rep.require("the (b, B) bicomplex")
+    return bic
 
 
 def hc_bicomplex(z: CyclicObject, low: int, high: int) -> list:

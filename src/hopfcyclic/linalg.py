@@ -509,6 +509,14 @@ def _normalize_int_row(row: dict) -> dict:
     return row
 
 
+def _ints_where_integral(v: Vec) -> None:
+    """Over Q, replace in place each Fraction of v whose denominator is 1
+    by its numerator: Fraction products and sums can land on integers."""
+    for j, w in v.items():
+        if type(w) is Fraction and w.denominator == 1:
+            v[j] = w.numerator
+
+
 class Echelon:
     """Result of row elimination: retired rows with their pivot columns.
 
@@ -575,9 +583,7 @@ class Echelon:
                     else:
                         del v[j]
         if self.field.characteristic == 0:
-            for j, w in v.items():  # Fraction sums can land on integers
-                if type(w) is Fraction and w.denominator == 1:
-                    v[j] = w.numerator
+            _ints_where_integral(v)
         return v
 
     def kernel_basis(self) -> list:
@@ -959,9 +965,12 @@ class QuotientSpace:
             root, c = tree[j]
             if root not in killed:
                 vec_add_at(out, root, c * x)
-        red = self._ech.reduce(out)
+        if self._ech.rows:
+            out = self._ech.reduce(out)
+        elif self.field.characteristic == 0:
+            _ints_where_integral(out)
         idx = self._free_index
-        return {idx[j]: val for j, val in red.items()}
+        return {idx[j]: val for j, val in out.items()}
 
     def section_vec(self, k: int) -> Vec:
         return {self.free_cols[k]: self.field.one}

@@ -1,5 +1,7 @@
 """Cyclic objects, their identity suites, and the homology routes."""
 
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -29,7 +31,7 @@ from hopfcyclic.cyclic import (
     verify_cyclic_identities,
 )
 from hopfcyclic.hopf import FiniteGroup, TensorIndex, conjugacy_data, group_algebra, group_subalgebra, separability_element
-from hopfcyclic.linalg import QQ, LinAlgError, PrimeField, SparseMatrix, TruncationError, WellDefinednessError, homology_dims, total_complex
+from hopfcyclic.linalg import QQ, LinAlgError, PrimeField, SparseMatrix, TruncationError, Vec, WellDefinednessError, homology_dims, total_complex, vec_add_at
 
 
 @pytest.fixture(scope="module")
@@ -241,7 +243,9 @@ def test_sweedler_adjoint_homology(sweedler_h4):
 @pytest.mark.parametrize("algebra", ["sweedler", "ks3"])
 def test_counit_faces_match_slot_dropping(algebra, sweedler_h4, ks3):
     """Faces 0..n-1 equal dropping slot i of the unflattened tuple through
-    the counit, entry by entry."""
+    the counit, entry by entry.  So do the degeneracies of both objects and
+    the operators of the coefficient-free one, against their definitions
+    on unflattened tuples."""
     h = sweedler_h4 if algebra == "sweedler" else ks3
     m = adjoint(h)
     z = build_cyclic(h, m, 3, check=False)
@@ -258,6 +262,167 @@ def test_counit_faces_match_slot_dropping(algebra, sweedler_h4, ks3):
             assert z.face(n, i) == SparseMatrix(tgt.size, src.size, h.field, cols)
     if algebra == "sweedler":
         assert any(z.face_fn(1, 0, col) == {} for col in range(z.dim(1)))
+
+    def slot_matrix(src, tgt, slots_fn):
+        """The matrix whose column at a basis tuple t of src is the sum of
+        c e_u over the (u, c) in slots_fn(t), u a basis tuple of tgt."""
+        cols = {}
+        for col in range(src.size):
+            v = {}
+            for u, c in slots_fn(src.unflatten(col)):
+                linalg.vec_add_at(v, tgt.flatten(u), c)
+            if v:
+                cols[col] = v
+        return SparseMatrix(tgt.size, src.size, h.field, cols)
+
+    def carrier(k, module=True):
+        return TensorIndex([h.dim] * k + [m.dim] * module)
+
+    # degeneracies comultiply slot i, or append the unit before the module
+    for n in range(4):
+        for i in range(n + 1):
+            want = slot_matrix(carrier(n), carrier(n + 1), lambda t: (
+                [(t[:i] + ab + t[i + 1:], c) for ab, c in h.comult_pairs(t[i])]
+                if i < n else
+                [(t[:n] + (u,) + t[n:], c) for u, c in h.unit.items()]))
+            assert z.degen(n, i) == want
+    # the coefficient-free object: counit faces, comultiplying
+    # degeneracies, rotation, and the unit inserted in front
+    aux = build_aux_cyclic(h, 3, check=False)
+    eps = h.counit_of
+    for n in range(4):
+        here = carrier(n + 1, module=False)
+        for i in range(n + 1):
+            if n:
+                assert aux.face(n, i) == slot_matrix(here, carrier(n, False), lambda t: (
+                    [(t[:i] + t[i + 1:], eps(t[i]))] if eps(t[i]) else []))
+            if n < 3:
+                assert aux.degen(n, i) == slot_matrix(here, carrier(n + 2, False), lambda t: [
+                    (t[:i] + ab + t[i + 1:], c) for ab, c in h.comult_pairs(t[i])])
+        assert aux.cyclic(n) == slot_matrix(here, here, lambda t: [(t[-1:] + t[:-1], h.field.one)])
+        assert all(aux.extra_degen_fn(n, col) == {
+            carrier(n + 2, False).flatten((u,) + here.unflatten(col)): c
+            for u, c in h.unit.items()} for col in range(here.size))
+
+
+def _slot_by_slot_evaluators(h, m):
+    """Reference evaluators for ``build_cyclic``, written slot by slot: the
+    last face and the cyclic operator fan the last slot out term by term
+    through the antipode and the product, and the degeneracies unflatten
+    and flatten."""
+    f = h.field
+    hd, md = h.dim, m.dim
+
+    @lru_cache(maxsize=None)
+    def index(n):
+        return TensorIndex([hd] * n + [md])
+
+    def face_fn(n, i, col):
+        if i < n:
+            # drop slot i through the counit: col = (high * hd + slot) * s + low
+            # with s the slot's stride, and the target index is high * s + low
+            s = index(n).strides[i]
+            high, rest = divmod(col, s * hd)
+            slot, low = divmod(rest, s)
+            c = h.counit_of(slot)
+            if not c:
+                return {}
+            return {high * s + low: c}
+        slots = index(n).unflatten(col)
+        tgt = index(n - 1)
+        # last face: fan the final slot out through the antipode
+        out: Vec = {}
+        last, mi = slots[n - 1], slots[n]
+        for legs, cleg in h.sweedler(last, n):
+            partial = [((), cleg)]
+            for k in range(n - 1):
+                leg = legs[n - 2 - k]
+                new = []
+                for tup, cc in partial:
+                    for s_idx, cs in h.antipode_of(leg).items():
+                        for p, cp in h.mult_pairs(slots[k], s_idx):
+                            new.append((tup + (p,), cc * cs * cp))
+                partial = new
+            for tup, cc in partial:
+                for mj, ca in m.act_pairs(legs[n - 1], mi):
+                    vec_add_at(out, tgt.flatten(tup + (mj,)), cc * ca)
+        return out
+
+    def degen_fn(n, i, col):
+        slots = index(n).unflatten(col)
+        tgt = index(n + 1)
+        out: Vec = {}
+        if i < n:
+            for (a, b), c in h.comult_pairs(slots[i]):
+                vec_add_at(out, tgt.flatten(slots[:i] + (a, b) + slots[i + 1:]), c)
+        else:
+            for u, cu in h.unit.items():
+                vec_add_at(out, tgt.flatten(slots[:n] + (u,) + slots[n:]), cu)
+        return out
+
+    def cyclic_fn(n, col):
+        ti = index(n)
+        slots = ti.unflatten(col)
+        mi = slots[n]
+        out: Vec = {}
+        if n == 0:
+            for (m0, m1), c in m.coact_pairs(mi):
+                for mj, ca in m.act_pairs(m1, m0):
+                    vec_add_at(out, mj, c * ca)
+            return out
+        last = slots[n - 1]
+        for legs, cleg in h.sweedler(last, n + 1):
+            for (m0, m1), cco in m.coact_pairs(mi):
+                partial = []
+                for s_idx, cs in h.antipode_of(legs[n - 1]).items():
+                    for p, cp in h.mult_pairs(m1, s_idx):
+                        partial.append(((p,), cleg * cco * cs * cp))
+                for k in range(1, n):
+                    leg = legs[n - k - 1]
+                    new = []
+                    for tup, cc in partial:
+                        for s_idx, cs in h.antipode_of(leg).items():
+                            for p, cp in h.mult_pairs(slots[k - 1], s_idx):
+                                new.append((tup + (p,), cc * cs * cp))
+                    partial = new
+                for tup, cc in partial:
+                    for mj, ca in m.act_pairs(legs[n], m0):
+                        vec_add_at(out, ti.flatten(tup + (mj,)), cc * ca)
+        return out
+
+    return face_fn, degen_fn, cyclic_fn
+
+
+@pytest.mark.parametrize("case, top", [
+    ("ks3-ad", 4), ("ks3-coad", 4), ("h4-ad", 4), ("h4-coad", 4),
+    ("h4-pair-g", 4), ("h4-pair-sign", 4), ("kd4_f5-ad", 3),
+])
+def test_fan_tables_match_the_slot_by_slot_evaluators(case, top, request):
+    """Every face, degeneracy, cyclic operator and boundary matrix through
+    degree `top` equals the one the slot-by-slot formulas give."""
+    if case == "kd4_f5-ad":
+        h = group_algebra(FiniteGroup.dihedral(4), PrimeField(5))
+        m = adjoint(h)
+    else:
+        h, m = _route_case(case, request)
+    z = build_cyclic(h, m, top, check=False)
+    face_fn, degen_fn, cyclic_fn = _slot_by_slot_evaluators(h, m)
+
+    def matrix(fn, n, target):
+        cols = {c: v for c in range(z.dim(n)) if (v := fn(c))}
+        return SparseMatrix(z.dim(target), z.dim(n), h.field, cols)
+
+    for n in range(top + 1):
+        boundary = SparseMatrix.zero(z.dim(n - 1), z.dim(n), h.field)
+        for i in range(n + 1):
+            if n:
+                face = matrix(lambda c: face_fn(n, i, c), n, n - 1)
+                assert z.face(n, i) == face
+                boundary = boundary - face if i % 2 else boundary + face
+            assert z.degen(n, i) == matrix(lambda c: degen_fn(n, i, c), n, n + 1)
+        assert z.cyclic(n) == matrix(lambda c: cyclic_fn(n, c), n, n)
+        if n:
+            assert z.boundary(n) == boundary
 
 
 def test_norm_complex_acyclic(kz2):
@@ -376,6 +541,10 @@ def _corrupted(z, kind):
     elif kind == "cyclic operator negated in odd degrees":
         cyc = lambda n, c: ({k: -v for k, v in z.cyclic_fn(n, c).items()}
                             if n % 2 else z.cyclic_fn(n, c))
+    elif kind == "cyclic operator replaced by the identity":
+        cyc = lambda n, c: {c: z.field.one}
+    elif kind == "rotation applied twice":
+        cyc = lambda n, c: z.apply_cyclic(n, z.cyclic_fn(n, c))
     else:  # the inverse rotation, t^n
         def cyc(n, c):
             v = {c: z.field.one}
@@ -397,6 +566,11 @@ def _corrupted(z, kind):
     ("sweedler_h4", "cyclic operator negated in odd degrees", LinAlgError,
      "does not anticommute"),
     ("sweedler_h4", "inverse rotation", LinAlgError, "does not anticommute"),
+    # B^2 = 0, bB + Bb = 0, descent and d o d all pass on these two
+    ("sweedler_h4", "cyclic operator replaced by the identity", ValueError,
+     r"check 'd_0 t_n = d_n at degree 1' failed \(column 6\)"),
+    ("sweedler_h4", "rotation applied twice", ValueError,
+     r"check 'd_0 t_n = d_n at degree 1' failed \(column 6\)"),
 ])
 def test_bicomplex_route_refuses_corrupted_operators(algebra, kind, error, match, request):
     h = request.getfixturevalue(algebra)

@@ -30,6 +30,7 @@ from hopfcyclic.linalg import (
     solve,
     solve_matrix,
     total_complex,
+    vec_add_at,
     vec_iadd_scaled,
 )
 
@@ -236,6 +237,47 @@ def test_quotient_matches_elimination_of_the_raw_relators(case):
         leave = SparseMatrix(ncols, ncols, field, {min(r): outside})
         with pytest.raises(WellDefinednessError):
             q.induced_matrix(leave)
+
+
+@st.composite
+def two_term_quotients(draw):
+    """A field, an ambient dimension, relators with one or two entries, and
+    a test vector with entries a/b."""
+    field = draw(st.sampled_from([QQ, GF5]))
+    ncols = draw(st.integers(1, 8))
+    scalar = st.tuples(st.integers(-3, 3).filter(bool), st.integers(1, 3)).map(
+        lambda ab: field.coerce(Fraction(*ab)))
+    relators = [
+        {j: draw(scalar) for j in cols}
+        for cols in draw(st.lists(st.lists(st.integers(0, ncols - 1), min_size=1,
+                                           max_size=2, unique=True), max_size=10))
+    ]
+    v = draw(st.dictionaries(st.integers(0, ncols - 1), scalar, max_size=ncols))
+    return field, ncols, relators, v
+
+
+@settings(max_examples=300, deadline=None)
+@given(two_term_quotients())
+# e0 = 2 e1: e1 projects to e0 / 2, so 2 e1 projects to Fraction(1) -> 1
+@example((QQ, 2, [{0: 1, 1: -2}], {1: 2}))
+def test_two_term_quotients_project_like_the_reduce_path(case):
+    """With no relator of three or more entries the residual echelon is
+    empty and ``project_vec`` skips ``Echelon.reduce``; it must return what
+    contracting and then reducing returns, with integral values as int."""
+    field, ncols, relators, v = case
+    q = QuotientSpace(ncols, field, relators)
+    assert not q._ech.rows
+    contracted: dict = {}
+    for j, x in v.items():
+        root, c = q._tree[j]
+        if root not in q._killed:
+            vec_add_at(contracted, root, c * x)
+    want = {q._free_index[j]: w for j, w in q._ech.reduce(contracted).items()}
+    got = q.project_vec(v)
+    assert got == want
+    for x in got.values():
+        assert type(x) is (int if field is QQ and x.denominator == 1
+                           else Fraction if field is QQ else type(field.one))
 
 
 def full_scan_reduce(ech, v):
