@@ -589,8 +589,9 @@ def _cmd_homology(args, field, inputs, checks, tables) -> None:
         tables["hh"] = hochschild(z, 0, n)
         return
     if args.method == "both":
-        a = hc_connes(z, 0, n)
+        # bicomplex first: z's cached lambda data stay out of its elimination
         b = hc_bicomplex(z, 0, n)
+        a = hc_connes(z, 0, n)
         tables["hc (lambda)"] = a
         tables["hc (bicomplex)"] = b
         checks.append(

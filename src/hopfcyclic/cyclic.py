@@ -17,10 +17,11 @@ object read tables memoized per object (see ``build_cyclic``); the
 identity suite checks those same evaluators, as every other caller uses
 them.
 
-Homology routes: Hochschild via the alternating face sum; cyclic homology via
-the cyclic-coinvariant quotient complex (characteristic zero only, enforced)
-with Connes' (b, B) bicomplex on normalized chains as an independent
-cross-check.  The staircase double complex stays as a test oracle.
+Homology routes: Hochschild on normalized chains (Loday, *Cyclic Homology*,
+1.6.5); cyclic homology via the cyclic-coinvariant quotient complex
+(characteristic zero only, enforced) with Connes' (b, B) bicomplex on the
+same normalized chains as an independent cross-check.  The unnormalized
+complex and the staircase double complex stay as test oracles.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Callable
+from typing import Callable, Iterable
 
 from .crossed import CrossedModule, action_tensor, decompose_group_case, induce, quotient_coaction, trivial_coaction, u_map, verify_crossed
 from .hopf import CentralizerData, FiniteGroup, HopfAlgebra, HopfSubalgebra, TensorIndex, algebra_generators, augmentation_ideal_vectors, balancing_relators, conjugacy_data, group_algebra, quotient_by_normal, separability_element
@@ -92,8 +93,8 @@ class CyclicObject:
         self._cyc: dict = {}
         self._bnd: dict = {}
         self._bp: dict = {}
-        self._chain: dict = {}
-        self._connes: dict = {}
+        self._quot: dict = {}
+        self._qbnd: dict = {}
 
     def __repr__(self):
         return f"<CyclicObject {self.name} top {self.top}>"
@@ -187,20 +188,35 @@ class CyclicObject:
         return self._face_sum(n, n, self._bp)
 
     def chain_complex(self, top: int | None = None) -> ChainComplex:
+        """The unnormalized complex through `top`: ``hochschild``'s oracle."""
         t = self.top if top is None else top
         if t > self.top:
             raise TruncationError(
                 f"chain complex through degree {t} exceeds truncation {self.top}"
             )
-        c = self._chain.get(t)
-        if c is None:
-            c = ChainComplex(
-                [self.dim(n) for n in range(t + 1)],
-                [self.boundary(n) for n in range(1, t + 1)],
-                self.field,
+        return ChainComplex(
+            [self.dim(n) for n in range(t + 1)],
+            [self.boundary(n) for n in range(1, t + 1)],
+            self.field,
+        )
+
+    def quotient(self, kind: str, n: int, relators: Iterable[Vec]) -> QuotientSpace:
+        """The degree-n carrier modulo the span of `relators`, built once
+        per (kind, n): the stream is read only then, so pass a lazy one."""
+        q = self._quot.get((kind, n))
+        if q is None:
+            q = self._quot[kind, n] = QuotientSpace(self.dim(n), self.field, relators)
+        return q
+
+    def quotient_boundary(self, kind: str, n: int, on: str) -> SparseMatrix:
+        """The boundary at degree n on the built `kind` quotients, cached."""
+        b = self._qbnd.get((kind, n))
+        if b is None:
+            b = self._qbnd[kind, n] = self._quot[kind, n - 1].induced_matrix(
+                self.boundary(n), source=self._quot[kind, n],
+                what=f"boundary at degree {n} on {on}",
             )
-            self._chain[t] = c
-        return c
+        return b
 
     # linear extensions of the evaluators, for identity checking
     def apply_face(self, n: int, i: int, vec: Vec) -> Vec:
@@ -605,14 +621,27 @@ def build_cyclic(
 # ---------------------------------------------------------------------------
 
 
+def _normalized(z: CyclicObject, top: int) -> tuple:
+    """The quotients of degrees 0..top by the images of the degeneracies,
+    and the boundaries b-bar at degrees 1..top on them, cached on z."""
+    norm = [z.quotient("normalized", n, (
+        col for i in range(n) for _, col in z.degen(n - 1, i).columns()
+    )) for n in range(top + 1)]
+    return norm, [z.quotient_boundary("normalized", n, "normalized chains")
+                  for n in range(1, top + 1)]
+
+
 def hochschild(z: CyclicObject, low: int, high: int) -> list:
-    """Homology of the alternating-face-sum complex, degrees low..high."""
+    """Homology, degrees low..high, of the face-sum complex modulo the
+    degenerate elements, a quasi-isomorphic quotient over any field (Loday,
+    *Cyclic Homology*, 1.6.5), with the b-bar of ``mixed_bicomplex``."""
     if high + 1 > z.top:
         raise TruncationError(
             f"homology at degree {high} needs boundaries through degree "
             f"{high + 1}, but the object is truncated at {z.top}"
         )
-    return homology_dims(z.chain_complex(high + 1), low, high)
+    norm, b = _normalized(z, high + 1)
+    return homology_dims(ChainComplex([q.dim for q in norm], b, z.field), low, high)
 
 
 def norm_complex_homology(z: CyclicObject, low: int, high: int) -> list:
@@ -637,41 +666,31 @@ def _gate_characteristic(z: CyclicObject) -> None:
         )
 
 
+def _coinvariant_relators(z: CyclicObject, n: int):
+    """x - (-1)^n tau_n x for every basis vector x of degree n."""
+    f, t = z.field, z.cyclic(n)
+    sign = f.one if n % 2 == 0 else -f.one
+    for c in range(z.dim(n)):
+        col = {k: -(sign * v) for k, v in t.column(c).items()}
+        vec_add_at(col, c, f.one)
+        if col:
+            yield col
+
+
 def connes_data(z: CyclicObject, top: int):
-    """Cyclic-coinvariant quotients and the induced complex through `top`."""
+    """Cyclic-coinvariant quotients and the induced complex through `top`;
+    the quotients and boundaries are cached on z per degree."""
     _gate_characteristic(z)
     if top > z.top:
         raise TruncationError(
             f"cyclic homology through degree {top - 1} needs carriers through "
             f"degree {top}, but the object is truncated at {z.top}"
         )
-    cached = z._connes.get(top)
-    if cached is not None:
-        return cached
-    f = z.field
-    quotients = []
-    for n in range(top + 1):
-        t = z.cyclic(n)
-        sign = f.one if n % 2 == 0 else -f.one
-        relators = []
-        for c in range(z.dim(n)):
-            col = {k: -(sign * v) for k, v in t.column(c).items()}
-            vec_add_at(col, c, f.one)
-            if col:
-                relators.append(col)
-        quotients.append(QuotientSpace(z.dim(n), f, relators))
-    diffs = []
-    for n in range(1, top + 1):
-        diffs.append(
-            quotients[n - 1].induced_matrix(
-                z.boundary(n),
-                source=quotients[n],
-                what=f"boundary at degree {n} on the cyclic quotient",
-            )
-        )
-    complex_ = ChainComplex([q.dim for q in quotients], diffs, f)
-    z._connes[top] = (quotients, complex_)
-    return quotients, complex_
+    quotients = [z.quotient("lambda", n, _coinvariant_relators(z, n))
+                 for n in range(top + 1)]
+    diffs = [z.quotient_boundary("lambda", n, "the cyclic quotient")
+             for n in range(1, top + 1)]
+    return quotients, ChainComplex([q.dim for q in quotients], diffs, z.field)
 
 
 def hc_connes(z: CyclicObject, low: int, high: int) -> list:
@@ -731,7 +750,7 @@ def mixed_bicomplex(z: CyclicObject, max_total: int) -> Bicomplex:
     The normalized carrier in degree n is the quotient of the degree-n
     carrier by the images of the degeneracies out of degree n-1.  Cell
     (p, q) carries the normalized carrier of degree q - p (zero when
-    q < p); the vertical maps are the boundary b and the horizontal ones
+    q < p); the vertical maps are ``hochschild``'s b-bar and the horizontal ones
     B_n = (1 - t_{n+1}) s N_n : C_n -> C_{n+1}, where t_n is (-1)^n times
     the cyclic operator tau_n, s = tau_{n+1} s_n is the extra degeneracy
     and N_n is the sum of the powers of t_n.  Both are pushed to the
@@ -752,19 +771,7 @@ def mixed_bicomplex(z: CyclicObject, max_total: int) -> Bicomplex:
             f"at {z.top}"
         )
     f = z.field
-    norm = [
-        QuotientSpace(z.dim(n), f, (
-            col for i in range(n) for _, col in z.degen(n - 1, i).columns()
-        ))
-        for n in range(reach + 1)
-    ]
-    b = {
-        n: norm[n - 1].induced_matrix(
-            z.boundary(n), source=norm[n],
-            what=f"boundary at degree {n} on normalized chains",
-        )
-        for n in range(1, reach + 1)
-    }
+    norm, b = _normalized(z, reach)
     # B out of degree n sits in cells with p >= 1, so n <= reach - 2
     big_b = {}
     for n in range(reach - 1):
@@ -787,7 +794,7 @@ def mixed_bicomplex(z: CyclicObject, max_total: int) -> Bicomplex:
             n = q - p
             cells[(p, q)] = norm[n].dim if n >= 0 else 0
             if n >= 1:
-                vert[(p, q)] = b[n]
+                vert[(p, q)] = b[n - 1]
             if p >= 1 and n >= 0:
                 horiz[(p, q)] = big_b[n]
     bic = Bicomplex(cells, horiz, vert, f)
@@ -818,8 +825,8 @@ def hc(z: CyclicObject, low: int, high: int, method: str = "lambda") -> list:
     if method == "bicomplex":
         return hc_bicomplex(z, low, high)
     if method == "both":
+        b = hc_bicomplex(z, low, high)  # first, as the larger elimination
         a = hc_connes(z, low, high)
-        b = hc_bicomplex(z, low, high)
         if a != b:
             raise ValueError(
                 f"cyclic homology routes disagree: quotient complex {a}, "

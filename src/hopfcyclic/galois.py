@@ -792,10 +792,10 @@ def relative_cyclic(ca: AlgebraData, base: BaseData, m: Bimodule | None = None,
     multiply adjacent slots (the first and last through the bimodule
     actions), degeneracies insert the unit, and for M = A the cyclic
     operator rotates; for other coefficients the object is simplicial only.
-    Each operator is built once per degree and index on the free tensor
-    power and pushed to the carriers by ``QuotientSpace.induced_matrix``,
-    which checks on the whole relator span that it descends.  The
-    simplicial/cyclic identity suite runs on the free tensor powers
+    The carriers are the "balanced" quotients of the relator-free object on
+    the free tensor powers; each of its operators is pushed to them once
+    per degree and index by ``QuotientSpace.induced_matrix``, which checks
+    descent on the whole relator span.  The identity suite runs on it
     (through degree 2, at the carriers' basis representatives
     ``free_cols``, sampled by ``_sample_columns``): the quotient inherits
     every identity, since projecting commutes with each operator that
@@ -833,13 +833,6 @@ def relative_cyclic(ca: AlgebraData, base: BaseData, m: Bimodule | None = None,
         return ([(p, right[p], p + 1, left_a) for p in range(n)]
                 + [(0, left_m, n, right[n])])
 
-    @lru_cache(maxsize=None)
-    def carrier(n: int) -> QuotientSpace:
-        tix = index(n)
-        return QuotientSpace(tix.size, f, (
-            r for tab in tables for r in balancing_relators(tix, junctions(n, *tab))
-        ))
-
     # ambient operators on one basis tuple of the free tensor power, keyed
     # by flat indices of the target degree's TensorIndex tm
     def amb_face(n: int, i: int, tup: tuple, tm: TensorIndex) -> Vec:
@@ -872,6 +865,24 @@ def relative_cyclic(ca: AlgebraData, base: BaseData, m: Bimodule | None = None,
         "cyc": (amb_cyc, 0, "the cyclic operator at degree {n}"),
     }
 
+    # the object on the free tensor powers; its "balanced" quotients carry z
+    def free_fn(kind: str):
+        amb, shift, _ = families[kind]
+        return lambda n, i, col: amb(n, i, index(n).unflatten(col), index(n + shift))
+
+    free_cyc = free_fn("cyc")
+    coeff = ca.name if m is None else bim.name
+    free = CyclicObject(
+        f, max_degree, lambda n: index(n).size, free_fn("face"), free_fn("degen"),
+        (lambda n, col: free_cyc(n, 0, col)) if m is None else None,
+        name=f"Z({ca.name}/{base.name}; {coeff})",
+    )
+
+    def carrier(n: int) -> QuotientSpace:
+        return free.quotient("balanced", n, (
+            r for tab in tables for r in balancing_relators(index(n), junctions(n, *tab))
+        ))
+
     @lru_cache(maxsize=None)
     def operator(kind: str, n: int, i: int) -> SparseMatrix:
         """The operator on the quotient carriers: the ambient operator
@@ -888,22 +899,12 @@ def relative_cyclic(ca: AlgebraData, base: BaseData, m: Bimodule | None = None,
             what=what.format(i=i, n=n),
         )
 
-    def dim_fn(n: int) -> int:
-        return carrier(n).dim
-
-    def face_fn(n: int, i: int, col: int) -> Vec:
-        return operator("face", n, i).column(col)
-
-    def degen_fn(n: int, i: int, col: int) -> Vec:
-        return operator("degen", n, i).column(col)
-
-    def cyclic_fn(n: int, col: int) -> Vec:
-        return operator("cyc", n, 0).column(col)
-
-    coeff = ca.name if m is None else bim.name
     z = CyclicObject(
-        f, max_degree, dim_fn, face_fn, degen_fn, cyclic_fn if m is None else None,
-        name=f"Z({ca.name}/{base.name}; {coeff})",
+        f, max_degree, lambda n: carrier(n).dim,
+        lambda n, i, col: operator("face", n, i).column(col),
+        lambda n, i, col: operator("degen", n, i).column(col),
+        (lambda n, col: operator("cyc", n, 0).column(col)) if m is None else None,
+        name=free.name,
     )
     z.carrier = carrier
     z.algebra = ca
@@ -924,16 +925,7 @@ def relative_cyclic(ca: AlgebraData, base: BaseData, m: Bimodule | None = None,
             operator("cyc", n, 0)
 
     # the identities on the free tensor powers, at the carriers' basis
-    # representatives; the quotient inherits them through descent
-    def free_fn(kind: str):
-        amb, shift, _ = families[kind]
-        return lambda n, i, col: amb(n, i, index(n).unflatten(col), index(n + shift))
-
-    free_cyc = free_fn("cyc")
-    free = CyclicObject(
-        f, max_degree, lambda n: index(n).size, free_fn("face"), free_fn("degen"),
-        (lambda n, col: free_cyc(n, 0, col)) if m is None else None, name=z.name,
-    )
+    # representatives; the quotient inherits them through descent.
     # _sample_columns sizes up the degree-2 carrier; below degree 2 every
     # column is checked instead
     sample = _sample_columns(z) if checked == 2 else None

@@ -509,6 +509,58 @@ def test_cyclic_routes_agree_with_the_staircase_oracle(case, want, request):
     assert hc_bicomplex(z, 0, 3) == hc_connes(z, 0, 3) == staircase == want
 
 
+@pytest.mark.parametrize("case, high, want", [
+    ("ks3-ad", 3, [3, 0, 0, 0]),
+    ("ks3-coad", 3, [1, 0, 0, 0]),
+    ("h4-ad", 3, [2, 1, 1, 1]),
+    ("h4-coad", 3, [1, 0, 0, 0]),
+    ("h4-pair-g", 3, [1, 0, 1, 0]),
+    ("h4-pair-sign", 3, [0, 1, 0, 1]),
+    ("kz2_f2-ad", 3, [2, 2, 2, 2]),
+    ("kd4_f5-ad", 2, [5, 0, 0]),
+])
+def test_normalized_hochschild_matches_the_unnormalized_complex(case, high, want, request):
+    if "_f" in case:
+        name, p = case.split("-")[0].split("_f")
+        group = FiniteGroup.cyclic(2) if name == "kz2" else FiniteGroup.dihedral(4)
+        h = group_algebra(group, PrimeField(int(p)))
+        m = adjoint(h)
+    else:
+        h, m = _route_case(case, request)
+    z = build_cyclic(h, m, high + 1)
+    assert hochschild(z, 0, high) == homology_dims(z.chain_complex(high + 1), 0, high) == want
+
+
+def test_each_quotient_carrier_is_built_once(ks3, monkeypatch):
+    # hochschild reads the normalized carriers and b-bar that the (b, B)
+    # bicomplex built; a longer lambda route adds only its top quotient
+    built, pushed = [], []
+    quotient, push = cyclic.QuotientSpace, linalg.QuotientSpace.induced_matrix
+
+    def counted(ambient_dim, field, relators):
+        built.append(ambient_dim)
+        return quotient(ambient_dim, field, relators)
+
+    def recorded(self, op, source=None, what="operator"):
+        pushed.append(what)
+        return push(self, op, source, what)
+
+    monkeypatch.setattr(cyclic, "QuotientSpace", counted)
+    monkeypatch.setattr(linalg.QuotientSpace, "induced_matrix", recorded)
+    z = build_cyclic(ks3, adjoint(ks3), 4)
+    assert hc_bicomplex(z, 0, 3) == [3, 0, 3, 0]
+    assert built == [6, 36, 216, 1296, 7776]
+    assert len(pushed) == 7  # b-bar at degrees 1..4, B at degrees 0..2
+    assert hochschild(z, 0, 3) == [3, 0, 0, 0]
+    assert len(built) == 5 and len(pushed) == 7
+    assert hc_connes(z, 0, 2) == [3, 0, 3]
+    assert built[5:] == [6, 36, 216, 1296]
+    assert hc_connes(z, 0, 3) == [3, 0, 3, 0]
+    assert built[9:] == [7776]
+    assert pushed[7:] == [f"boundary at degree {n} on the cyclic quotient"
+                          for n in (1, 2, 3, 4)]
+
+
 def test_bicomplex_route_works_on_normalized_chains(ks3, monkeypatch):
     # normalized carriers have dims 6 * 5^n, so the total complex is
     # [6, 30, 150 + 6, 750 + 30, 3750 + 150 + 6]; the staircase's
@@ -554,29 +606,38 @@ def _corrupted(z, kind):
     return CyclicObject(z.field, z.top, z.dim_fn, face, degen, cyc, name=kind)
 
 
-@pytest.mark.parametrize("algebra, kind, error, match", [
+@pytest.mark.parametrize("algebra, kind, error, match, route", [
     ("kz3", "last degeneracy at the front", WellDefinednessError,
-     "boundary at degree 3 on normalized chains"),
-    ("kz3", "degeneracies reversed", LinAlgError, "does not anticommute"),
+     "boundary at degree 3 on normalized chains", "hc_bicomplex"),
+    ("kz3", "degeneracies reversed", LinAlgError, "does not anticommute",
+     "hc_bicomplex"),
     ("kz3", "cyclic operator negated in odd degrees", LinAlgError,
-     "does not anticommute"),
-    ("kz3", "inverse rotation", LinAlgError, "does not anticommute"),
+     "does not anticommute", "hc_bicomplex"),
+    ("kz3", "inverse rotation", LinAlgError, "does not anticommute",
+     "hc_bicomplex"),
     ("sweedler_h4", "last degeneracy at the front", WellDefinednessError,
-     "boundary at degree 3 on normalized chains"),
+     "boundary at degree 3 on normalized chains", "hc_bicomplex"),
     ("sweedler_h4", "cyclic operator negated in odd degrees", LinAlgError,
-     "does not anticommute"),
-    ("sweedler_h4", "inverse rotation", LinAlgError, "does not anticommute"),
+     "does not anticommute", "hc_bicomplex"),
+    ("sweedler_h4", "inverse rotation", LinAlgError, "does not anticommute",
+     "hc_bicomplex"),
     # B^2 = 0, bB + Bb = 0, descent and d o d all pass on these two
     ("sweedler_h4", "cyclic operator replaced by the identity", ValueError,
-     r"check 'd_0 t_n = d_n at degree 1' failed \(column 6\)"),
+     r"check 'd_0 t_n = d_n at degree 1' failed \(column 6\)", "hc_bicomplex"),
     ("sweedler_h4", "rotation applied twice", ValueError,
-     r"check 'd_0 t_n = d_n at degree 1' failed \(column 6\)"),
+     r"check 'd_0 t_n = d_n at degree 1' failed \(column 6\)", "hc_bicomplex"),
+    # Hochschild homology reads the same b-bar on normalized chains
+    ("kz3", "last degeneracy at the front", WellDefinednessError,
+     "boundary at degree 3 on normalized chains", "hochschild"),
+    ("sweedler_h4", "last degeneracy at the front", WellDefinednessError,
+     "boundary at degree 3 on normalized chains", "hochschild"),
 ])
-def test_bicomplex_route_refuses_corrupted_operators(algebra, kind, error, match, request):
+def test_bicomplex_route_refuses_corrupted_operators(algebra, kind, error, match, route,
+                                                     request):
     h = request.getfixturevalue(algebra)
     z = _corrupted(build_cyclic(h, adjoint(h), 4), kind)
     with pytest.raises(error, match=match):
-        hc_bicomplex(z, 0, 3)
+        getattr(cyclic, route)(z, 0, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hopfcyclic.cli import resolve_extension
 from hopfcyclic.crossed import adjoint
 from hopfcyclic import galois, linalg
 from hopfcyclic.cyclic import build_cyclic, connes_data, hc_connes, hochschild, verify_cyclic_identities
@@ -35,7 +36,7 @@ from hopfcyclic.galois import (
     verify_comodule_algebra,
 )
 from hopfcyclic.hopf import FiniteGroup, group_algebra
-from hopfcyclic.linalg import QQ, PrimeField, QuotientSpace, SparseMatrix, WellDefinednessError, canonical_vec
+from hopfcyclic.linalg import QQ, PrimeField, QuotientSpace, SparseMatrix, WellDefinednessError, canonical_vec, homology_dims
 
 
 @pytest.fixture(scope="module")
@@ -718,6 +719,24 @@ def test_relative_object_over_a_base_with_four_entry_relators(kz4, monkeypatch):
     monkeypatch.undo()
     assert hochschild(z, 0, 3) == [4, 0, 0, 0]
     assert hc_connes(z, 0, 3) == [4, 0, 4, 0]
+
+
+@pytest.mark.parametrize("explicit", [False, True], ids=["cyclic", "simplicial"])
+@pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=["q", "f2"])
+@pytest.mark.parametrize("extension, hh_q, hh_f2", [
+    ("s3_over_a3", [3, 0, 0], [3, 2, 2]),
+    ("kz4_over_kz2", [4, 0, 0], [4, 4, 4]),
+    ("twisted_klein", [1, 0, 0], [4, 8, 12]),
+], ids=["s3-over-a3", "kz4-over-kz2", "twisted-klein"])
+def test_relative_hochschild_on_normalized_chains(extension, hh_q, hh_f2, field, explicit):
+    # the builtin extensions, with A as coefficients or as an explicit
+    # bimodule; over GF(2) the homology is nonzero in every degree
+    ca, _ = resolve_extension(extension, field)
+    z = relative_cyclic(ca, coinvariants(ca), regular_bimodule(ca) if explicit else None,
+                        max_degree=3)
+    assert z.simplicial_only == explicit
+    want = hh_q if field is QQ else hh_f2
+    assert hochschild(z, 0, 2) == homology_dims(z.chain_complex(3), 0, 2) == want
 
 
 def test_base_change_to_itself_is_the_identity(kz2):
