@@ -607,8 +607,7 @@ def _cmd_galois(args, field, inputs, checks, tables) -> None:
     checks += _check_entries(verify_comodule_algebra(ca))
     g = galois_check(ca)
     checks += _check_entries(g.report)
-    compare = field.characteristic == 0
-    lc = lambda_iso(g, max_degree=args.max_degree, compare_hc=compare)
+    lc = lambda_iso(g, max_degree=args.max_degree)
     checks += _check_entries(lc.report)
     tables["relative dims"] = [lc.relative.dim(k) for k in range(args.max_degree + 1)]
     if lc.hc_relative is not None:
@@ -677,7 +676,7 @@ def _parser() -> argparse.ArgumentParser:
     common.add_argument("--max-degree", type=int, default=3, metavar="N",
                         help="largest homological degree (default 3)")
     common.add_argument("--field", default="q", metavar="F",
-                        help="q for the rationals, f<p> for a prime field")
+                        help="q for the rationals, f<p> for the prime field GF(p), p < 2^31")
     common.add_argument("--method", choices=("lambda", "bicomplex", "both"),
                         default="lambda", help="cyclic homology route")
     common.add_argument("--format", choices=("json", "table"), default="table",

@@ -187,16 +187,15 @@ class CyclicObject:
         differential of the staircase double complex)."""
         return self._face_sum(n, n, self._bp)
 
-    def chain_complex(self, top: int | None = None) -> ChainComplex:
+    def chain_complex(self, top: int) -> ChainComplex:
         """The unnormalized complex through `top`: ``hochschild``'s oracle."""
-        t = self.top if top is None else top
-        if t > self.top:
+        if top > self.top:
             raise TruncationError(
-                f"chain complex through degree {t} exceeds truncation {self.top}"
+                f"chain complex through degree {top} exceeds truncation {self.top}"
             )
         return ChainComplex(
-            [self.dim(n) for n in range(t + 1)],
-            [self.boundary(n) for n in range(1, t + 1)],
+            [self.dim(n) for n in range(top + 1)],
+            [self.boundary(n) for n in range(1, top + 1)],
             self.field,
         )
 
@@ -389,13 +388,12 @@ def _insert_slot(h: HopfAlgebra, v: Vec, s: int, col: int) -> Vec:
     return {(base + u) * s + low: c for u, c in v.items() if c}
 
 
-def build_aux_cyclic(h: HopfAlgebra, max_degree: int, check: bool = True) -> CyclicObject:
+def build_aux_cyclic(h: HopfAlgebra, max_degree: int) -> CyclicObject:
     """Cyclic object with carrier H^{(x)(n+1)} in degree n: faces drop a slot
     through the counit, degeneracies comultiply a slot, the cyclic operator
     rotates the last slot to the front.  Carries the extra degeneracy
     (insert the unit in front) used to contract the boundary.  Slots are
-    addressed by their strides, as in ``build_cyclic``.  `check` runs the
-    identity suite through degree 2."""
+    addressed by their strides, as in ``build_cyclic``."""
     f = h.field
     hd = h.dim
 
@@ -423,8 +421,7 @@ def build_aux_cyclic(h: HopfAlgebra, max_degree: int, check: bool = True) -> Cyc
                      name=f"Z~({h.name})")
     z.hopf = h
     z.extra_degen_fn = extra_degen_fn
-    if check:
-        verify_cyclic_identities(z, min(max_degree, 2)).require(z.name)
+    verify_cyclic_identities(z, min(max_degree, 2)).require(z.name)
     return z
 
 
@@ -480,7 +477,6 @@ def build_cyclic(
     m: CrossedModule,
     max_degree: int,
     require_modular: bool = True,
-    check: bool = True,
 ) -> CyclicObject:
     """Cyclic object with degree-n carrier H^{(x)n} (x) M in the normal form
     where the free model's last leg is absorbed into the module.
@@ -492,8 +488,6 @@ def build_cyclic(
     identity exactly when the module is modular -- so non-modular
     coefficients are refused unless `require_modular=False` is passed for
     diagnostic runs (the identity suite then pinpoints the failure).
-    `check` runs the identity suite through degree 2, on sampled columns
-    once the degree-2 carrier exceeds 256; diagnostic builds skip it.
 
     The counit faces and the degeneracies are index arithmetic on slot
     strides.  The last face and the cyclic operator (n >= 1) are one
@@ -605,11 +599,9 @@ def build_cyclic(
 
     z = CyclicObject(f, max_degree, dim_fn, face_fn, degen_fn, cyclic_fn,
                      name=f"Z({h.name};{m.name})")
-    z.hopf = h
-    z.module = m
     # a diagnostic build hands the object back so the identity suite can
     # pinpoint which axiom fails instead of raising here
-    if check and require_modular:
+    if require_modular:
         verify_cyclic_identities(
             z, min(max_degree, 2), columns=_sample_columns(z),
         ).require(z.name)

@@ -770,7 +770,6 @@ def ab_crossed_module(g: GaloisExtension) -> CrossedModule:
     verify_crossed(mc).require(mc.name)
     verify_modular(mc).require(mc.name)
     mc.quotient = q
-    mc.um = um
     return mc
 
 
@@ -907,8 +906,6 @@ def relative_cyclic(ca: AlgebraData, base: BaseData, m: Bimodule | None = None,
         name=free.name,
     )
     z.carrier = carrier
-    z.algebra = ca
-    z.base = base
     z.bimodule = bim
 
     # descent of every operator that the identities through degree
@@ -1113,7 +1110,7 @@ def _comparison_top(max_degree: int, want_hc: bool) -> int:
 
 
 def lambda_iso(g: GaloisExtension, m: Bimodule | None = None,
-               max_degree: int = 3, compare_hc: bool = True) -> LambdaComparison:
+               max_degree: int = 3) -> LambdaComparison:
     """Certify that the slot-product map is an isomorphism of (cyclic,
     or simplicial for general coefficients) objects in degrees up to
     `max_degree`: degreewise invertibility, cross-checked against the
@@ -1123,7 +1120,7 @@ def lambda_iso(g: GaloisExtension, m: Bimodule | None = None,
     ca = g.ca
     h = ca.h
     f = ca.field
-    want_hc = compare_hc and m is None and f.characteristic == 0
+    want_hc = m is None and f.characteristic == 0
     top = _comparison_top(max_degree, want_hc)
     z = relative_cyclic(ca, g.base, m, top)
     if m is None:

@@ -40,7 +40,6 @@ from .linalg import (
     QQ,
     Echelon,
     Field,
-    LinAlgError,
     QuotientSpace,
     SparseMatrix,
     Subspace,
@@ -638,109 +637,6 @@ def op_cop(h: HopfAlgebra) -> HopfAlgebra:
     )
     verify_hopf(out).require(out.name)
     return out
-
-
-# ---------------------------------------------------------------------------
-# diagonal module structure and the Hopf-module straightening map
-# ---------------------------------------------------------------------------
-
-
-def diagonal_power(h: HopfAlgebra, n: int) -> SparseMatrix:
-    """Right action of H on H^(x)(n+1) hitting every leg through the
-    iterated comultiplication: (h^0, ..., h^n) . h = sum (h^0 h_(1), ...).
-
-    Returned as a matrix H^(x)(n+1) (x) H -> H^(x)(n+1); the module axioms
-    are verified as exact matrix identities.
-    """
-    d = h.dim
-    ti = TensorIndex([d] * (n + 1))
-    src = TensorIndex([d] * (n + 1) + [d])
-    cols = {}
-    for flat_tuple in range(ti.size):
-        tup = ti.unflatten(flat_tuple)
-        for acting in range(d):
-            col: dict = {}
-            for legs, c in h.sweedler(acting, n + 1):
-                # multiply leg k into slot k
-                terms = [(tup, c)]
-                for k in range(n + 1):
-                    nxt = []
-                    for cur, cc in terms:
-                        for out_idx, mc in h.mult_pairs(cur[k], legs[k]):
-                            nxt.append((cur[:k] + (out_idx,) + cur[k + 1 :], cc * mc))
-                    terms = nxt
-                for cur, cc in terms:
-                    vec_add_at(col, ti.flatten(cur), cc)
-            if col:
-                cols[src.flatten(tup + (acting,))] = col
-    act = SparseMatrix(ti.size, ti.size * d, h.field, cols)
-    # module axioms: act o (act (x) id_H) = act o (id (x) mult); unit acts as id
-    idt = SparseMatrix.identity(ti.size, h.field)
-    lhs = act @ act.kron(SparseMatrix.identity(d, h.field))
-    rhs = act @ idt.kron(h.mult)
-    if lhs != rhs:
-        raise LinAlgError("diagonal action is not associative")
-    if act @ idt.kron(h.unit_matrix()) != idt:
-        raise LinAlgError("unit does not act as identity in the diagonal action")
-    return act
-
-
-def hopf_module_phi(h: HopfAlgebra, n: int) -> tuple:
-    """The straightening isomorphism of the free Hopf module H^(x)n (x) H.
-
-    phi(x^1, ..., x^n, g) = sum (x^1 g_(1), ..., x^n g_(n), g_(n+1)) and its
-    inverse unwinds with the antipode.  Both are returned as matrices on
-    H^(x)(n+1); mutual inverseness and the intertwining of the last-factor
-    right action with the diagonal action are verified exactly.
-    """
-    d = h.dim
-    ti = TensorIndex([d] * (n + 1))
-    f = h.field
-    cols_phi = {}
-    cols_inv = {}
-    for flat in range(ti.size):
-        tup = ti.unflatten(flat)
-        xs, g = tup[:n], tup[n]
-        col: dict = {}
-        for legs, c in h.sweedler(g, n + 1):
-            terms = [((), c)]
-            for k in range(n):
-                nxt = []
-                for cur, cc in terms:
-                    for out_idx, mc in h.mult_pairs(xs[k], legs[k]):
-                        nxt.append((cur + (out_idx,), cc * mc))
-                terms = nxt
-            for cur, cc in terms:
-                vec_add_at(col, ti.flatten(cur + (legs[n],)), cc)
-        if col:
-            cols_phi[flat] = col
-        # inverse: slots x^k S(legs[n-k]) with the final leg passed through
-        col = {}
-        for legs, c in h.sweedler(g, n + 1):
-            terms = [((), c)]
-            for k in range(n):
-                nxt = []
-                for cur, cc in terms:
-                    for s_idx, sc in h.antipode_of(legs[n - 1 - k]).items():
-                        for out_idx, mc in h.mult_pairs(xs[k], s_idx):
-                            nxt.append((cur + (out_idx,), cc * sc * mc))
-                terms = nxt
-            for cur, cc in terms:
-                vec_add_at(col, ti.flatten(cur + (legs[n],)), cc)
-        if col:
-            cols_inv[flat] = col
-    phi = SparseMatrix(ti.size, ti.size, f, cols_phi)
-    phi_inv = SparseMatrix(ti.size, ti.size, f, cols_inv)
-    ident = SparseMatrix.identity(ti.size, f)
-    if phi @ phi_inv != ident or phi_inv @ phi != ident:
-        raise LinAlgError("straightening maps are not mutually inverse")
-    # intertwining: phi o (right mult on last factor) = diagonal action o (phi (x) id)
-    act = diagonal_power(h, n)
-    idn = SparseMatrix.identity(d**n, f)
-    last_mult = idn.kron(h.mult)  # H^(x)n (x) H (x) H -> H^(x)(n+1)
-    if phi @ last_mult != act @ phi.kron(SparseMatrix.identity(d, f)):
-        raise LinAlgError("straightening does not intertwine the module structures")
-    return phi, phi_inv
 
 
 # ---------------------------------------------------------------------------

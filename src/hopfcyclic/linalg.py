@@ -169,6 +169,9 @@ class PrimeField:
     """GF(p) for prime p; scalars are GFElement and ``div`` is ``a / b``."""
 
     def __init__(self, p: int):
+        # trial division stays cheap, and p**0.5 finite, below 2^31
+        if p >= 2**31:
+            raise ValueError("prime fields need p < 2^31")
         if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
             raise ValueError(f"{p} is not prime")
         self.p = p
@@ -934,22 +937,24 @@ class QuotientSpace:
                 killed.discard(rj)
                 killed.add(ri)
 
-        # ambient coordinate -> (root, factor); a root's factor stays one
-        tree = self._tree = [(find(i), factor[i]) for i in range(ambient_dim)]
-        self._killed = killed
+        # compress every path: e_i = factor[i] * e_parent[i] with parent[i]
+        # a root, and a root's factor stays one
+        for i in range(ambient_dim):
+            find(i)
+        self._parent, self._factor, self._killed = parent, factor, killed
         residual = []
         for r in longer:
             row: Vec = {}
             for j, x in r.items():
-                root, c = tree[j]
+                root = parent[j]
                 if root not in killed:
-                    vec_add_at(row, root, c * coerce(x))
+                    vec_add_at(row, root, factor[j] * coerce(x))
             if row:
                 residual.append(row)
         self._ech = echelonize(residual, field, ambient_dim)
         pivots = set(self._ech.pivots)
         self.free_cols = [
-            i for i, (root, _) in enumerate(tree)
+            i for i, root in enumerate(parent)
             if root == i and i not in killed and i not in pivots
         ]
         self._free_index = {c: k for k, c in enumerate(self.free_cols)}
@@ -959,12 +964,12 @@ class QuotientSpace:
         return len(self.free_cols)
 
     def project_vec(self, v: Vec) -> Vec:
-        tree, killed = self._tree, self._killed
+        parent, factor, killed = self._parent, self._factor, self._killed
         out: Vec = {}
         for j, x in v.items():
-            root, c = tree[j]
+            root = parent[j]
             if root not in killed:
-                vec_add_at(out, root, c * x)
+                vec_add_at(out, root, factor[j] * x)
         if self._ech.rows:
             out = self._ech.reduce(out)
         elif self.field.characteristic == 0:
@@ -993,7 +998,7 @@ class QuotientSpace:
         i that is not a root, e_root for every killed root, and the rows of
         the residual echelon."""
         one = self.field.one
-        for i, (root, c) in enumerate(self._tree):
+        for i, (root, c) in enumerate(zip(self._parent, self._factor)):
             if root != i:
                 yield {i: one, root: -c}
             elif i in self._killed:

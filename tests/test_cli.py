@@ -294,6 +294,21 @@ def test_nonprime_field_rejected():
     assert "prime" in err
 
 
+@pytest.mark.parametrize("spec", ["f1" + "0" * 399 + "7", "f2305843009213693951"],
+                         ids=["401-digits", "2^61-1"])
+def test_huge_characteristic_refused_before_primality(spec):
+    rc, out, err = run(["hh", "z2", "adjoint", "--field", spec])
+    assert rc == 2 and out == ""
+    assert err == "input error: prime fields need p < 2^31\n"
+
+
+def test_largest_admitted_characteristic():
+    rc, rep = run_json(["hh", "z2", "adjoint", "--field", "f2147483647", "--max-degree", "2"])
+    assert rc == 0
+    assert rep["config"]["field"] == "f2147483647"
+    assert rep["tables"]["hh"] == [2, 0, 0]
+
+
 def test_mutated_hopf_document_fails_with_witness():
     doc = hopf_to_json(group_algebra(FiniteGroup.cyclic(2)))
     doc["antipode"][1][1] = 0

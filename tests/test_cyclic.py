@@ -145,9 +145,9 @@ def test_identity_suite_samples_by_the_degree_two_dimension():
     assert list(cols(0)) == [0, 3, 5, 6, 9]
     # ad(kS3) (dim 2 carrier 216) is checked in full, ad(kD4) (512) sampled
     ks3 = group_algebra(FiniteGroup.symmetric(3), QQ)
-    assert _sample_columns(build_cyclic(ks3, adjoint(ks3), 2, check=False)) is None
+    assert _sample_columns(build_cyclic(ks3, adjoint(ks3), 2)) is None
     kd4 = group_algebra(FiniteGroup.dihedral(4), QQ)
-    assert _sample_columns(build_cyclic(kd4, adjoint(kd4), 2, check=False)) is not None
+    assert _sample_columns(build_cyclic(kd4, adjoint(kd4), 2)) is not None
 
 
 def test_identity_suite_small(kz2, kz3):
@@ -176,7 +176,7 @@ def test_non_modular_diagnostic_pinpoints_cyclic_order(kz2):
 @given(data=st.data())
 def test_face_face_identity_random(data):
     h = group_algebra(FiniteGroup.cyclic(3), QQ)
-    z = build_cyclic(h, adjoint(h), 4, check=False)
+    z = build_cyclic(h, adjoint(h), 4)
     n = data.draw(st.integers(min_value=2, max_value=4))
     j = data.draw(st.integers(min_value=1, max_value=n))
     i = data.draw(st.integers(min_value=0, max_value=j - 1))
@@ -190,7 +190,7 @@ def test_face_face_identity_random(data):
 @given(data=st.data())
 def test_cyclic_order_random(data):
     h = group_algebra(FiniteGroup.cyclic(4), QQ)
-    z = build_cyclic(h, adjoint(h), 3, check=False)
+    z = build_cyclic(h, adjoint(h), 3)
     n = data.draw(st.integers(min_value=0, max_value=3))
     c = data.draw(st.integers(min_value=0, max_value=z.dim(n) - 1))
     v = {c: QQ.one}
@@ -248,7 +248,7 @@ def test_counit_faces_match_slot_dropping(algebra, sweedler_h4, ks3):
     on unflattened tuples."""
     h = sweedler_h4 if algebra == "sweedler" else ks3
     m = adjoint(h)
-    z = build_cyclic(h, m, 3, check=False)
+    z = build_cyclic(h, m, 3)
     for n in range(1, 4):
         src = TensorIndex([h.dim] * n + [m.dim])
         tgt = TensorIndex([h.dim] * (n - 1) + [m.dim])
@@ -288,7 +288,7 @@ def test_counit_faces_match_slot_dropping(algebra, sweedler_h4, ks3):
             assert z.degen(n, i) == want
     # the coefficient-free object: counit faces, comultiplying
     # degeneracies, rotation, and the unit inserted in front
-    aux = build_aux_cyclic(h, 3, check=False)
+    aux = build_aux_cyclic(h, 3)
     eps = h.counit_of
     for n in range(4):
         here = carrier(n + 1, module=False)
@@ -405,7 +405,7 @@ def test_fan_tables_match_the_slot_by_slot_evaluators(case, top, request):
         m = adjoint(h)
     else:
         h, m = _route_case(case, request)
-    z = build_cyclic(h, m, top, check=False)
+    z = build_cyclic(h, m, top)
     face_fn, degen_fn, cyclic_fn = _slot_by_slot_evaluators(h, m)
 
     def matrix(fn, n, target):

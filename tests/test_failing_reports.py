@@ -42,7 +42,7 @@ def bump(vec, at=0):
 @pytest.fixture(scope="module")
 def kz3_adjoint():
     kz3 = group_algebra(FiniteGroup.cyclic(3), QQ)
-    return build_cyclic(kz3, adjoint(kz3), 3, check=False)
+    return build_cyclic(kz3, adjoint(kz3), 3)
 
 
 def perturbed(z, kind, n, i, col):
@@ -118,7 +118,7 @@ def test_corrupted_cyclic_object_failures(kz3_adjoint, kind, n, i, col, expected
 ])
 def test_corrupted_contraction_failures(n, col, expected):
     kz2 = group_algebra(FiniteGroup.cyclic(2), QQ)
-    z = build_aux_cyclic(kz2, 3, check=False)
+    z = build_aux_cyclic(kz2, 3)
     extra = z.extra_degen_fn
     z.extra_degen_fn = (
         lambda m, c: bump(extra(m, c), 1) if (m, c) == (n, col) else extra(m, c))
@@ -176,7 +176,7 @@ def test_mutated_comparison_failures():
     # kZ2 over the scalars: the degree-1 comparison is a permutation of
     # (m, a) tuples; send source column 2 = (g, 1) to target 0 instead of 1
     kz2 = group_algebra(FiniteGroup.cyclic(2), QQ)
-    comp = lambda_iso(galois_check(comodule_from_hopf(kz2)), max_degree=1, compare_hc=False)
+    comp = lambda_iso(galois_check(comodule_from_hopf(kz2)), max_degree=1)
     assert comp.matrices[1].cols[2] == {1: QQ.one}
     mats = dict(comp.matrices)
     cols = {j: dict(col) for j, col in mats[1].cols.items()}

@@ -804,10 +804,23 @@ def test_identity_trace_matches_the_comparison(kz3):
     tc = trace_map(ca, adjoint(kz3), SparseMatrix.identity(3, QQ), max_degree=2)
     assert tc.report.ok
     g = galois_check(ca)
-    lc = lambda_iso(g, max_degree=2, compare_hc=False)
+    lc = lambda_iso(g, max_degree=2)
     assert all(tc.matrices[n] == lc.matrices[n] for n in range(3))
-    # neither computes cyclic homology, so neither builds degree 3
-    assert tc.source.top == lc.relative.top == 2
+    # the trace computes no cyclic homology, so it stops at degree 2;
+    # the comparison over Q does, and builds degree 3 for it
+    assert tc.source.top == 2 and lc.relative.top == 3
+
+
+@pytest.mark.parametrize("max_degree", [2, 3])
+@pytest.mark.parametrize("field, extra", [(PrimeField(5), 0), (QQ, 1)], ids=["f5", "q"])
+def test_lambda_iso_builds_past_max_degree_only_for_cyclic_homology(field, extra, max_degree):
+    # over GF(p) the comparison computes no cyclic homology, so neither
+    # object is built above max_degree; over Q both carry one degree more
+    kz3 = group_algebra(FiniteGroup.cyclic(3), field)
+    lc = lambda_iso(galois_check(comodule_from_hopf(kz3)), max_degree=max_degree)
+    assert lc.report.ok
+    assert (lc.hc_relative is None) == (extra == 0)
+    assert lc.relative.top == lc.hopf_side.top == max_degree + extra
 
 
 def test_zero_trace_induces_the_zero_morphism(kz2):

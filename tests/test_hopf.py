@@ -14,13 +14,11 @@ from hopfcyclic.hopf import (
     algebra_generators,
     balancing_relators,
     conjugacy_data,
-    diagonal_power,
     group_algebra,
     group_from_json,
     group_subalgebra,
     group_to_json,
     hopf_from_json,
-    hopf_module_phi,
     hopf_to_json,
     op_cop,
     quotient_by_normal,
@@ -141,25 +139,6 @@ def test_op_cop_of_group_algebra():
     hoc = op_cop(h)
     # e_i *_op e_j = e_j e_i
     assert hoc.mult_pairs(1, 2) == h.mult_pairs(2, 1)
-
-
-# -- module structure and straightening ---------------------------------------
-
-
-def test_diagonal_power_group_algebra():
-    h = group_algebra(FiniteGroup.cyclic(2))
-    act = diagonal_power(h, 1)  # on H (x) H
-    # (g, 1) . g = (g*g, 1*g) = (1, g): flat index of (g,1)=2 acting by g=1
-    col = act.column(2 * 2 + 1)
-    assert col == {1: QQ.one}
-
-
-def test_hopf_module_phi_group_algebra():
-    h = group_algebra(FiniteGroup.cyclic(3))
-    phi, phi_inv = hopf_module_phi(h, 1)
-    # phi(x, g) = (x g, g): basis (1, 2) -> (1*2, 2) = (0, 2)? 1+2=0 mod 3
-    src = 1 * 3 + 2
-    assert phi.column(src) == {0 * 3 + 2: QQ.one}
 
 
 # -- subalgebras and quotients -------------------------------------------------

@@ -269,9 +269,9 @@ def test_two_term_quotients_project_like_the_reduce_path(case):
     assert not q._ech.rows
     contracted: dict = {}
     for j, x in v.items():
-        root, c = q._tree[j]
+        root = q._parent[j]
         if root not in q._killed:
-            vec_add_at(contracted, root, c * x)
+            vec_add_at(contracted, root, q._factor[j] * x)
     want = {q._free_index[j]: w for j, w in q._ech.reduce(contracted).items()}
     got = q.project_vec(v)
     assert got == want
