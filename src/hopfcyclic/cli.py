@@ -140,9 +140,12 @@ def _load_object(ref, what: str) -> dict:
 def resolve_field(spec: str):
     if spec == "q":
         return QQ
-    if spec.startswith("f") and spec[1:].isdigit():
+    tail = spec[1:]
+    if spec.startswith("f") and tail.isascii() and tail.isdigit() and tail[0] != "0":
+        if len(tail) > 10:  # at least 2^31, and int() would refuse 4300 digits
+            raise InputError("prime fields need p < 2^31")
         try:
-            return PrimeField(int(spec[1:]))
+            return PrimeField(int(tail))
         except ValueError as exc:
             raise InputError(str(exc)) from exc
     raise InputError(f"unknown field {spec!r}: use q or f<prime>")

@@ -18,7 +18,7 @@ are built through one path: ``Subspace.induced_matrix`` or
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .linalg import (
@@ -835,13 +835,13 @@ class Filtration:
     steps: list  # Subspaces of the module, increasing
     stabilized_at: int
     exhaustive: bool
-    report: CheckReport = dc_field(default_factory=lambda: CheckReport("filtration"))
 
 
 def coinvariants_filtration(m: CrossedModule) -> Filtration:
     """F_0 = coaction coinvariants; F_{p+1} = preimage of the coinvariants of
     M / F_p.  Every step is verified to be an action-stable subcomodule
-    (violations raise).  Reports the stabilization index and exhaustiveness.
+    (violations raise).  Returns the steps, the stabilization index and
+    whether the filtration is exhaustive.
     """
     h, f = m.h, m.field
     hd, md = h.dim, m.dim
@@ -858,7 +858,6 @@ def coinvariants_filtration(m: CrossedModule) -> Filtration:
         return [proj_q.section_matrix().apply(v) for v in kernel]
 
     steps = []
-    rep = CheckReport(f"coinvariants filtration of {m.name}")
     current_vectors: list = []
     proj_q = None
     p = 0
@@ -881,12 +880,7 @@ def coinvariants_filtration(m: CrossedModule) -> Filtration:
         current_vectors = vectors
         proj_q = QuotientSpace(md, f, step.basis)
         p += 1
-    exhaustive = steps[-1].dim == md
-    rep.add("every step action-stable", True)
-    rep.add("every step a subcomodule", True)
-    rep.add(f"stabilizes at index {stabilized}", True)
-    rep.add("exhaustive" if exhaustive else "not exhaustive", True)
-    return Filtration(steps, stabilized, exhaustive, rep)
+    return Filtration(steps, stabilized, steps[-1].dim == md)
 
 
 def associated_graded(m: CrossedModule, filt: Filtration) -> list:

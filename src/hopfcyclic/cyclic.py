@@ -12,10 +12,11 @@ Two carriers are built here:
 Every operator is given by an evaluator closure producing one column at a
 time; matrices are materialized from the closures, so identity checks that
 leave the truncation window can still be verified column by column.  The
-evaluators address slots by their strides, and those of the coefficient
-object read tables memoized per object (see ``build_cyclic``); the
-identity suite checks those same evaluators, as every other caller uses
-them.
+counit faces and the degeneracies, like the terms of ``bar_complex``, are
+``hopf.slot_map`` of one structure tensor at a slot stride; the last face
+and the cyclic operator of the coefficient object read tables memoized per
+object (see ``build_cyclic``).  The identity suite checks those same
+evaluators, as every other caller uses them.
 
 Homology routes: Hochschild on normalized chains (Loday, *Cyclic Homology*,
 1.6.5); cyclic homology via the cyclic-coinvariant quotient complex
@@ -32,7 +33,7 @@ from itertools import product
 from typing import Callable, Iterable
 
 from .crossed import CrossedModule, action_tensor, decompose_group_case, induce, quotient_coaction, trivial_coaction, u_map, verify_crossed
-from .hopf import CentralizerData, FiniteGroup, HopfAlgebra, HopfSubalgebra, TensorIndex, algebra_generators, augmentation_ideal_vectors, balancing_relators, conjugacy_data, group_algebra, quotient_by_normal, separability_element
+from .hopf import CentralizerData, FiniteGroup, HopfAlgebra, HopfSubalgebra, TensorIndex, algebra_generators, augmentation_ideal_vectors, balancing_relators, conjugacy_data, group_algebra, quotient_by_normal, separability_element, slot_map
 from .linalg import (
     QQ,
     Bicomplex,
@@ -359,35 +360,6 @@ def _sample_columns(z: CyclicObject):
 # ---------------------------------------------------------------------------
 
 
-def _drop_slot(h: HopfAlgebra, s: int, col: int) -> Vec:
-    """Drop the slot of stride s from the flat index col through the
-    counit: col = (high * hd + slot) * s + low goes to high * s + low."""
-    high, rest = divmod(col, s * h.dim)
-    slot, low = divmod(rest, s)
-    c = h.counit_of(slot)
-    return {high * s + low: c} if c else {}
-
-
-def _split_slot(h: HopfAlgebra, s: int, col: int) -> Vec:
-    """Comultiply the slot of stride s in the flat index col: the legs
-    (a, b), flattened to a * hd + b as in the comultiplication tensor, take
-    the slot's place, and the slots above it move up by one."""
-    hd = h.dim
-    high, rest = divmod(col, s * hd)
-    slot, low = divmod(rest, s)
-    base = high * hd * hd
-    return {(base + ab) * s + low: c
-            for ab, c in h.comult.cols.get(slot, {}).items() if c}
-
-
-def _insert_slot(h: HopfAlgebra, v: Vec, s: int, col: int) -> Vec:
-    """Insert a slot holding v at stride s of the flat index col: the
-    digits of stride >= s move up by one slot."""
-    high, low = divmod(col, s)
-    base = high * h.dim
-    return {(base + u) * s + low: c for u, c in v.items() if c}
-
-
 def build_aux_cyclic(h: HopfAlgebra, max_degree: int) -> CyclicObject:
     """Cyclic object with carrier H^{(x)(n+1)} in degree n: faces drop a slot
     through the counit, degeneracies comultiply a slot, the cyclic operator
@@ -396,26 +368,24 @@ def build_aux_cyclic(h: HopfAlgebra, max_degree: int) -> CyclicObject:
     addressed by their strides, as in ``build_cyclic``."""
     f = h.field
     hd = h.dim
-
-    @lru_cache(maxsize=None)
-    def index(n):
-        return TensorIndex([hd] * (n + 1))
+    eps, unit = h.counit_matrix(), h.unit_matrix()
 
     def dim_fn(n):
         return hd ** (n + 1)
 
+    # slot i of the degree-n carrier has stride hd^(n-i)
     def face_fn(n, i, col):
-        return _drop_slot(h, index(n).strides[i], col)
+        return slot_map(eps, hd ** (n - i), col)
 
     def degen_fn(n, i, col):
-        return _split_slot(h, index(n).strides[i], col)
+        return slot_map(h.comult, hd ** (n - i), col)
 
     def cyclic_fn(n, col):
         rest, last = divmod(col, hd)
-        return {last * index(n).strides[0] + rest: f.one}
+        return {last * hd ** n + rest: f.one}
 
     def extra_degen_fn(n, col):
-        return _insert_slot(h, h.unit, index(n).size, col)
+        return slot_map(unit, hd ** (n + 1), col)
 
     z = CyclicObject(f, max_degree, dim_fn, face_fn, degen_fn, cyclic_fn,
                      name=f"Z~({h.name})")
@@ -489,12 +459,12 @@ def build_cyclic(
     coefficients are refused unless `require_modular=False` is passed for
     diagnostic runs (the identity suite then pinpoints the failure).
 
-    The counit faces and the degeneracies are index arithmetic on slot
-    strides.  The last face and the cyclic operator (n >= 1) are one
-    fan-out evaluator over tables memoized per object: x S(l) for every
-    pair of basis elements, the slot digits of each prefix index, and per
-    degree, last slot and module index the Sweedler legs with their action
-    and coaction terms.  These evaluators are the only definition of the
+    The counit faces and the degeneracies are ``slot_map`` of the counit,
+    the comultiplication and the unit at slot strides.  The last face and
+    the cyclic operator (n >= 1) are one fan-out evaluator over tables
+    memoized per object: x S(l) for every pair of basis elements, the slot
+    digits of each prefix index, and per degree, last slot and module index
+    the Sweedler legs with their action and coaction terms.  These evaluators are the only definition of the
     operators: materialization, ``apply_*`` and the identity suite all
     call them.
     """
@@ -502,6 +472,7 @@ def build_cyclic(
         raise ValueError("module is not over the given Hopf algebra")
     f = h.field
     hd, md = h.dim, m.dim
+    eps, unit = h.counit_matrix(), h.unit_matrix()
     verify_crossed(m).require(m.name)
     if require_modular:
         if u_map(m) != SparseMatrix.identity(md, f):
@@ -580,13 +551,13 @@ def build_cyclic(
 
     def face_fn(n, i, col):
         if i < n:
-            return _drop_slot(h, index(n).strides[i], col)
+            return slot_map(eps, index(n).strides[i], col)
         return fan_out(n, col, False)
 
     def degen_fn(n, i, col):
         if i < n:
-            return _split_slot(h, index(n).strides[i], col)
-        return _insert_slot(h, h.unit, md, col)
+            return slot_map(h.comult, index(n).strides[i], col)
+        return slot_map(unit, md, col)
 
     def cyclic_fn(n, col):
         if n:
@@ -835,29 +806,25 @@ def hc(z: CyclicObject, low: int, high: int, method: str = "lambda") -> list:
 
 def bar_complex(h: HopfAlgebra, mdim: int, action: SparseMatrix, top: int) -> ChainComplex:
     """B_n = H^{(x)n} (x) V with the standard differential: counit the first
-    slot, merge adjacent slots, act with the last slot."""
+    slot, merge adjacent slots, act with the last slot.  Each term is the
+    ``slot_map`` of its structure tensor at the stride of its lower slot."""
     f = h.field
     hd = h.dim
-    index = [TensorIndex([hd] * n + [mdim]) for n in range(top + 1)]
-    dims = [ti.size for ti in index]
+    eps = h.counit_matrix()
+    dims = [hd**n * mdim for n in range(top + 1)]
     diffs = []
     for n in range(1, top + 1):
-        src, tgt = index[n], index[n - 1]
+        # (tensor, stride, odd) of d_0, ..., d_n; the sign (-1)^i negates
+        # the field scalar: an int sign times a GF(p) scalar is undefined
+        terms = ([(eps, hd ** (n - 1) * mdim, False)]
+                 + [(h.mult, hd ** (n - 1 - i) * mdim, i % 2) for i in range(1, n)]
+                 + [(action, 1, n % 2)])
         cols = {}
         for c in range(dims[n]):
-            slots = src.unflatten(c)
             acc: Vec = {}
-            eps = h.counit_of(slots[0])
-            if eps:
-                acc[tgt.flatten(slots[1:])] = eps
-            # the i-th term carries the sign (-1)^i, by negating the field
-            # scalar: an int sign times a GF(p) scalar is undefined
-            for i in range(1, n):
-                for p, cp in h.mult_pairs(slots[i - 1], slots[i]):
-                    key = tgt.flatten(slots[: i - 1] + (p,) + slots[i + 1:])
-                    vec_add_at(acc, key, -cp if i % 2 else cp)
-            for mj, ca in action.cols.get(slots[n - 1] * mdim + slots[n], {}).items():
-                vec_add_at(acc, tgt.flatten(slots[: n - 1] + (mj,)), -ca if n % 2 else ca)
+            for t, s, odd in terms:
+                for k, v in slot_map(t, s, c).items():
+                    vec_add_at(acc, k, -v if odd else v)
             if acc:
                 cols[c] = acc
         diffs.append(SparseMatrix(dims[n - 1], dims[n], f, cols))

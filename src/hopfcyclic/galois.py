@@ -66,7 +66,7 @@ from .cyclic import (
     sbi_check,
     verify_cyclic_identities,
 )
-from .hopf import AlgebraData, FiniteGroup, HopfAlgebra, TensorIndex, algebra_generators, balancing_relators, conjugacy_data, group_algebra, mismatch_labels, separability_element
+from .hopf import AlgebraData, FiniteGroup, HopfAlgebra, TensorIndex, algebra_generators, balancing_relators, conjugacy_data, group_algebra, mismatch_labels, separability_element, slot_map
 from .linalg import (
     QQ,
     QuasiIsoReport,
@@ -832,48 +832,37 @@ def relative_cyclic(ca: AlgebraData, base: BaseData, m: Bimodule | None = None,
         return ([(p, right[p], p + 1, left_a) for p in range(n)]
                 + [(0, left_m, n, right[n])])
 
-    # ambient operators on one basis tuple of the free tensor power, keyed
-    # by flat indices of the target degree's TensorIndex tm
-    def amb_face(n: int, i: int, tup: tuple, tm: TensorIndex) -> Vec:
-        out: Vec = {}
+    # the free object's operators, by ``slot_map`` on flat indices of
+    # M (x) A^{(x)n}, where slot k > 0 has stride ad^(n-k)
+    unit = ca.unit_matrix()
+
+    def free_face(n: int, i: int, col: int) -> Vec:
         if i == 0:
-            w = bim.right_vec({tup[0]: one}, {tup[1]: one})
-            for k, ck in w.items():
-                vec_add_at(out, tm.flatten((k,) + tup[2:]), ck)
-        elif i < n:
-            for k, ck in ca.mult_pairs(tup[i], tup[i + 1]):
-                vec_add_at(out, tm.flatten(tup[:i] + (k,) + tup[i + 2:]), ck)
-        else:
-            w = bim.left_vec({tup[n]: one}, {tup[0]: one})
-            for k, ck in w.items():
-                vec_add_at(out, tm.flatten((k,) + tup[1:n]), ck)
-        return out
+            return slot_map(bim.right, ad ** (n - 1), col)
+        if i < n:
+            return slot_map(ca.mult, ad ** (n - 1 - i), col)
+        # the last slot a acts on the module from the left: move it in front
+        rest, a = divmod(col, ad)
+        return slot_map(bim.left, ad ** (n - 1), a * md * ad ** (n - 1) + rest)
 
-    def amb_degen(n: int, i: int, tup: tuple, tm: TensorIndex) -> Vec:
-        out: Vec = {}
-        for u, cu in ca.unit.items():
-            vec_add_at(out, tm.flatten(tup[: i + 1] + (u,) + tup[i + 1:]), cu)
-        return out
+    def free_degen(n: int, i: int, col: int) -> Vec:
+        return slot_map(unit, ad ** (n - i), col)
 
-    def amb_cyc(n: int, i: int, tup: tuple, tm: TensorIndex) -> Vec:
-        return {tm.flatten((tup[n],) + tup[:n]): one}
+    def free_cyc(n: int, col: int) -> Vec:
+        rest, last = divmod(col, ad)
+        return {last * ad ** n + rest: one}
 
     families = {
-        "face": (amb_face, -1, "face {i} at degree {n}"),
-        "degen": (amb_degen, 1, "degeneracy {i} at degree {n}"),
-        "cyc": (amb_cyc, 0, "the cyclic operator at degree {n}"),
+        "face": (free_face, -1, "face {i} at degree {n}"),
+        "degen": (free_degen, 1, "degeneracy {i} at degree {n}"),
+        "cyc": (lambda n, i, col: free_cyc(n, col), 0, "the cyclic operator at degree {n}"),
     }
 
     # the object on the free tensor powers; its "balanced" quotients carry z
-    def free_fn(kind: str):
-        amb, shift, _ = families[kind]
-        return lambda n, i, col: amb(n, i, index(n).unflatten(col), index(n + shift))
-
-    free_cyc = free_fn("cyc")
     coeff = ca.name if m is None else bim.name
     free = CyclicObject(
-        f, max_degree, lambda n: index(n).size, free_fn("face"), free_fn("degen"),
-        (lambda n, col: free_cyc(n, 0, col)) if m is None else None,
+        f, max_degree, lambda n: index(n).size, free_face, free_degen,
+        free_cyc if m is None else None,
         name=f"Z({ca.name}/{base.name}; {coeff})",
     )
 
@@ -884,17 +873,18 @@ def relative_cyclic(ca: AlgebraData, base: BaseData, m: Bimodule | None = None,
 
     @lru_cache(maxsize=None)
     def operator(kind: str, n: int, i: int) -> SparseMatrix:
-        """The operator on the quotient carriers: the ambient operator
-        pushed through induced_matrix, which checks that it descends."""
-        amb, shift, what = families[kind]
-        tn, tm = index(n), index(n + shift)
+        """The operator on the quotient carriers: the free object's
+        operator pushed through induced_matrix, which checks that it
+        descends."""
+        fn, shift, what = families[kind]
+        size = index(n).size
         cols = {}
-        for idx in range(tn.size):
-            col = amb(n, i, tn.unflatten(idx), tm)
+        for idx in range(size):
+            col = fn(n, i, idx)
             if col:
                 cols[idx] = col
         return carrier(n + shift).induced_matrix(
-            SparseMatrix(tm.size, tn.size, f, cols), source=carrier(n),
+            SparseMatrix(index(n + shift).size, size, f, cols), source=carrier(n),
             what=what.format(i=i, n=n),
         )
 

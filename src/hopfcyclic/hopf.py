@@ -19,13 +19,20 @@ the comultiplication and of the counit, and the antipode identity).
 Index conventions: a tensor power H^(x)n is flattened in row-major order, so
 the basis tuple (i_1, ..., i_n) has flat index sum i_k * d^(n-k).  The
 multiplication matrix has shape (d, d^2) with column i*d+j holding e_i e_j;
-the comultiplication has shape (d^2, d).
+the comultiplication has shape (d^2, d).  Every structure tensor has this
+layout, input slots flattened into the column and output slots into the
+row (an action i*dim M+j, a right action j*d+i), so one rule applies any of
+them to adjacent slots of a flat index: `slot_map` sends the slots of
+col = (high * ncols + j) * s + low at stride s to (high * nrows + i) * s +
+low for each entry (i, c) of column j.  The faces, degeneracies and bar
+differentials that apply one counit, product, action, comultiplication or
+unit are this rule.
 
-Sweedler-style scalar accessors (`mult_pairs`, `sweedler`, `antipode_of`) are
-the workhorses used by the cyclic-object builders: operators on tensor powers
-are assembled column by column from them, never by composing Kronecker
-products of the full structure tensors, so memory stays proportional to the
-number of nonzero entries of the result.
+Operators on tensor powers are assembled column by column, from `slot_map`
+and the Sweedler-style scalar accessors (`mult_pairs`, `sweedler`,
+`antipode_of`), never by composing Kronecker products of the full structure
+tensors, so memory stays proportional to the number of nonzero entries of
+the result.
 """
 
 from __future__ import annotations
@@ -294,6 +301,20 @@ class TensorIndex:
             out.append(idx // s)
             idx %= s
         return tuple(out)
+
+
+def slot_map(t: SparseMatrix, s: int, col: int) -> Vec:
+    """Apply the structure tensor t to the adjacent slots of the flat index
+    col whose lowest has stride s (see the index conventions above).  A
+    counit drops a slot, a product or an action merges two, a
+    comultiplication splits one, and a unit inserts one at stride s."""
+    high, rest = divmod(col, t.ncols * s)
+    j, low = divmod(rest, s)
+    base = high * t.nrows
+    out: Vec = {}
+    for i, c in t.cols.get(j, {}).items():
+        out[(base + i) * s + low] = c
+    return out
 
 
 def balancing_relators(tix: TensorIndex, junctions) -> Iterator[Vec]:
@@ -602,6 +623,21 @@ def verify_hopf(h: HopfAlgebra) -> CheckReport:
     return rep
 
 
+def verify_hopf_map(f: SparseMatrix, src: HopfAlgebra, tgt: HopfAlgebra,
+                    title: str) -> CheckReport:
+    """That f: src -> tgt is a map of Hopf algebras: multiplicative, unital,
+    comultiplicative, counital and compatible with the antipodes, with
+    witnesses labelled by the source basis."""
+    rep = CheckReport(title)
+    sb = src.basis
+    rep.check("multiplicative", mismatch_labels(f @ src.mult, tgt.mult @ f.kron(f), sb, sb))
+    rep.add("unital", f.apply(src.unit) == tgt.unit)
+    rep.check("comultiplicative", mismatch_labels(f.kron(f) @ src.comult, tgt.comult @ f, sb))
+    rep.check("counital", mismatch_labels(tgt.counit_matrix() @ f, src.counit_matrix(), sb))
+    rep.check("antipode", mismatch_labels(f @ src.antipode, tgt.antipode @ f, sb))
+    return rep
+
+
 def group_algebra(g: FiniteGroup, field: Field = QQ, name: str | None = None) -> HopfAlgebra:
     """The group algebra kG: grouplike basis, antipode by inversion."""
     n = g.order
@@ -658,18 +694,7 @@ def hopf_subalgebra(h: HopfAlgebra, k: HopfAlgebra, inclusion: SparseMatrix) -> 
         raise ValueError("inclusion has wrong shape")
     if rank(inclusion) != k.dim:
         raise ValueError("inclusion is not injective")
-    rep = CheckReport(f"embedding {k.name} in {h.name}")
-    kb = k.basis
-    rep.check("multiplicative", mismatch_labels(
-        inclusion @ k.mult, h.mult @ inclusion.kron(inclusion), kb, kb))
-    rep.add("unital", inclusion.apply(k.unit) == h.unit)
-    rep.check("comultiplicative", mismatch_labels(
-        inclusion.kron(inclusion) @ k.comult, h.comult @ inclusion, kb))
-    rep.check("counital", mismatch_labels(
-        k.counit_matrix(), h.counit_matrix() @ inclusion, kb))
-    rep.check("antipode", mismatch_labels(
-        inclusion @ k.antipode, h.antipode @ inclusion, kb))
-    rep.require()
+    verify_hopf_map(inclusion, k, h, f"embedding {k.name} in {h.name}").require()
     return HopfSubalgebra(k, inclusion)
 
 
@@ -760,18 +785,7 @@ def quotient_by_normal(h: HopfAlgebra, sub: HopfSubalgebra) -> tuple:
         name=f"{h.name}/ideal",
     )
     verify_hopf(quot).require(quot.name)
-    # the projection must be a Hopf algebra map
-    morph = CheckReport("projection is a Hopf map")
-    morph.check("multiplicative", mismatch_labels(
-        proj @ h.mult, quot.mult @ proj.kron(proj), hb, hb))
-    morph.add("unital", proj.apply(h.unit) == quot.unit)
-    morph.check("comultiplicative", mismatch_labels(
-        proj.kron(proj) @ h.comult, quot.comult @ proj, hb))
-    morph.check("counital", mismatch_labels(
-        quot.counit_matrix() @ proj, h.counit_matrix(), hb))
-    morph.check("antipode", mismatch_labels(
-        proj @ h.antipode, quot.antipode @ proj, hb))
-    morph.require()
+    verify_hopf_map(proj, h, quot, "projection is a Hopf map").require()
     return quot, proj
 
 
@@ -780,31 +794,25 @@ def quotient_by_normal(h: HopfAlgebra, sub: HopfSubalgebra) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _scal(field: Field, x) -> str:
-    if field.characteristic == 0:
-        return str(x)
-    return str(x.v)
-
-
 def hopf_to_json(h: HopfAlgebra) -> dict:
     d = h.dim
     return {
         "dim": d,
         "basis": list(h.basis),
         "mult": [
-            [j // d, j % d, i, _scal(h.field, v)]
+            [j // d, j % d, i, str(v)]
             for j, col in sorted(h.mult.cols.items())
             for i, v in sorted(col.items())
         ],
         "comult": [
-            [j, i // d, i % d, _scal(h.field, v)]
+            [j, i // d, i % d, str(v)]
             for j, col in sorted(h.comult.cols.items())
             for i, v in sorted(col.items())
         ],
-        "unit": [_scal(h.field, h.unit.get(i, h.field.zero)) for i in range(d)],
-        "counit": [_scal(h.field, h.counit.get(i, h.field.zero)) for i in range(d)],
+        "unit": [str(h.unit.get(i, h.field.zero)) for i in range(d)],
+        "counit": [str(h.counit.get(i, h.field.zero)) for i in range(d)],
         "antipode": [
-            [i, j, _scal(h.field, v)]
+            [i, j, str(v)]
             for j, col in sorted(h.antipode.cols.items())
             for i, v in sorted(col.items())
         ],

@@ -302,6 +302,17 @@ def test_huge_characteristic_refused_before_primality(spec):
     assert err == "input error: prime fields need p < 2^31\n"
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("f03", "input error: unknown field 'f03': use q or f<prime>\n"),
+    ("f\u0663", "input error: unknown field 'f\u0663': use q or f<prime>\n"),
+    ("f" + "7" * 5000, "input error: prime fields need p < 2^31\n"),
+], ids=["leading-zero", "arabic-indic-digit", "5000-digits"])
+def test_field_spec_is_f_and_ascii_digits(spec, message):
+    rc, out, err = run(["hh", "z2", "adjoint", "--field", spec])
+    assert rc == 2 and out == ""
+    assert err == message
+
+
 def test_largest_admitted_characteristic():
     rc, rep = run_json(["hh", "z2", "adjoint", "--field", "f2147483647", "--max-degree", "2"])
     assert rc == 0

@@ -19,13 +19,17 @@ from hopfcyclic.hopf import (
     group_subalgebra,
     group_to_json,
     hopf_from_json,
+    hopf_subalgebra,
     hopf_to_json,
     op_cop,
     quotient_by_normal,
     separability_element,
+    slot_map,
     verify_hopf,
 )
-from hopfcyclic.linalg import QQ, SparseMatrix, WellDefinednessError
+from hopfcyclic.crossed import adjoint
+from hopfcyclic.galois import Bimodule, verify_bimodule
+from hopfcyclic.linalg import QQ, PrimeField, SparseMatrix, WellDefinednessError, vec_add_at
 
 
 # -- groups -------------------------------------------------------------------
@@ -78,6 +82,77 @@ def test_tensor_index_round_trip(dims, data):
         horner = horner * d + i
     assert ti.flatten(tup) == horner
     assert ti.unflatten(horner) == tup
+
+
+def _structure_maps(h):
+    """(id, tensor, input slot dims, output slot dims, the map on one tuple
+    of input indices as [(tuple of output indices, coeff)]) for the counit,
+    comultiplication, unit and multiplication of h, read from the scalar
+    accessors rather than from the tensors."""
+    d = h.dim
+    return [
+        ("counit", h.counit_matrix(), [d], [],
+         lambda t: [((), h.counit_of(t[0]))] if h.counit_of(t[0]) else []),
+        ("comult", h.comult, [d], [d, d], lambda t: h.comult_pairs(t[0])),
+        ("unit", h.unit_matrix(), [], [d], lambda t: [((u,), c) for u, c in h.unit.items()]),
+        ("mult", h.mult, [d, d], [d], lambda t: [((k,), c) for k, c in h.mult_pairs(*t)]),
+    ]
+
+
+def _character_bimodule(ca, group):
+    """k_eps + k_sgn over kS3, acted on by eps (x) sgn from the left and
+    sgn (x) eps from the right: a bimodule of dimension 2 != dim A."""
+    one = ca.field.one
+    sign = [-one if group.element_order(i) == 2 else one for i in range(ca.dim)]
+    left = {i * 2 + j: {j: sign[i] if j else one} for i in range(ca.dim) for j in range(2)}
+    right = {j * ca.dim + i: {j: one if j else sign[i]} for i in range(ca.dim) for j in range(2)}
+    return Bimodule(ca, 2, SparseMatrix(2, 2 * ca.dim, ca.field, left),
+                    SparseMatrix(2, 2 * ca.dim, ca.field, right), name="k_eps+k_sgn")
+
+
+@pytest.fixture(scope="module")
+def slot_cases(sweedler_h4, s3_graded, s3_group):
+    cases = {}
+    for label, h in [("ks3_q", group_algebra(FiniteGroup.symmetric(3))),
+                     ("ks3_f5", group_algebra(FiniteGroup.symmetric(3), PrimeField(5))),
+                     ("h4", sweedler_h4)]:
+        for name, *rest in _structure_maps(h):
+            cases[f"{label}-{name}"] = (h.dim, *rest)
+    ks3 = group_algebra(FiniteGroup.symmetric(3))
+    m = adjoint(ks3)
+    cases["ks3_q-adjoint"] = (ks3.dim, m.action, [ks3.dim, m.dim], [m.dim],
+                              lambda t: [((k,), c) for k, c in m.act_pairs(*t)])
+    bim = _character_bimodule(s3_graded, s3_group)
+    assert verify_bimodule(bim).ok
+    one, ad = s3_graded.field.one, s3_graded.dim
+    cases["s3_over_a3-right"] = (ad, bim.right, [2, ad], [2], lambda t: [
+        ((k,), c) for k, c in bim.right_vec({t[0]: one}, {t[1]: one}).items()])
+    cases["s3_over_a3-left"] = (ad, bim.left, [ad, 2], [2], lambda t: [
+        ((k,), c) for k, c in bim.left_vec({t[0]: one}, {t[1]: one}).items()])
+    return cases
+
+
+@pytest.mark.parametrize("case", [
+    f"{label}-{name}" for label in ("ks3_q", "ks3_f5", "h4")
+    for name in ("counit", "comult", "unit", "mult")
+] + ["ks3_q-adjoint", "s3_over_a3-right", "s3_over_a3-left"])
+def test_slot_map_matches_the_tuple_reference(case, slot_cases):
+    """slot_map at the stride of every position of the input slots, among
+    up to two further slots, equals the map applied to unflattened tuples."""
+    d, t, ins, outs, on_tuple = slot_cases[case]
+    assert (t.ncols, t.nrows) == (TensorIndex(ins).size, TensorIndex(outs).size)
+    k = len(ins)
+    for before in range(3):
+        for after in range(3 - before):
+            src = TensorIndex([d] * before + ins + [d] * after)
+            tgt = TensorIndex([d] * before + outs + [d] * after)
+            stride = d ** after
+            for col in range(src.size):
+                tup = src.unflatten(col)
+                want = {}
+                for u, c in on_tuple(tup[before:before + k]):
+                    vec_add_at(want, tgt.flatten(tup[:before] + tuple(u) + tup[before + k:]), c)
+                assert slot_map(t, stride, col) == want, (before, after, col)
 
 
 # -- Hopf axioms --------------------------------------------------------------
@@ -170,6 +245,16 @@ def test_non_normal_subalgebra_rejected():
     sub = group_subalgebra(h, [g.identity, t])
     with pytest.raises(ValueError, match="not normal"):
         quotient_by_normal(h, sub)
+
+
+def test_non_multiplicative_embedding_names_the_first_failing_check():
+    # g -> g is a coalgebra map kZ2 -> kZ4 but g^2 = 1 goes to g^2 != 1
+    k = group_algebra(FiniteGroup.cyclic(2), name="kZ2")
+    h = group_algebra(FiniteGroup.cyclic(4), name="kZ4")
+    inc = SparseMatrix(4, 2, QQ, {0: {0: QQ.one}, 1: {1: QQ.one}})
+    with pytest.raises(ValueError) as err:
+        hopf_subalgebra(h, k, inc)
+    assert str(err.value) == "embedding kZ2 in kZ4: check 'multiplicative' failed ((g,g))"
 
 
 def test_balancing_relators_are_the_columns_of_the_balancing_map():
