@@ -13,10 +13,13 @@ Every operator is given by an evaluator closure producing one column at a
 time; matrices are materialized from the closures, so identity checks that
 leave the truncation window can still be verified column by column.  The
 counit faces and the degeneracies, like the terms of ``bar_complex``, are
-``hopf.slot_map`` of one structure tensor at a slot stride; the last face
-and the cyclic operator of the coefficient object read tables memoized per
-object (see ``build_cyclic``).  The identity suite checks those same
-evaluators, as every other caller uses them.
+``hopf.slot_map`` of one structure tensor at a slot stride; an object
+declares its counit faces as (tensor, stride) pairs, and its boundaries,
+like the bar differentials, add them a whole face at a time with the
+batched ``hopf.slot_add`` instead of calling the closures per column.  The
+last face and the cyclic operator of the coefficient object read tables
+memoized per object (see ``build_cyclic``).  The identity suite checks
+those same evaluators, as every other caller uses them.
 
 Homology routes: Hochschild on normalized chains (Loday, *Cyclic Homology*,
 1.6.5); cyclic homology via the cyclic-coinvariant quotient complex
@@ -30,10 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .crossed import CrossedModule, action_tensor, decompose_group_case, induce, quotient_coaction, trivial_coaction, u_map, verify_crossed
-from .hopf import CentralizerData, FiniteGroup, HopfAlgebra, HopfSubalgebra, TensorIndex, algebra_generators, augmentation_ideal_vectors, balancing_relators, conjugacy_data, group_algebra, quotient_by_normal, separability_element, slot_map
+from .hopf import CentralizerData, FiniteGroup, HopfAlgebra, HopfSubalgebra, TensorIndex, algebra_generators, augmentation_ideal_vectors, balancing_relators, conjugacy_data, group_algebra, quotient_by_normal, separability_element, slot_add, slot_map
 from .linalg import (
     QQ,
     Bicomplex,
@@ -69,6 +72,11 @@ class CyclicObject:
     cyclic_fn likewise; cyclic_fn is None for a simplicial-only object.
     Evaluators are exact formulas valid in any degree; `top` only limits
     which matrices may be materialized.
+
+    slot_faces(n), when given, lists the leading faces of degree n that are
+    ``slot_map`` of a structure tensor, as (tensor, stride) pairs: face_fn
+    of those faces must be that ``slot_map``, and the boundaries add them a
+    whole face at a time with ``slot_add``.
     """
 
     def __init__(
@@ -80,6 +88,7 @@ class CyclicObject:
         degen_fn,
         cyclic_fn,
         name: str = "",
+        slot_faces: Callable[[int], Sequence[tuple[SparseMatrix, int]]] | None = None,
     ):
         self.field = field
         self.top = top
@@ -88,6 +97,7 @@ class CyclicObject:
         self.degen_fn = degen_fn
         self.cyclic_fn = cyclic_fn
         self.name = name
+        self.slot_faces = slot_faces
         self._dims: dict = {}
         self._face: dict = {}
         self._degen: dict = {}
@@ -160,22 +170,27 @@ class CyclicObject:
         return m
 
     def _face_sum(self, n: int, nfaces: int, cache: dict) -> SparseMatrix:
-        """Alternating sum of the first `nfaces` faces in degree n, cached."""
+        """Alternating sum of the first `nfaces` faces in degree n, cached.
+        The declared slot faces among them are added a whole face at a time
+        by ``slot_add``; face_fn is called per column only for the rest."""
         if not 1 <= n <= self.top:
             raise TruncationError(f"boundary at degree {n} outside the stored range")
         m = cache.get(n)
         if m is None:
             one = self.field.one
             signs = [-one if i % 2 else one for i in range(nfaces)]
-            face_fn = self.face_fn
-            cols = {}
-            for c in range(self.dim(n)):
-                acc: Vec = {}
-                for i, sign in enumerate(signs):
-                    vec_iadd_scaled(acc, face_fn(n, i, c), sign)
-                if acc:
-                    cols[c] = acc
-            m = SparseMatrix(self.dim(n - 1), self.dim(n), self.field, cols)
+            slots = self.slot_faces(n)[:nfaces] if self.slot_faces else ()
+            cols: list = [{} for _ in range(self.dim(n))]
+            for (t, s), sign in zip(slots, signs):
+                slot_add(cols, t, s, sign)
+            rest = list(enumerate(signs))[len(slots):]
+            if rest:
+                face_fn = self.face_fn
+                for c, acc in enumerate(cols):
+                    for i, sign in rest:
+                        vec_iadd_scaled(acc, face_fn(n, i, c), sign)
+            m = SparseMatrix(self.dim(n - 1), self.dim(n), self.field,
+                             {c: v for c, v in enumerate(cols) if v})
             cache[n] = m
         return m
 
@@ -374,8 +389,12 @@ def build_aux_cyclic(h: HopfAlgebra, max_degree: int) -> CyclicObject:
         return hd ** (n + 1)
 
     # slot i of the degree-n carrier has stride hd^(n-i)
+    @lru_cache(maxsize=None)
+    def counit_faces(n):
+        return tuple((eps, hd ** (n - i)) for i in range(n + 1))
+
     def face_fn(n, i, col):
-        return slot_map(eps, hd ** (n - i), col)
+        return slot_map(*counit_faces(n)[i], col)
 
     def degen_fn(n, i, col):
         return slot_map(h.comult, hd ** (n - i), col)
@@ -388,7 +407,7 @@ def build_aux_cyclic(h: HopfAlgebra, max_degree: int) -> CyclicObject:
         return slot_map(unit, hd ** (n + 1), col)
 
     z = CyclicObject(f, max_degree, dim_fn, face_fn, degen_fn, cyclic_fn,
-                     name=f"Z~({h.name})")
+                     name=f"Z~({h.name})", slot_faces=counit_faces)
     z.hopf = h
     z.extra_degen_fn = extra_degen_fn
     verify_cyclic_identities(z, min(max_degree, 2)).require(z.name)
@@ -460,7 +479,10 @@ def build_cyclic(
     diagnostic runs (the identity suite then pinpoints the failure).
 
     The counit faces and the degeneracies are ``slot_map`` of the counit,
-    the comultiplication and the unit at slot strides.  The last face and
+    the comultiplication and the unit at slot strides; the n counit faces
+    are declared to the object as slot faces, so ``boundary`` and
+    ``norm_boundary`` add each of them a whole face at a time and call the
+    evaluator per column only for the last face.  The last face and
     the cyclic operator (n >= 1) are one fan-out evaluator over tables
     memoized per object: x S(l) for every pair of basis elements, the slot
     digits of each prefix index, and per degree, last slot and module index
@@ -549,9 +571,14 @@ def build_cyclic(
                     vec_add_at(out, k + mj, c * ca)
         return out
 
+    @lru_cache(maxsize=None)
+    def counit_faces(n):
+        """(counit, slot stride) of the faces d_0, ..., d_{n-1}."""
+        return tuple((eps, s) for s in index(n).strides[:n])
+
     def face_fn(n, i, col):
         if i < n:
-            return slot_map(eps, index(n).strides[i], col)
+            return slot_map(*counit_faces(n)[i], col)
         return fan_out(n, col, False)
 
     def degen_fn(n, i, col):
@@ -569,7 +596,7 @@ def build_cyclic(
         return out
 
     z = CyclicObject(f, max_degree, dim_fn, face_fn, degen_fn, cyclic_fn,
-                     name=f"Z({h.name};{m.name})")
+                     name=f"Z({h.name};{m.name})", slot_faces=counit_faces)
     # a diagnostic build hands the object back so the identity suite can
     # pinpoint which axiom fails instead of raising here
     if require_modular:
@@ -807,27 +834,23 @@ def hc(z: CyclicObject, low: int, high: int, method: str = "lambda") -> list:
 def bar_complex(h: HopfAlgebra, mdim: int, action: SparseMatrix, top: int) -> ChainComplex:
     """B_n = H^{(x)n} (x) V with the standard differential: counit the first
     slot, merge adjacent slots, act with the last slot.  Each term is the
-    ``slot_map`` of its structure tensor at the stride of its lower slot."""
+    ``slot_map`` of its structure tensor at the stride of its lower slot,
+    added to the differential a whole term at a time by ``slot_add``."""
     f = h.field
     hd = h.dim
     eps = h.counit_matrix()
     dims = [hd**n * mdim for n in range(top + 1)]
     diffs = []
     for n in range(1, top + 1):
-        # (tensor, stride, odd) of d_0, ..., d_n; the sign (-1)^i negates
-        # the field scalar: an int sign times a GF(p) scalar is undefined
-        terms = ([(eps, hd ** (n - 1) * mdim, False)]
-                 + [(h.mult, hd ** (n - 1 - i) * mdim, i % 2) for i in range(1, n)]
-                 + [(action, 1, n % 2)])
-        cols = {}
-        for c in range(dims[n]):
-            acc: Vec = {}
-            for t, s, odd in terms:
-                for k, v in slot_map(t, s, c).items():
-                    vec_add_at(acc, k, -v if odd else v)
-            if acc:
-                cols[c] = acc
-        diffs.append(SparseMatrix(dims[n - 1], dims[n], f, cols))
+        # (tensor, stride) of d_0, ..., d_n, added with the sign (-1)^i
+        terms = ([(eps, hd ** (n - 1) * mdim)]
+                 + [(h.mult, hd ** (n - 1 - i) * mdim) for i in range(1, n)]
+                 + [(action, 1)])
+        cols: list = [{} for _ in range(dims[n])]
+        for i, (t, s) in enumerate(terms):
+            slot_add(cols, t, s, -f.one if i % 2 else f.one)
+        diffs.append(SparseMatrix(dims[n - 1], dims[n], f,
+                                  {c: v for c, v in enumerate(cols) if v}))
     return ChainComplex(dims, diffs, f)
 
 

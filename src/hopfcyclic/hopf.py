@@ -30,9 +30,10 @@ unit are this rule.
 
 Operators on tensor powers are assembled column by column, from `slot_map`
 and the Sweedler-style scalar accessors (`mult_pairs`, `sweedler`,
-`antipode_of`), never by composing Kronecker products of the full structure
-tensors, so memory stays proportional to the number of nonzero entries of
-the result.
+`antipode_of`), or a whole slot operator at a time by `slot_add`, the
+batched form of `slot_map` that adds it to a list of columns in one pass;
+never by composing Kronecker products of the full structure tensors, so
+memory stays proportional to the number of nonzero entries of the result.
 """
 
 from __future__ import annotations
@@ -315,6 +316,43 @@ def slot_map(t: SparseMatrix, s: int, col: int) -> Vec:
     for i, c in t.cols.get(j, {}).items():
         out[(base + i) * s + low] = c
     return out
+
+
+def slot_add(cols: list, t: SparseMatrix, s: int, c) -> None:
+    """cols[col] += c * slot_map(t, s, col) for every col < len(cols), in
+    place: the batched form of ``slot_map``.  Column (high * ncols + j) * s
+    + low of every block is reached through slices of cols that run along
+    the longer of the low and high axes, so no column is split by divmod
+    and no temporary vector is built; entries that cancel are deleted, and
+    c is a field scalar (an int times a GF(p) scalar is undefined)."""
+    if not c:
+        return
+    block, out_block = t.ncols * s, t.nrows * s
+    nblocks = len(cols) // block
+    if s >= nblocks:  # a run of s adjacent columns per (high, j)
+        runs = [(high * block, high * out_block) for high in range(nblocks)]
+        col_step, key_step, length = 1, 1, s
+    else:  # a run of nblocks columns, one per block, per (j, low)
+        runs = [(low, low) for low in range(s)]
+        col_step, key_step, length = block, out_block, nblocks
+    terms = [(j * s, [(i * s, c * v) for i, v in col.items()])
+             for j, col in t.cols.items()]
+    for col0, key0 in runs:
+        for offset, entries in terms:
+            start = col0 + offset
+            run = cols[start:start + col_step * length:col_step]
+            for k, v in entries:
+                first = key0 + k
+                for key, acc in zip(range(first, first + key_step * length, key_step), run):
+                    w = acc.get(key)
+                    if w is None:
+                        acc[key] = v
+                    else:
+                        w = w + v
+                        if w:
+                            acc[key] = w
+                        else:
+                            del acc[key]
 
 
 def balancing_relators(tix: TensorIndex, junctions) -> Iterator[Vec]:

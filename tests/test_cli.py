@@ -768,3 +768,13 @@ def test_certification_survives_optimized_python():
     assert json.loads(out)["checks"] == plain["checks"]
     assert [c for c in plain["checks"] if not c["passed"]]
     assert run_optimized(["hh", "z3", "adjoint", "--max-degree", "2"])[0] == 0
+
+
+def test_package_runs_as_a_module():
+    """`python -m hopfcyclic` is the same command line as the script."""
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).parent.parent / "src")}
+    argv = ["hh", "z2", "adjoint", "--max-degree", "1", "--format", "json"]
+    proc = subprocess.run([sys.executable, "-m", "hopfcyclic", *argv],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["status"] == "pass"

@@ -12,6 +12,7 @@ from hopfcyclic.cyclic import (
     _sample_columns,
     CharacteristicError,
     aux_resolution_report,
+    bar_complex,
     build_aux_cyclic,
     build_cyclic,
     burghelea_finite,
@@ -30,8 +31,8 @@ from hopfcyclic.cyclic import (
     tsygan_bicomplex,
     verify_cyclic_identities,
 )
-from hopfcyclic.hopf import FiniteGroup, TensorIndex, conjugacy_data, group_algebra, group_subalgebra, separability_element
-from hopfcyclic.linalg import QQ, LinAlgError, PrimeField, SparseMatrix, TruncationError, Vec, WellDefinednessError, homology_dims, total_complex, vec_add_at
+from hopfcyclic.hopf import FiniteGroup, TensorIndex, conjugacy_data, group_algebra, group_subalgebra, hopf_from_json, hopf_to_json, separability_element, slot_map
+from hopfcyclic.linalg import QQ, LinAlgError, PrimeField, SparseMatrix, TruncationError, Vec, WellDefinednessError, homology_dims, total_complex, vec_add_at, vec_iadd_scaled
 
 
 @pytest.fixture(scope="module")
@@ -424,6 +425,64 @@ def test_fan_tables_match_the_slot_by_slot_evaluators(case, top, request):
         if n:
             assert z.boundary(n) == boundary
 
+
+
+def _algebra(name, field, request):
+    """kS3, kD4 or Sweedler's H4 over `field`."""
+    if name == "h4":
+        return hopf_from_json(hopf_to_json(request.getfixturevalue("sweedler_h4")), field, name="H4")
+    group = FiniteGroup.symmetric(3) if name == "ks3" else FiniteGroup.dihedral(4)
+    return group_algebra(group, field)
+
+
+@pytest.mark.parametrize("case, field", [
+    ("ks3-ad", QQ), ("ks3-ad", PrimeField(5)), ("h4-ad", PrimeField(5)),
+    ("h4-coad", PrimeField(5)), ("kd4-ad", PrimeField(5)),
+    ("ks3-aux", PrimeField(5)), ("h4-aux", QQ), ("h4-aux", PrimeField(5)),
+])
+def test_boundaries_from_slot_faces_match_the_per_column_sums(case, field, request):
+    """boundary and norm_boundary, which add the declared counit faces a
+    whole face at a time, equal the sums of an object rebuilt from the same
+    evaluators with no slot faces declared, column by column, through
+    degree 3."""
+    name, coefficients = case.split("-")
+    h = _algebra(name, field, request)
+    if coefficients == "aux":
+        z = build_aux_cyclic(h, 3)
+    else:
+        z = build_cyclic(h, adjoint(h) if coefficients == "ad" else coadjoint(h), 3)
+    plain = CyclicObject(z.field, z.top, z.dim_fn, z.face_fn, z.degen_fn, z.cyclic_fn)
+    assert plain.slot_faces is None
+    for n in range(1, 4):
+        assert len(z.slot_faces(n)) == (n + 1 if coefficients == "aux" else n)
+        assert z.boundary(n) == plain.boundary(n)
+        assert z.norm_boundary(n) == plain.norm_boundary(n)
+        assert list(z.boundary(n).cols) == list(plain.boundary(n).cols)
+
+
+@pytest.mark.parametrize("name, coefficients, field", [
+    ("ks3", "ad", QQ), ("ks3", "ad", PrimeField(5)), ("ks3", "coad", PrimeField(5)),
+    ("h4", "ad", QQ), ("h4", "coad", PrimeField(5)),
+])
+def test_bar_differentials_match_the_per_column_slot_map_sums(name, coefficients, field, request):
+    """Each bar differential through degree 3 is the per-column sum of its
+    terms: the counit on the first slot, the products of adjacent slots and
+    the action of the last slot on the module, with signs (-1)^i."""
+    h = _algebra(name, field, request)
+    m = adjoint(h) if coefficients == "ad" else coadjoint(h)
+    bar = bar_complex(h, m.dim, m.action, 3)
+    for n in range(1, 4):
+        terms = ([(h.counit_matrix(), h.dim ** (n - 1) * m.dim)]
+                 + [(h.mult, h.dim ** (n - 1 - i) * m.dim) for i in range(1, n)]
+                 + [(m.action, 1)])
+        cols = {}
+        for c in range(h.dim ** n * m.dim):
+            acc: Vec = {}
+            for i, (t, s) in enumerate(terms):
+                vec_iadd_scaled(acc, slot_map(t, s, c), -field.one if i % 2 else field.one)
+            if acc:
+                cols[c] = acc
+        assert bar.diff(n) == SparseMatrix(h.dim ** (n - 1) * m.dim, h.dim ** n * m.dim, field, cols)
 
 def test_norm_complex_acyclic(kz2):
     z = build_cyclic(kz2, adjoint(kz2), 5)

@@ -24,12 +24,13 @@ from hopfcyclic.hopf import (
     op_cop,
     quotient_by_normal,
     separability_element,
+    slot_add,
     slot_map,
     verify_hopf,
 )
 from hopfcyclic.crossed import adjoint
 from hopfcyclic.galois import Bimodule, verify_bimodule
-from hopfcyclic.linalg import QQ, PrimeField, SparseMatrix, WellDefinednessError, vec_add_at
+from hopfcyclic.linalg import QQ, PrimeField, SparseMatrix, WellDefinednessError, vec_add_at, vec_iadd_scaled
 
 
 # -- groups -------------------------------------------------------------------
@@ -110,6 +111,12 @@ def _character_bimodule(ca, group):
                     SparseMatrix(2, 2 * ca.dim, ca.field, right), name="k_eps+k_sgn")
 
 
+SLOT_CASES = [
+    f"{label}-{name}" for label in ("ks3_q", "ks3_f5", "h4")
+    for name in ("counit", "comult", "unit", "mult")
+] + ["ks3_q-adjoint", "s3_over_a3-right", "s3_over_a3-left"]
+
+
 @pytest.fixture(scope="module")
 def slot_cases(sweedler_h4, s3_graded, s3_group):
     cases = {}
@@ -132,10 +139,7 @@ def slot_cases(sweedler_h4, s3_graded, s3_group):
     return cases
 
 
-@pytest.mark.parametrize("case", [
-    f"{label}-{name}" for label in ("ks3_q", "ks3_f5", "h4")
-    for name in ("counit", "comult", "unit", "mult")
-] + ["ks3_q-adjoint", "s3_over_a3-right", "s3_over_a3-left"])
+@pytest.mark.parametrize("case", SLOT_CASES)
 def test_slot_map_matches_the_tuple_reference(case, slot_cases):
     """slot_map at the stride of every position of the input slots, among
     up to two further slots, equals the map applied to unflattened tuples."""
@@ -153,6 +157,31 @@ def test_slot_map_matches_the_tuple_reference(case, slot_cases):
                 for u, c in on_tuple(tup[before:before + k]):
                     vec_add_at(want, tgt.flatten(tup[:before] + tuple(u) + tup[before + k:]), c)
                 assert slot_map(t, stride, col) == want, (before, after, col)
+
+
+@pytest.mark.parametrize("case", SLOT_CASES)
+def test_slot_add_matches_slot_map_column_by_column(case, slot_cases):
+    """slot_add(cols, t, s, c) adds c * slot_map(t, s, col) to every column,
+    for c = 1, -1 and 3 (a GF(5) scalar on the ks3_f5 cases), at every
+    stride the tuple reference uses.  A third of the columns start as
+    -c * slot_map, so they cancel to empty; no zero entry is stored."""
+    d, t, ins, outs, _ = slot_cases[case]
+    f = t.field
+    for c in (f.one, -f.one, f.from_int(3)):
+        for before in range(3):
+            for after in range(3 - before):
+                size = d ** (before + after) * TensorIndex(ins).size
+                stride = d ** after
+                start = [{0: f.one} if col % 3 == 0 else
+                         vec_iadd_scaled({}, slot_map(t, stride, col), -c) if col % 3 == 1 else {}
+                         for col in range(size)]
+                want = [vec_iadd_scaled(dict(v), slot_map(t, stride, col), c)
+                        for col, v in enumerate(start)]
+                cols = [dict(v) for v in start]
+                slot_add(cols, t, stride, c)
+                assert cols == want, (c, before, after)
+                assert all(cols[col] == {} for col in range(1, size, 3))
+                assert all(v for acc in cols for v in acc.values())
 
 
 # -- Hopf axioms --------------------------------------------------------------
