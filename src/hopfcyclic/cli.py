@@ -13,7 +13,8 @@ burghelea conjugacy-class folding for a finite group algebra against the
           direct computation
 qtorus    quantum-torus degree lattice and homology point counts
 
-Inputs are builtin names (groups ``z2 z3 z4 z2xz2 s3 d4``, modules
+Inputs are builtin names (groups ``z2 z3 z4 z2xz2 s3 d4``, Sweedler's
+Hopf algebra ``h4``, modules
 ``adjoint coadjoint trivial sign modular_pair:<g>``, extensions
 ``s3_over_a3 kz4_over_kz2 twisted_klein``), file paths, or inline JSON.
 Reports carry ``schema`` 2, the ``config`` keys ``max_degree``, ``field`` and
@@ -72,6 +73,7 @@ from .hopf import (
     group_to_json,
     hopf_from_json,
     hopf_to_json,
+    sweedler_h4,
     verify_hopf,
 )
 from .linalg import QQ, PrimeField, ScalarError, SparseMatrix, TruncationError, vec_add_at
@@ -97,6 +99,9 @@ _GROUP_BUILDERS = {
     "s3": lambda: FiniteGroup.symmetric(3),
     "d4": lambda: FiniteGroup.dihedral(4),
 }
+
+# Hopf algebras that are not group algebras, built over the given field
+_HOPF_BUILDERS = {"h4": sweedler_h4}
 
 
 def _canonical(doc) -> str:
@@ -324,6 +329,9 @@ def resolve_hopf(ref, field):
     if isinstance(ref, str) and ref in _GROUP_BUILDERS:
         h = group_algebra(_GROUP_BUILDERS[ref](), field, name=f"k[{ref}]")
         return h, hopf_to_json(h)
+    if isinstance(ref, str) and ref in _HOPF_BUILDERS:
+        h = _HOPF_BUILDERS[ref](field)
+        return h, hopf_to_json(h)
     label = _ref_label(ref)
     doc = _load_object(ref, "hopf")
     _check(doc, "hopf", f"hopf document {label}")
@@ -333,7 +341,7 @@ def resolve_hopf(ref, field):
 def resolve_algebra(ref, field):
     """An algebra to be graded: a Hopf builtin/document (a Hopf algebra is
     an algebra), or a bare {dim, basis, mult, unit} document."""
-    if isinstance(ref, str) and ref in _GROUP_BUILDERS:
+    if isinstance(ref, str) and (ref in _GROUP_BUILDERS or ref in _HOPF_BUILDERS):
         return resolve_hopf(ref, field)[0]
     doc = _load_object(ref, "algebra")
     if "comult" in doc:

@@ -18,8 +18,11 @@ declares its counit faces as (tensor, stride) pairs, and its boundaries,
 like the bar differentials, add them a whole face at a time with the
 batched ``hopf.slot_add`` instead of calling the closures per column.  The
 last face and the cyclic operator of the coefficient object read tables
-memoized per object (see ``build_cyclic``).  The identity suite checks
-those same evaluators, as every other caller uses them.
+memoized per object (see ``build_cyclic``), in two forms as well: the
+evaluators, which the identity suite and ``apply_*`` read, and the batched
+``fan_add``, which the boundaries, ``cyclic`` and the d_0 tau_n = d_n
+check of ``mixed_bicomplex`` read.  The two are tied at run time: building
+the object checks that they agree on the columns the identity suite checks.
 
 Homology routes: Hochschild on normalized chains (Loday, *Cyclic Homology*,
 1.6.5); cyclic homology via the cyclic-coinvariant quotient complex
@@ -77,6 +80,14 @@ class CyclicObject:
     ``slot_map`` of a structure tensor, as (tensor, stride) pairs: face_fn
     of those faces must be that ``slot_map``, and the boundaries add them a
     whole face at a time with ``slot_add``.
+
+    fan_add(cols, n, tau, c), when given, is the batched form of the last
+    face and the cyclic operator: it adds c d_n, or with tau c tau_n, to
+    every column of cols (a list of dim(n) vectors) in place, and must agree
+    with face_fn(n, n, .) and cyclic_fn(n, .).  The boundaries add the last
+    face with it, ``cyclic`` materializes through it, and ``mixed_bicomplex``
+    checks d_0 tau_n = d_n on its columns; the evaluators serve the identity
+    suite and ``apply_*``.
     """
 
     def __init__(
@@ -89,6 +100,7 @@ class CyclicObject:
         cyclic_fn,
         name: str = "",
         slot_faces: Callable[[int], Sequence[tuple[SparseMatrix, int]]] | None = None,
+        fan_add: Callable[[list, int, bool, object], None] | None = None,
     ):
         self.field = field
         self.top = top
@@ -98,6 +110,7 @@ class CyclicObject:
         self.cyclic_fn = cyclic_fn
         self.name = name
         self.slot_faces = slot_faces
+        self.fan_add = fan_add
         self._dims: dict = {}
         self._face: dict = {}
         self._degen: dict = {}
@@ -132,12 +145,19 @@ class CyclicObject:
         return [self.dim(n) for n in range(self.top + 1)]
 
     def _materialize(self, fn, n: int, target_dim: int) -> SparseMatrix:
-        cols = {}
-        for c in range(self.dim(n)):
-            v = fn(c)
-            if v:
-                cols[c] = v
-        return SparseMatrix(target_dim, self.dim(n), self.field, cols)
+        return self._matrix([fn(c) for c in range(self.dim(n))], target_dim)
+
+    def _matrix(self, cols: list, target_dim: int) -> SparseMatrix:
+        """The matrix whose columns are the vectors of cols."""
+        return SparseMatrix(target_dim, len(cols), self.field,
+                            {c: v for c, v in enumerate(cols) if v})
+
+    def fanned(self, n: int, tau: bool) -> list:
+        """Every column of d_n, or with tau of tau_n, from ``fan_add``, as a
+        list of vectors (empty ones included); nothing is cached."""
+        cols: list = [{} for _ in range(self.dim(n))]
+        self.fan_add(cols, n, tau, self.field.one)
+        return cols
 
     def face(self, n: int, i: int) -> SparseMatrix:
         if not 1 <= n <= self.top or not 0 <= i <= n:
@@ -165,14 +185,18 @@ class CyclicObject:
         self._require_cyclic()
         m = self._cyc.get(n)
         if m is None:
-            m = self._materialize(lambda c: self.cyclic_fn(n, c), n, self.dim(n))
+            if self.fan_add:
+                m = self._matrix(self.fanned(n, True), self.dim(n))
+            else:
+                m = self._materialize(lambda c: self.cyclic_fn(n, c), n, self.dim(n))
             self._cyc[n] = m
         return m
 
     def _face_sum(self, n: int, nfaces: int, cache: dict) -> SparseMatrix:
         """Alternating sum of the first `nfaces` faces in degree n, cached.
         The declared slot faces among them are added a whole face at a time
-        by ``slot_add``; face_fn is called per column only for the rest."""
+        by ``slot_add`` and the last face by ``fan_add`` when declared;
+        face_fn is called per column only for the rest."""
         if not 1 <= n <= self.top:
             raise TruncationError(f"boundary at degree {n} outside the stored range")
         m = cache.get(n)
@@ -184,13 +208,15 @@ class CyclicObject:
             for (t, s), sign in zip(slots, signs):
                 slot_add(cols, t, s, sign)
             rest = list(enumerate(signs))[len(slots):]
+            last = rest.pop() if self.fan_add and rest and rest[-1][0] == n else None
             if rest:
                 face_fn = self.face_fn
                 for c, acc in enumerate(cols):
                     for i, sign in rest:
                         vec_iadd_scaled(acc, face_fn(n, i, c), sign)
-            m = SparseMatrix(self.dim(n - 1), self.dim(n), self.field,
-                             {c: v for c, v in enumerate(cols) if v})
+            if last:
+                self.fan_add(cols, n, False, last[1])
+            m = self._matrix(cols, self.dim(n - 1))
             cache[n] = m
         return m
 
@@ -481,14 +507,18 @@ def build_cyclic(
     The counit faces and the degeneracies are ``slot_map`` of the counit,
     the comultiplication and the unit at slot strides; the n counit faces
     are declared to the object as slot faces, so ``boundary`` and
-    ``norm_boundary`` add each of them a whole face at a time and call the
-    evaluator per column only for the last face.  The last face and
-    the cyclic operator (n >= 1) are one fan-out evaluator over tables
-    memoized per object: x S(l) for every pair of basis elements, the slot
-    digits of each prefix index, and per degree, last slot and module index
-    the Sweedler legs with their action and coaction terms.  These evaluators are the only definition of the
-    operators: materialization, ``apply_*`` and the identity suite all
-    call them.
+    ``norm_boundary`` add each of them a whole face at a time.  The last
+    face and the cyclic operator (n >= 1) read tables memoized per object:
+    x S(l) for every pair of basis elements, the slot digits of each prefix
+    index, and per degree, last slot and module index the Sweedler legs with
+    their action and coaction terms.  They come in two forms over the same
+    tables: ``fan_out`` gives one column, for the evaluators that
+    ``apply_*`` and the identity suite call, and ``fan_add``, declared to
+    the object, adds the whole operator to a list of columns, for the
+    boundaries, ``cyclic`` and ``mixed_bicomplex``.  Next to the identity
+    suite, a check named "batched last face and cyclic operator match the
+    evaluators at degree n" compares the two forms on the suite's columns
+    through degree min(max_degree, 2).
     """
     if m.h is not h:
         raise ValueError("module is not over the given Hopf algebra")
@@ -533,10 +563,10 @@ def build_cyclic(
     # h^{n-1} * md + m of the column.
     @lru_cache(maxsize=None)
     def fans(n, tau):
-        """(prefix digits, prefix strides, fan table) of d_n, or with tau
-        of tau_n.  Per tail the table lists terms (head, rows, action):
-        head holds the (index, coeff) of the slots above the prefix, rows[j]
-        is by_leg()[l_{n-2-j}], and action the (m', coeff) of the module."""
+        """(prefix strides, fan table) of d_n, or with tau of tau_n.  Per
+        tail the table lists terms (head, rows, action): head holds the
+        (index, coeff) of the slots above the prefix, rows[j] is
+        by_leg()[l_{n-2-j}], and action the (m', coeff) of the module."""
         rows_of = by_leg()
         s0 = index(n).strides[0]
         table = []
@@ -553,13 +583,13 @@ def build_cyclic(
                         head = [(p * s0, c * cp) for p, cp in rows_of[legs[n - 1]][m1]]
                         terms.append((head, rows, m.act_pairs(legs[n], m0)))
                 table.append(terms)
-        return digits(n - 1), index(n - 1).strides, table
+        return index(n - 1).strides, table
 
     def fan_out(n, col, tau):
         """Column col of d_n, or with tau of tau_n."""
-        prefixes, strides, table = fans(n, tau)
+        strides, table = fans(n, tau)
         prefix, tail = divmod(col, hd * md)
-        digs = prefixes[prefix]
+        digs = digits(n - 1)[prefix]
         out: Vec = {}
         for head, rows, act in table[tail]:
             for combo in product(head, *[row[x] for x, row in zip(digs, rows)]):
@@ -570,6 +600,42 @@ def build_cyclic(
                 for mj, ca in act:
                     vec_add_at(out, k + mj, c * ca)
         return out
+
+    def fan_add(cols, n, tau, c):
+        """cols[col] += c * d_n(col), or with tau c * tau_n(col), for every
+        column of cols (all dim(n) of them), in place: the batched form of
+        ``fan_out``, from the same tables.  The columns sharing a tail are
+        every (hd * md)-th; per term, the action is folded into the head
+        entries and the prefix slots are expanded one level at a time, in
+        flat order, so each partial product is shared by every prefix that
+        begins with it."""
+        if not c:
+            return
+        if not n:  # only tau_0 exists there, and it acts on the module alone
+            for col, acc in enumerate(cols):
+                vec_iadd_scaled(acc, cyclic_fn(0, col), c)
+            return
+        strides, table = fans(n, tau)
+        for tail, terms in enumerate(table):
+            run = cols[tail::hd * md]
+            for head, rows, act in terms:
+                level = [[(k + mj, c * ch * ca) for k, ch in head for mj, ca in act]]
+                if not level[0]:
+                    continue
+                for row, s in zip(rows, strides):
+                    level = [[(k + p * s, ch * cp) for k, ch in ents for p, cp in row[x]]
+                             for ents in level for x in range(hd)]
+                for acc, ents in zip(run, level):
+                    for k, v in ents:
+                        w = acc.get(k)
+                        if w is None:
+                            acc[k] = v
+                        else:
+                            w = w + v
+                            if w:
+                                acc[k] = w
+                            else:
+                                del acc[k]
 
     @lru_cache(maxsize=None)
     def counit_faces(n):
@@ -596,14 +662,31 @@ def build_cyclic(
         return out
 
     z = CyclicObject(f, max_degree, dim_fn, face_fn, degen_fn, cyclic_fn,
-                     name=f"Z({h.name};{m.name})", slot_faces=counit_faces)
+                     name=f"Z({h.name};{m.name})", slot_faces=counit_faces,
+                     fan_add=fan_add)
     # a diagnostic build hands the object back so the identity suite can
     # pinpoint which axiom fails instead of raising here
     if require_modular:
-        verify_cyclic_identities(
-            z, min(max_degree, 2), columns=_sample_columns(z),
-        ).require(z.name)
+        checked, columns = min(max_degree, 2), _sample_columns(z)
+        rep = verify_cyclic_identities(z, checked, columns=columns)
+        for n in range(1, checked + 1):
+            rep.check(
+                f"batched last face and cyclic operator match the evaluators at degree {n}",
+                _batched_failures(z, n, range(z.dim(n)) if columns is None else columns(n)),
+            )
+        rep.require(z.name)
     return z
+
+
+def _batched_failures(z: CyclicObject, n: int, cols: Iterable[int]):
+    """The columns among cols where ``fan_add`` disagrees with face_fn or
+    cyclic_fn on d_n or tau_n: the run-time tie between the batched form,
+    which homology reads, and the evaluators, which the identity suite
+    reads."""
+    taus, lasts = z.fanned(n, True), z.fanned(n, False)
+    for c in cols:
+        if taus[c] != z.cyclic_fn(n, c) or lasts[c] != z.face_fn(n, n, c):
+            yield f"column {c}"
 
 
 # ---------------------------------------------------------------------------
@@ -747,10 +830,12 @@ def mixed_bicomplex(z: CyclicObject, max_total: int) -> Bicomplex:
     normalized carriers by ``QuotientSpace.induced_matrix``, which checks
     that they descend; ``Bicomplex`` checks B^2 = 0 and bB + Bb = 0, and
     the total complex checks that its boundary squares to zero.  Last,
-    d_0 tau_n = d_n is checked column by column from the evaluators at
-    every degree 1..max_total + 1: B is built from tau and the
-    degeneracies alone, so a tau that breaks that identity can pass every
-    check above and give wrong dimensions.
+    d_0 tau_n = d_n is checked at every column of every degree
+    1..max_total + 1: B is built from tau and the degeneracies alone, so a
+    tau that breaks that identity can pass every check above and give wrong
+    dimensions.  Both operators are read from ``fan_add`` when the object
+    declares it, one degree at a time and not kept, else column by column
+    from the evaluators.
     """
     _gate_characteristic(z)
     reach = max_total + 1
@@ -790,13 +875,28 @@ def mixed_bicomplex(z: CyclicObject, max_total: int) -> Bicomplex:
     bic = Bicomplex(cells, horiz, vert, f)
     rep = CheckReport(f"cyclic operator of {z.name or 'cyclic object'}")
     for n in range(1, reach + 1):
-        if not rep.check(f"d_0 t_n = d_n at degree {n}", (
-            f"column {c}" for c in range(z.dim(n))
-            if z.apply_face(n, 0, z.cyclic_fn(n, c)) != z.face_fn(n, n, c)
-        )):
+        if not rep.check(f"d_0 t_n = d_n at degree {n}", _last_face_failures(z, n)):
             break
     rep.require("the (b, B) bicomplex")
     return bic
+
+
+def _last_face_failures(z: CyclicObject, n: int):
+    """The columns where d_0 tau_n != d_n.  With ``fan_add`` declared, the
+    batched columns of tau_n are replaced one by one by their d_0 images,
+    d_n is subtracted from all of them at once, and the columns left
+    nonzero fail; the one transient list is dropped when the check ends.
+    Otherwise both sides come column by column from the evaluators."""
+    if z.fan_add:
+        cols = z.fanned(n, True)
+        for c, tau in enumerate(cols):
+            cols[c] = z.apply_face(n, 0, tau)
+        z.fan_add(cols, n, False, -z.field.one)
+        yield from (f"column {c}" for c, v in enumerate(cols) if v)
+        return
+    for c in range(z.dim(n)):
+        if z.apply_face(n, 0, z.cyclic_fn(n, c)) != z.face_fn(n, n, c):
+            yield f"column {c}"
 
 
 def hc_bicomplex(z: CyclicObject, low: int, high: int) -> list:

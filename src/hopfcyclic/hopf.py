@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import collections
 import itertools
+import json
 from dataclasses import dataclass
 from operator import mul
 from typing import Iterator, Sequence
@@ -887,6 +888,31 @@ def hopf_from_json(doc: dict, field: Field = QQ, name: str = "H") -> HopfAlgebra
     h = HopfAlgebra(field, basis, mult, unit, comult, counit, antipode, name)
     verify_hopf(h).require(name)
     return h
+
+
+# Sweedler's H4 as a hopf_from_json document, in the JSON the command line
+# reads (one string, so compiling the module costs no more than a constant):
+# g^2 = 1, x^2 = 0, xg = -gx, comult(x) = x (x) 1 + g (x) x, S(x) = -gx
+_SWEEDLER_H4 = (
+    '{"dim": 4, "basis": ["1", "g", "x", "gx"],'
+    ' "mult": [[0, 0, 0, 1], [0, 1, 1, 1], [0, 2, 2, 1], [0, 3, 3, 1],'
+    '          [1, 0, 1, 1], [2, 0, 2, 1], [3, 0, 3, 1],'
+    '          [1, 1, 0, 1], [1, 2, 3, 1], [1, 3, 2, 1],'
+    '          [2, 1, 3, -1], [3, 1, 2, -1]],'
+    ' "comult": [[0, 0, 0, 1], [1, 1, 1, 1], [2, 2, 0, 1], [2, 1, 2, 1],'
+    '            [3, 3, 1, 1], [3, 0, 3, 1]],'
+    ' "unit": [1, 0, 0, 0], "counit": [1, 1, 0, 0],'
+    ' "antipode": [[0, 0, 1], [1, 1, 1], [3, 2, -1], [2, 3, 1]]}'
+)
+
+
+def sweedler_h4(field: Field = QQ) -> HopfAlgebra:
+    """Sweedler's four-dimensional Hopf algebra on the basis 1, g, x, gx:
+    g^2 = 1, x^2 = 0, xg = -gx, comult(x) = x (x) 1 + g (x) x and
+    S(x) = -gx, so S(gx) = x.  It is not cocommutative, its counit vanishes
+    on x and gx, and outside characteristic 2 it is not commutative and
+    S^2 != id."""
+    return hopf_from_json(json.loads(_SWEEDLER_H4), field, name="H4")
 
 
 def group_to_json(g: FiniteGroup) -> dict:

@@ -14,7 +14,8 @@ from hopfcyclic.galois import (
     strongly_graded,
     twisted_group_algebra,
 )
-from hopfcyclic.hopf import FiniteGroup, group_algebra, hopf_from_json
+from hopfcyclic import hopf
+from hopfcyclic.hopf import FiniteGroup, group_algebra
 from hopfcyclic.linalg import QQ
 
 
@@ -59,25 +60,5 @@ def klein_twisted():
 
 @pytest.fixture(scope="session")
 def sweedler_h4():
-    """Sweedler's four-dimensional Hopf algebra on the basis 1, g, x, gx:
-    g^2 = 1, x^2 = 0, xg = -gx, comult(x) = x (x) 1 + g (x) x, S(x) = -gx
-    (so S(gx) = x and S^2 != id)."""
-    doc = {
-        "dim": 4,
-        "basis": ["1", "g", "x", "gx"],
-        "mult": [
-            [0, 0, 0, 1], [0, 1, 1, 1], [0, 2, 2, 1], [0, 3, 3, 1],
-            [1, 0, 1, 1], [2, 0, 2, 1], [3, 0, 3, 1],
-            [1, 1, 0, 1], [1, 2, 3, 1], [1, 3, 2, 1],
-            [2, 1, 3, -1], [3, 1, 2, -1],
-        ],
-        "comult": [
-            [0, 0, 0, 1], [1, 1, 1, 1],
-            [2, 2, 0, 1], [2, 1, 2, 1],
-            [3, 3, 1, 1], [3, 0, 3, 1],
-        ],
-        "unit": [1, 0, 0, 0],
-        "counit": [1, 1, 0, 0],
-        "antipode": [[0, 0, 1], [1, 1, 1], [3, 2, -1], [2, 3, 1]],
-    }
-    return hopf_from_json(doc, name="H4")
+    """Sweedler's H_4 over Q (``hopf.sweedler_h4``)."""
+    return hopf.sweedler_h4()

@@ -91,6 +91,26 @@ def test_hh_works_over_a_prime_field():
     assert_golden(rep, "hh_z2_adjoint_f2")
 
 
+@pytest.mark.parametrize("argv, table, want, golden", [
+    (["hh", "h4", "adjoint"], "hh", [2, 1, 1, 1], "hh_h4_adjoint"),
+    (["hc", "h4", "adjoint", "--method", "both"], "hc (lambda)", [2, 1, 2, 1],
+     "hc_h4_adjoint_both"),
+    (["hc", "h4", "coadjoint", "--method", "both"], "hc (lambda)", [1, 0, 1, 0],
+     "hc_h4_coadjoint_both"),
+])
+def test_sweedler_builtin(argv, table, want, golden):
+    """Sweedler's H4 is a builtin: its multi-term coproduct and
+    non-involutive antipode reach the reports.  HH with adjoint
+    coefficients is the Tor of the bar oracle, and both cyclic routes
+    agree."""
+    rc, rep = run_json(argv)
+    assert rc == 0 and rep["status"] == "pass"
+    assert rep["tables"][table] == want
+    if "--method" in argv:
+        assert rep["tables"]["hc (bicomplex)"] == want
+    assert_golden(rep, golden)
+
+
 def test_modular_pair_module_over_op_cop():
     rc, rep = run_json(["hc", "z3", "modular_pair:g", "--max-degree", "3"])
     assert rc == 0

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfcyclic.crossed import adjoint, coadjoint, modular_pair_module, one_dimensional, trivial_module
-from hopfcyclic import cyclic, linalg
+from hopfcyclic import cyclic, hopf, linalg
 from hopfcyclic.cyclic import (
     CyclicObject,
     _sample_columns,
@@ -31,7 +31,7 @@ from hopfcyclic.cyclic import (
     tsygan_bicomplex,
     verify_cyclic_identities,
 )
-from hopfcyclic.hopf import FiniteGroup, TensorIndex, conjugacy_data, group_algebra, group_subalgebra, hopf_from_json, hopf_to_json, separability_element, slot_map
+from hopfcyclic.hopf import FiniteGroup, TensorIndex, conjugacy_data, group_algebra, group_subalgebra, separability_element, slot_map
 from hopfcyclic.linalg import QQ, LinAlgError, PrimeField, SparseMatrix, TruncationError, Vec, WellDefinednessError, homology_dims, total_complex, vec_add_at, vec_iadd_scaled
 
 
@@ -427,10 +427,10 @@ def test_fan_tables_match_the_slot_by_slot_evaluators(case, top, request):
 
 
 
-def _algebra(name, field, request):
+def _algebra(name, field):
     """kS3, kD4 or Sweedler's H4 over `field`."""
     if name == "h4":
-        return hopf_from_json(hopf_to_json(request.getfixturevalue("sweedler_h4")), field, name="H4")
+        return hopf.sweedler_h4(field)
     group = FiniteGroup.symmetric(3) if name == "ks3" else FiniteGroup.dihedral(4)
     return group_algebra(group, field)
 
@@ -440,13 +440,13 @@ def _algebra(name, field, request):
     ("h4-coad", PrimeField(5)), ("kd4-ad", PrimeField(5)),
     ("ks3-aux", PrimeField(5)), ("h4-aux", QQ), ("h4-aux", PrimeField(5)),
 ])
-def test_boundaries_from_slot_faces_match_the_per_column_sums(case, field, request):
+def test_boundaries_from_slot_faces_match_the_per_column_sums(case, field):
     """boundary and norm_boundary, which add the declared counit faces a
     whole face at a time, equal the sums of an object rebuilt from the same
     evaluators with no slot faces declared, column by column, through
     degree 3."""
     name, coefficients = case.split("-")
-    h = _algebra(name, field, request)
+    h = _algebra(name, field)
     if coefficients == "aux":
         z = build_aux_cyclic(h, 3)
     else:
@@ -460,15 +460,70 @@ def test_boundaries_from_slot_faces_match_the_per_column_sums(case, field, reque
         assert list(z.boundary(n).cols) == list(plain.boundary(n).cols)
 
 
+@pytest.mark.parametrize("name, coefficients, field, top", [
+    ("ks3", "ad", QQ, 4), ("ks3", "coad", QQ, 4),
+    ("ks3", "ad", PrimeField(2), 4), ("ks3", "coad", PrimeField(2), 4),
+    ("ks3", "ad", PrimeField(5), 4), ("ks3", "coad", PrimeField(5), 4),
+    ("h4", "ad", QQ, 5), ("h4", "coad", QQ, 5),
+])
+def test_batched_fan_matches_the_evaluators(name, coefficients, field, top):
+    """fan_add, the batched last face and cyclic operator that the
+    boundaries, ``cyclic`` and the d_0 tau_n = d_n check read, equals
+    face_fn(n, n, .) and cyclic_fn(n, .) at every column through `top`.
+    Added with c = 3 to columns holding -3 times the evaluator, every entry
+    cancels and is deleted.  H4's multi-term Sweedler legs and its empty
+    columns are covered."""
+    h = _algebra(name, field)
+    z = build_cyclic(h, adjoint(h) if coefficients == "ad" else coadjoint(h), top)
+    three = field.coerce(3)
+    for n in range(1, top + 1):
+        for tau, evaluator in ((False, lambda c: z.face_fn(n, n, c)),
+                               (True, lambda c: z.cyclic_fn(n, c))):
+            want = [evaluator(c) for c in range(z.dim(n))]
+            assert z.fanned(n, tau) == want
+            cols = [{k: -(three * v) for k, v in col.items()} for col in want]
+            z.fan_add(cols, n, tau, three)
+            assert not any(cols)
+    if name == "h4":
+        last = z.fanned(2, False)
+        assert {} in last and any(len(col) > 1 for col in last)
+        assert any(len(legs) > 1 for legs in (h.sweedler(x, 3) for x in range(4)))
+
+
+@pytest.mark.parametrize("case", ["ks3-ad", "h4-coad"])
+def test_boundary_and_cyclic_call_no_per_column_fan_evaluator(case, request):
+    """boundary, norm_boundary and cyclic at degree 4, and the (b, B)
+    bicomplex through total degree 3 with its d_0 tau_n = d_n check, never
+    call face_fn for the last face or cyclic_fn: they read fan_add."""
+    h, m = _route_case(case, request)
+    z = build_cyclic(h, m, 4)
+    calls = []
+    face_fn, cyclic_fn = z.face_fn, z.cyclic_fn
+
+    def face(n, i, c):
+        calls.append(("face", n, i))
+        return face_fn(n, i, c)
+
+    def cyc(n, c):
+        calls.append(("cyclic", n))
+        return cyclic_fn(n, c)
+
+    z.face_fn, z.cyclic_fn = face, cyc
+    z.boundary(4), z.norm_boundary(4), z.cyclic(4)
+    assert calls == []
+    hc_bicomplex(z, 0, 3)
+    assert calls and all(kind == "face" and i < n for kind, n, i in calls)
+
+
 @pytest.mark.parametrize("name, coefficients, field", [
     ("ks3", "ad", QQ), ("ks3", "ad", PrimeField(5)), ("ks3", "coad", PrimeField(5)),
     ("h4", "ad", QQ), ("h4", "coad", PrimeField(5)),
 ])
-def test_bar_differentials_match_the_per_column_slot_map_sums(name, coefficients, field, request):
+def test_bar_differentials_match_the_per_column_slot_map_sums(name, coefficients, field):
     """Each bar differential through degree 3 is the per-column sum of its
     terms: the counit on the first slot, the products of adjacent slots and
     the action of the last slot on the module, with signs (-1)^i."""
-    h = _algebra(name, field, request)
+    h = _algebra(name, field)
     m = adjoint(h) if coefficients == "ad" else coadjoint(h)
     bar = bar_complex(h, m.dim, m.action, 3)
     for n in range(1, 4):
