@@ -77,7 +77,7 @@ from .hopf import (
     verify_hopf,
 )
 from .linalg import QQ, PrimeField, ScalarError, SparseMatrix, TruncationError, vec_add_at
-from .qtorus import TorusCocycle, box_check, degree_lattice, torus_homology
+from .qtorus import TorusCocycle, box_check, torus_homology
 from .reporting import CheckReport
 
 

@@ -17,12 +17,11 @@ counit faces and the degeneracies, like the terms of ``bar_complex``, are
 declares its counit faces as (tensor, stride) pairs, and its boundaries,
 like the bar differentials, add them a whole face at a time with the
 batched ``hopf.slot_add`` instead of calling the closures per column.  The
-last face and the cyclic operator of the coefficient object read tables
-memoized per object (see ``build_cyclic``), in two forms as well: the
-evaluators, which the identity suite and ``apply_*`` read, and the batched
-``fan_add``, which the boundaries, ``cyclic`` and the d_0 tau_n = d_n
-check of ``mixed_bicomplex`` read.  The two are tied at run time: building
-the object checks that they agree on the columns the identity suite checks.
+last face and the cyclic operator of the coefficient object have one
+definition, ``fan_add``, which adds a whole operator to a list of columns
+(see ``build_cyclic``): the boundaries, ``cyclic`` and ``mixed_bicomplex``
+call it, and the evaluators read columns of the lists it builds, so the
+identity suite checks the code that homology reads.
 
 Homology routes: Hochschild on normalized chains (Loday, *Cyclic Homology*,
 1.6.5); cyclic homology via the cyclic-coinvariant quotient complex
@@ -35,7 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from typing import Callable, Iterable, Sequence
 
 from .crossed import CrossedModule, action_tensor, decompose_group_case, induce, quotient_coaction, trivial_coaction, u_map, verify_crossed
@@ -81,13 +79,14 @@ class CyclicObject:
     of those faces must be that ``slot_map``, and the boundaries add them a
     whole face at a time with ``slot_add``.
 
-    fan_add(cols, n, tau, c), when given, is the batched form of the last
-    face and the cyclic operator: it adds c d_n, or with tau c tau_n, to
-    every column of cols (a list of dim(n) vectors) in place, and must agree
-    with face_fn(n, n, .) and cyclic_fn(n, .).  The boundaries add the last
-    face with it, ``cyclic`` materializes through it, and ``mixed_bicomplex``
-    checks d_0 tau_n = d_n on its columns; the evaluators serve the identity
-    suite and ``apply_*``.
+    fan_add(cols, n, tau, c), when given, adds c d_n, or with tau c tau_n,
+    to every column of cols (a list of dim(n) vectors) in place, and must
+    agree with face_fn(n, n, .) and cyclic_fn(n, .).
+
+    ``_add`` is the one place that chooses how an operator is applied to a
+    whole list of columns: ``face``, ``cyclic``, the boundaries and the
+    d_0 tau_n = d_n check of ``mixed_bicomplex`` all go through it.  The
+    evaluators serve the identity suite and ``apply_*``.
     """
 
     def __init__(
@@ -144,19 +143,34 @@ class CyclicObject:
     def dims(self) -> list:
         return [self.dim(n) for n in range(self.top + 1)]
 
-    def _materialize(self, fn, n: int, target_dim: int) -> SparseMatrix:
-        return self._matrix([fn(c) for c in range(self.dim(n))], target_dim)
-
     def _matrix(self, cols: list, target_dim: int) -> SparseMatrix:
         """The matrix whose columns are the vectors of cols."""
         return SparseMatrix(target_dim, len(cols), self.field,
                             {c: v for c, v in enumerate(cols) if v})
 
-    def fanned(self, n: int, tau: bool) -> list:
-        """Every column of d_n, or with tau of tau_n, from ``fan_add``, as a
-        list of vectors (empty ones included); nothing is cached."""
+    def _add(self, cols: list, n: int, i: int | None, c) -> None:
+        """cols[col] += c * op(col) for every column of cols (a list of
+        dim(n) vectors), in place, with op the i-th face in degree n, or
+        with i None the cyclic operator tau_n.  The one place that chooses
+        how: a declared slot face through ``slot_add``, the last face and
+        tau_n through the declared ``fan_add``, anything else through the
+        evaluators one column at a time."""
+        slots = self.slot_faces(n) if self.slot_faces else ()
+        if i is not None and i < len(slots):
+            slot_add(cols, *slots[i], c)
+        elif self.fan_add and (i is None or i == n):
+            self.fan_add(cols, n, i is None, c)
+        else:
+            for col, acc in enumerate(cols):
+                vec_iadd_scaled(acc, self.cyclic_fn(n, col) if i is None
+                                else self.face_fn(n, i, col), c)
+
+    def _columns(self, n: int, i: int | None) -> list:
+        """Every column of the i-th face in degree n, or with i None of
+        tau_n, through ``_add``, as a list of vectors (empty ones included);
+        nothing is cached."""
         cols: list = [{} for _ in range(self.dim(n))]
-        self.fan_add(cols, n, tau, self.field.one)
+        self._add(cols, n, i, self.field.one)
         return cols
 
     def face(self, n: int, i: int) -> SparseMatrix:
@@ -165,7 +179,7 @@ class CyclicObject:
         key = (n, i)
         m = self._face.get(key)
         if m is None:
-            m = self._materialize(lambda c: self.face_fn(n, i, c), n, self.dim(n - 1))
+            m = self._matrix(self._columns(n, i), self.dim(n - 1))
             self._face[key] = m
         return m
 
@@ -175,7 +189,8 @@ class CyclicObject:
         key = (n, i)
         m = self._degen.get(key)
         if m is None:
-            m = self._materialize(lambda c: self.degen_fn(n, i, c), n, self.dim(n + 1))
+            m = self._matrix([self.degen_fn(n, i, c) for c in range(self.dim(n))],
+                             self.dim(n + 1))
             self._degen[key] = m
         return m
 
@@ -185,37 +200,21 @@ class CyclicObject:
         self._require_cyclic()
         m = self._cyc.get(n)
         if m is None:
-            if self.fan_add:
-                m = self._matrix(self.fanned(n, True), self.dim(n))
-            else:
-                m = self._materialize(lambda c: self.cyclic_fn(n, c), n, self.dim(n))
+            m = self._matrix(self._columns(n, None), self.dim(n))
             self._cyc[n] = m
         return m
 
     def _face_sum(self, n: int, nfaces: int, cache: dict) -> SparseMatrix:
-        """Alternating sum of the first `nfaces` faces in degree n, cached.
-        The declared slot faces among them are added a whole face at a time
-        by ``slot_add`` and the last face by ``fan_add`` when declared;
-        face_fn is called per column only for the rest."""
+        """Alternating sum of the first `nfaces` faces in degree n, cached,
+        each face added to the columns by ``_add``."""
         if not 1 <= n <= self.top:
             raise TruncationError(f"boundary at degree {n} outside the stored range")
         m = cache.get(n)
         if m is None:
             one = self.field.one
-            signs = [-one if i % 2 else one for i in range(nfaces)]
-            slots = self.slot_faces(n)[:nfaces] if self.slot_faces else ()
             cols: list = [{} for _ in range(self.dim(n))]
-            for (t, s), sign in zip(slots, signs):
-                slot_add(cols, t, s, sign)
-            rest = list(enumerate(signs))[len(slots):]
-            last = rest.pop() if self.fan_add and rest and rest[-1][0] == n else None
-            if rest:
-                face_fn = self.face_fn
-                for c, acc in enumerate(cols):
-                    for i, sign in rest:
-                        vec_iadd_scaled(acc, face_fn(n, i, c), sign)
-            if last:
-                self.fan_add(cols, n, False, last[1])
+            for i in range(nfaces):
+                self._add(cols, n, i, -one if i % 2 else one)
             m = self._matrix(cols, self.dim(n - 1))
             cache[n] = m
         return m
@@ -508,17 +507,15 @@ def build_cyclic(
     the comultiplication and the unit at slot strides; the n counit faces
     are declared to the object as slot faces, so ``boundary`` and
     ``norm_boundary`` add each of them a whole face at a time.  The last
-    face and the cyclic operator (n >= 1) read tables memoized per object:
-    x S(l) for every pair of basis elements, the slot digits of each prefix
-    index, and per degree, last slot and module index the Sweedler legs with
-    their action and coaction terms.  They come in two forms over the same
-    tables: ``fan_out`` gives one column, for the evaluators that
-    ``apply_*`` and the identity suite call, and ``fan_add``, declared to
-    the object, adds the whole operator to a list of columns, for the
-    boundaries, ``cyclic`` and ``mixed_bicomplex``.  Next to the identity
-    suite, a check named "batched last face and cyclic operator match the
-    evaluators at degree n" compares the two forms on the suite's columns
-    through degree min(max_degree, 2).
+    face and the cyclic operator (n >= 1) have one definition, ``fan_add``,
+    declared to the object, which adds the whole operator to a list of
+    columns from tables memoized per object: x S(l) for every pair of basis
+    elements, and per degree, last slot and module index the Sweedler legs
+    with their action and coaction terms.  The evaluators face_fn(n, n, .)
+    and cyclic_fn(n, .) return columns of whole lists built by one
+    ``fan_add`` call each, memoized per (n, tau) while the build's identity
+    suite runs and then dropped; the vectors they return are shared and
+    read-only.
     """
     if m.h is not h:
         raise ValueError("module is not over the given Hopf algebra")
@@ -540,11 +537,6 @@ def build_cyclic(
 
     def dim_fn(n):
         return hd**n * md
-
-    @lru_cache(maxsize=None)
-    def digits(k):
-        """The slot digits of every index of H^{(x)k}, in flat order."""
-        return list(product(range(hd), repeat=k))
 
     @lru_cache(maxsize=None)
     def by_leg():
@@ -585,35 +577,26 @@ def build_cyclic(
                 table.append(terms)
         return index(n - 1).strides, table
 
-    def fan_out(n, col, tau):
-        """Column col of d_n, or with tau of tau_n."""
-        strides, table = fans(n, tau)
-        prefix, tail = divmod(col, hd * md)
-        digs = digits(n - 1)[prefix]
+    def tau_0(col):
+        """Column col of tau_0 = m -> m_(1) . m_(0), on the module alone."""
         out: Vec = {}
-        for head, rows, act in table[tail]:
-            for combo in product(head, *[row[x] for x, row in zip(digs, rows)]):
-                k, c = combo[0]
-                for (p, cp), s in zip(combo[1:], strides):
-                    k += p * s
-                    c *= cp
-                for mj, ca in act:
-                    vec_add_at(out, k + mj, c * ca)
+        for (m0, m1), c in m.coact_pairs(col):
+            for mj, ca in m.act_pairs(m1, m0):
+                vec_add_at(out, mj, c * ca)
         return out
 
     def fan_add(cols, n, tau, c):
         """cols[col] += c * d_n(col), or with tau c * tau_n(col), for every
-        column of cols (all dim(n) of them), in place: the batched form of
-        ``fan_out``, from the same tables.  The columns sharing a tail are
-        every (hd * md)-th; per term, the action is folded into the head
-        entries and the prefix slots are expanded one level at a time, in
-        flat order, so each partial product is shared by every prefix that
-        begins with it."""
+        column of cols (all dim(n) of them), in place: the one definition of
+        both operators.  The columns sharing a tail are every (hd * md)-th;
+        per term, the action is folded into the head entries and the prefix
+        slots are expanded one level at a time, in flat order, so each
+        partial product is shared by every prefix that begins with it."""
         if not c:
             return
-        if not n:  # only tau_0 exists there, and it acts on the module alone
+        if not n:  # only tau_0 exists there
             for col, acc in enumerate(cols):
-                vec_iadd_scaled(acc, cyclic_fn(0, col), c)
+                vec_iadd_scaled(acc, tau_0(col), c)
             return
         strides, table = fans(n, tau)
         for tail, terms in enumerate(table):
@@ -637,6 +620,19 @@ def build_cyclic(
                             else:
                                 del acc[k]
 
+    # every column of d_n or tau_n per (n, tau), built when an evaluator
+    # first asks and dropped after the build's identity suite; shared and
+    # read-only, like the matrix columns of ``galois.relative_cyclic``'s
+    # evaluators
+    fanned: dict = {}
+
+    def fanned_column(n, tau, col):
+        cols = fanned.get((n, tau))
+        if cols is None:
+            cols = fanned[n, tau] = [{} for _ in range(dim_fn(n))]
+            fan_add(cols, n, tau, f.one)
+        return cols[col]
+
     @lru_cache(maxsize=None)
     def counit_faces(n):
         """(counit, slot stride) of the faces d_0, ..., d_{n-1}."""
@@ -645,7 +641,7 @@ def build_cyclic(
     def face_fn(n, i, col):
         if i < n:
             return slot_map(*counit_faces(n)[i], col)
-        return fan_out(n, col, False)
+        return fanned_column(n, False, col)
 
     def degen_fn(n, i, col):
         if i < n:
@@ -653,13 +649,7 @@ def build_cyclic(
         return slot_map(unit, md, col)
 
     def cyclic_fn(n, col):
-        if n:
-            return fan_out(n, col, True)
-        out: Vec = {}
-        for (m0, m1), c in m.coact_pairs(col):
-            for mj, ca in m.act_pairs(m1, m0):
-                vec_add_at(out, mj, c * ca)
-        return out
+        return fanned_column(n, True, col) if n else tau_0(col)
 
     z = CyclicObject(f, max_degree, dim_fn, face_fn, degen_fn, cyclic_fn,
                      name=f"Z({h.name};{m.name})", slot_faces=counit_faces,
@@ -667,26 +657,10 @@ def build_cyclic(
     # a diagnostic build hands the object back so the identity suite can
     # pinpoint which axiom fails instead of raising here
     if require_modular:
-        checked, columns = min(max_degree, 2), _sample_columns(z)
-        rep = verify_cyclic_identities(z, checked, columns=columns)
-        for n in range(1, checked + 1):
-            rep.check(
-                f"batched last face and cyclic operator match the evaluators at degree {n}",
-                _batched_failures(z, n, range(z.dim(n)) if columns is None else columns(n)),
-            )
+        rep = verify_cyclic_identities(z, min(max_degree, 2), columns=_sample_columns(z))
+        fanned.clear()
         rep.require(z.name)
     return z
-
-
-def _batched_failures(z: CyclicObject, n: int, cols: Iterable[int]):
-    """The columns among cols where ``fan_add`` disagrees with face_fn or
-    cyclic_fn on d_n or tau_n: the run-time tie between the batched form,
-    which homology reads, and the evaluators, which the identity suite
-    reads."""
-    taus, lasts = z.fanned(n, True), z.fanned(n, False)
-    for c in cols:
-        if taus[c] != z.cyclic_fn(n, c) or lasts[c] != z.face_fn(n, n, c):
-            yield f"column {c}"
 
 
 # ---------------------------------------------------------------------------
@@ -833,9 +807,8 @@ def mixed_bicomplex(z: CyclicObject, max_total: int) -> Bicomplex:
     d_0 tau_n = d_n is checked at every column of every degree
     1..max_total + 1: B is built from tau and the degeneracies alone, so a
     tau that breaks that identity can pass every check above and give wrong
-    dimensions.  Both operators are read from ``fan_add`` when the object
-    declares it, one degree at a time and not kept, else column by column
-    from the evaluators.
+    dimensions.  Both operators are added through ``CyclicObject._add``,
+    one degree at a time and not kept.
     """
     _gate_characteristic(z)
     reach = max_total + 1
@@ -882,21 +855,15 @@ def mixed_bicomplex(z: CyclicObject, max_total: int) -> Bicomplex:
 
 
 def _last_face_failures(z: CyclicObject, n: int):
-    """The columns where d_0 tau_n != d_n.  With ``fan_add`` declared, the
-    batched columns of tau_n are replaced one by one by their d_0 images,
-    d_n is subtracted from all of them at once, and the columns left
-    nonzero fail; the one transient list is dropped when the check ends.
-    Otherwise both sides come column by column from the evaluators."""
-    if z.fan_add:
-        cols = z.fanned(n, True)
-        for c, tau in enumerate(cols):
-            cols[c] = z.apply_face(n, 0, tau)
-        z.fan_add(cols, n, False, -z.field.one)
-        yield from (f"column {c}" for c, v in enumerate(cols) if v)
-        return
-    for c in range(z.dim(n)):
-        if z.apply_face(n, 0, z.cyclic_fn(n, c)) != z.face_fn(n, n, c):
-            yield f"column {c}"
+    """The columns where d_0 tau_n != d_n: the columns of tau_n are
+    replaced one by one by their d_0 images, d_n is subtracted from all of
+    them at once, and the columns left nonzero fail; the one transient list
+    is dropped when the check ends."""
+    cols = z._columns(n, None)
+    for c, tau in enumerate(cols):
+        cols[c] = z.apply_face(n, 0, tau)
+    z._add(cols, n, n, -z.field.one)
+    yield from (f"column {c}" for c, v in enumerate(cols) if v)
 
 
 def hc_bicomplex(z: CyclicObject, low: int, high: int) -> list:

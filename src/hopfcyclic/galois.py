@@ -945,28 +945,21 @@ def _slot_matrix(ca: ComoduleAlgebra, bim: Bimodule, n: int, module_map,
     hd, ad, md = h.dim, ca.dim, bim.dim
     one = f.one
     tix = TensorIndex([md] + [ad] * n)
-    it_cache: dict = {}
-
-    def iterated(a: int, legs: int) -> list:
-        key = (a, legs)
-        got = it_cache.get(key)
-        if got is None:
-            if legs == 0:
-                got = [(a, (), one)]
-            else:
-                got = []
-                for a0, tail, c in iterated(a, legs - 1):
-                    for (b0, b1), c2 in ca.coact_pairs(a0):
-                        got.append((b0, (b1,) + tail, c * c2))
-            it_cache[key] = got
-        return got
+    # iterated[l][a]: the l-fold coaction of a as (zeroth leg, (legs 1..l),
+    # coeff), built level by level from the (l-1)-fold one
+    iterated = [[[(a, (), one)] for a in range(ad)]]
+    for _ in range(n):
+        iterated.append([[(b0, (b1,) + tail, c * c2)
+                          for a0, tail, c in terms
+                          for (b0, b1), c2 in ca.coact_pairs(a0)]
+                         for terms in iterated[-1]])
 
     cols: dict = {}
     for idx in range(tix.size):
         tup = tix.unflatten(idx)
         col: Vec = {}
         for combo in itertools.product(
-            *[iterated(tup[l], l) for l in range(1, n + 1)]
+            *[iterated[l][tup[l]] for l in range(1, n + 1)]
         ):
             coeff = one
             mv: Vec = {tup[0]: one}

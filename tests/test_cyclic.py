@@ -1,5 +1,6 @@
 """Cyclic objects, their identity suites, and the homology routes."""
 
+import gc
 from functools import lru_cache
 
 import pytest
@@ -31,6 +32,7 @@ from hopfcyclic.cyclic import (
     tsygan_bicomplex,
     verify_cyclic_identities,
 )
+from hopfcyclic.galois import galois_check, lambda_iso
 from hopfcyclic.hopf import FiniteGroup, TensorIndex, conjugacy_data, group_algebra, group_subalgebra, separability_element, slot_map
 from hopfcyclic.linalg import QQ, LinAlgError, PrimeField, SparseMatrix, TruncationError, Vec, WellDefinednessError, homology_dims, total_complex, vec_add_at, vec_iadd_scaled
 
@@ -467,26 +469,29 @@ def test_boundaries_from_slot_faces_match_the_per_column_sums(case, field):
     ("h4", "ad", QQ, 5), ("h4", "coad", QQ, 5),
 ])
 def test_batched_fan_matches_the_evaluators(name, coefficients, field, top):
-    """fan_add, the batched last face and cyclic operator that the
-    boundaries, ``cyclic`` and the d_0 tau_n = d_n check read, equals
-    face_fn(n, n, .) and cyclic_fn(n, .) at every column through `top`.
-    Added with c = 3 to columns holding -3 times the evaluator, every entry
-    cancels and is deleted.  H4's multi-term Sweedler legs and its empty
-    columns are covered."""
+    """fan_add, the one definition of the last face and the cyclic operator,
+    equals the slot-by-slot reference evaluators at every column through
+    `top`.  Added with c = 3 to columns holding -3 times the reference,
+    every entry cancels and is deleted.  H4's multi-term Sweedler legs and
+    its empty columns are covered."""
     h = _algebra(name, field)
-    z = build_cyclic(h, adjoint(h) if coefficients == "ad" else coadjoint(h), top)
+    m = adjoint(h) if coefficients == "ad" else coadjoint(h)
+    z = build_cyclic(h, m, top)
+    face_fn, _, cyclic_fn = _slot_by_slot_evaluators(h, m)
     three = field.coerce(3)
     for n in range(1, top + 1):
-        for tau, evaluator in ((False, lambda c: z.face_fn(n, n, c)),
-                               (True, lambda c: z.cyclic_fn(n, c))):
-            want = [evaluator(c) for c in range(z.dim(n))]
-            assert z.fanned(n, tau) == want
+        for tau, reference in ((False, lambda c: face_fn(n, n, c)),
+                               (True, lambda c: cyclic_fn(n, c))):
+            want = [reference(c) for c in range(z.dim(n))]
+            cols = [{} for _ in want]
+            z.fan_add(cols, n, tau, field.one)
+            assert cols == want
             cols = [{k: -(three * v) for k, v in col.items()} for col in want]
             z.fan_add(cols, n, tau, three)
             assert not any(cols)
+            if name == "h4" and n == 2 and not tau:
+                assert {} in want and any(len(col) > 1 for col in want)
     if name == "h4":
-        last = z.fanned(2, False)
-        assert {} in last and any(len(col) > 1 for col in last)
         assert any(len(legs) > 1 for legs in (h.sweedler(x, 3) for x in range(4)))
 
 
@@ -513,6 +518,25 @@ def test_boundary_and_cyclic_call_no_per_column_fan_evaluator(case, request):
     assert calls == []
     hc_bicomplex(z, 0, 3)
     assert calls and all(kind == "face" and i < n for kind, n, i in calls)
+
+
+def test_homology_and_the_galois_comparison_leave_no_cyclic_garbage(
+        ks3, sweedler_h4, s3_graded):
+    """Z(H, M) with every homology route, and the Galois comparison, hold
+    no reference cycle: with the cyclic collector off, dropping them frees
+    everything they built, so the collector then finds nothing."""
+    gc.collect()
+    gc.disable()
+    try:
+        for h, m in ((ks3, adjoint(ks3)), (sweedler_h4, coadjoint(sweedler_h4))):
+            z = build_cyclic(h, m, 3)
+            hochschild(z, 0, 2), hc_bicomplex(z, 0, 2), hc_connes(z, 0, 2)
+            del z, m
+        comp = lambda_iso(galois_check(s3_graded), max_degree=2)
+        del comp
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("name, coefficients, field", [
