@@ -63,6 +63,7 @@ from .cyclic import (
     centralizer_homology,
     hc_connes,
     hochschild,
+    rotation_add,
     sbi_check,
     verify_cyclic_identities,
 )
@@ -792,19 +793,24 @@ def relative_cyclic(ca: AlgebraData, base: BaseData, m: Bimodule | None = None,
     actions), degeneracies insert the unit, and for M = A the cyclic
     operator rotates; for other coefficients the object is simplicial only.
     The carriers are the "balanced" quotients of the relator-free object on
-    the free tensor powers; each of its operators is pushed to them once
-    per degree and index by ``QuotientSpace.induced_matrix``, which checks
-    descent on the whole relator span.  The identity suite runs on it
-    (through degree 2, at the carriers' basis representatives
-    ``free_cols``, sampled by ``_sample_columns``): the quotient inherits
-    every identity, since projecting commutes with each operator that
-    descends, so an identity at a quotient column is the projection of the
-    same identity at its representative.  Construction pushes every
-    operator those identities compose (out of degrees 0..3) that stays
-    inside the truncation; any other, such as a degeneracy out of degree
-    max_degree, is built and checked when first asked for.  No carrier
-    above max_degree is built.  When the base is the scalars this is the
-    standard cyclic object of the algebra.
+    the free tensor powers (``z.free``).  It declares faces 0..n-1 (the
+    right action, then the products) and every degeneracy as slots, and
+    adds the last face and the rotation itself.  Each of its operators is
+    pushed to the carriers once per degree and index by
+    ``QuotientSpace.induced_matrix``, which checks descent on the whole
+    relator span; the quotient object reads the pushed matrices.  The
+    identity suite runs on the free object (through degree 2, at the
+    carriers' basis representatives ``free_cols``, sampled by
+    ``_sample_columns``): the quotient inherits every identity, since
+    projecting commutes with each operator that descends, so an identity at
+    a quotient column is the projection of the same identity at its
+    representative.  Construction then pushes every operator those
+    identities compose (out of degrees 0..3) that stays inside the
+    truncation, taking over the last faces and rotations the suite built;
+    any other, such as a degeneracy out of degree max_degree, is built and
+    checked when first asked for.  No carrier above max_degree is built.
+    When the base is the scalars this is the standard cyclic object of the
+    algebra.
     """
     f = ca.field
     ad = ca.dim
@@ -832,96 +838,96 @@ def relative_cyclic(ca: AlgebraData, base: BaseData, m: Bimodule | None = None,
         return ([(p, right[p], p + 1, left_a) for p in range(n)]
                 + [(0, left_m, n, right[n])])
 
-    # the free object's operators, by ``slot_map`` on flat indices of
-    # M (x) A^{(x)n}, where slot k > 0 has stride ad^(n-k)
+    # the free object on M (x) A^{(x)n}, where slot k > 0 has stride
+    # ad^(n-k): faces 0..n-1 act on the right or multiply, and the
+    # degeneracies insert the unit, as slots; its "balanced" quotients carry z
     unit = ca.unit_matrix()
 
-    def free_face(n: int, i: int, col: int) -> Vec:
-        if i == 0:
-            return slot_map(bim.right, ad ** (n - 1), col)
-        if i < n:
-            return slot_map(ca.mult, ad ** (n - 1 - i), col)
+    @lru_cache(maxsize=None)
+    def slots(kind: str, n: int) -> tuple:
+        if kind == "face":
+            return ((bim.right, ad ** (n - 1)),) + tuple(
+                (ca.mult, ad ** (n - 1 - i)) for i in range(1, n))
+        if kind == "degen":
+            return tuple((unit, ad ** (n - i)) for i in range(n + 1))
+        return ()
+
+    def free_add(cols: list, kind: str, n: int, i: int, c) -> None:
+        """The last face and, for M = A, the rotation."""
+        if kind == "cyclic":
+            rotation_add(cols, ad, n, c)
+            return
         # the last slot a acts on the module from the left: move it in front
-        rest, a = divmod(col, ad)
-        return slot_map(bim.left, ad ** (n - 1), a * md * ad ** (n - 1) + rest)
+        s = ad ** (n - 1)
+        for col, acc in enumerate(cols):
+            rest, a = divmod(col, ad)
+            vec_iadd_scaled(acc, slot_map(bim.left, s, a * md * s + rest), c)
 
-    def free_degen(n: int, i: int, col: int) -> Vec:
-        return slot_map(unit, ad ** (n - i), col)
-
-    def free_cyc(n: int, col: int) -> Vec:
-        rest, last = divmod(col, ad)
-        return {last * ad ** n + rest: one}
-
-    families = {
-        "face": (free_face, -1, "face {i} at degree {n}"),
-        "degen": (free_degen, 1, "degeneracy {i} at degree {n}"),
-        "cyc": (lambda n, i, col: free_cyc(n, col), 0, "the cyclic operator at degree {n}"),
-    }
-
-    # the object on the free tensor powers; its "balanced" quotients carry z
     coeff = ca.name if m is None else bim.name
-    free = CyclicObject(
-        f, max_degree, lambda n: index(n).size, free_face, free_degen,
-        free_cyc if m is None else None,
-        name=f"Z({ca.name}/{base.name}; {coeff})",
-    )
+    free = CyclicObject(f, max_degree, lambda n: index(n).size, slots, free_add,
+                        name=f"Z({ca.name}/{base.name}; {coeff})", cyclic=m is None)
 
     def carrier(n: int) -> QuotientSpace:
         return free.quotient("balanced", n, (
             r for tab in tables for r in balancing_relators(index(n), junctions(n, *tab))
         ))
 
+    families = {  # kind -> (degree shift, what)
+        "face": (-1, "face {i} at degree {n}"),
+        "degen": (1, "degeneracy {i} at degree {n}"),
+        "cyclic": (0, "the cyclic operator at degree {n}"),
+    }
+
     @lru_cache(maxsize=None)
     def operator(kind: str, n: int, i: int) -> SparseMatrix:
         """The operator on the quotient carriers: the free object's
         operator pushed through induced_matrix, which checks that it
         descends."""
-        fn, shift, what = families[kind]
-        size = index(n).size
-        cols = {}
-        for idx in range(size):
-            col = fn(n, i, idx)
-            if col:
-                cols[idx] = col
+        shift, what = families[kind]
+        cols = free.columns(kind, n, i)
         return carrier(n + shift).induced_matrix(
-            SparseMatrix(index(n + shift).size, size, f, cols), source=carrier(n),
-            what=what.format(i=i, n=n),
+            SparseMatrix(index(n + shift).size, len(cols), f,
+                         {idx: col for idx, col in enumerate(cols) if col}),
+            source=carrier(n), what=what.format(i=i, n=n),
         )
 
-    z = CyclicObject(
-        f, max_degree, lambda n: carrier(n).dim,
-        lambda n, i, col: operator("face", n, i).column(col),
-        lambda n, i, col: operator("degen", n, i).column(col),
-        (lambda n, col: operator("cyc", n, 0).column(col)) if m is None else None,
-        name=free.name,
-    )
+    def pushed_add(cols: list, kind: str, n: int, i: int, c) -> None:
+        for col, v in operator(kind, n, i).cols.items():
+            vec_iadd_scaled(cols[col], v, c)
+
+    z = CyclicObject(f, max_degree, lambda n: carrier(n).dim, lambda kind, n: (),
+                     pushed_add, name=free.name, cyclic=m is None)
     z.carrier = carrier
     z.bimodule = bim
-
-    # descent of every operator that the identities through degree
-    # `checked` compose, inside the truncation; any other is checked when
-    # it is first asked for
-    checked = min(2, max_degree)
-    for n in range(min(checked + 1, max_degree) + 1):
-        for i in range(n + 1):
-            if n:
-                operator("face", n, i)
-            if n < max_degree:
-                operator("degen", n, i)
-        if m is None:
-            operator("cyc", n, 0)
+    z.free = free
 
     # the identities on the free tensor powers, at the carriers' basis
     # representatives; the quotient inherits them through descent.
     # _sample_columns sizes up the degree-2 carrier; below degree 2 every
     # column is checked instead
+    checked = min(2, max_degree)
     sample = _sample_columns(z) if checked == 2 else None
 
     def columns(n: int) -> list:
         reps = carrier(n).free_cols
         return reps if sample is None else [reps[c] for c in sample(n)]
 
-    verify_cyclic_identities(free, checked, columns).require(z.name)
+    rep = verify_cyclic_identities(free, checked, columns)
+
+    # descent of every operator that those identities compose, inside the
+    # truncation; any other is checked when it is first asked for.  Per
+    # degree tau_n and d_n come first: the suite's evaluators hold their
+    # columns, which the push takes over and drops before a slot is built
+    for n in range(min(checked + 1, max_degree) + 1):
+        if m is None:
+            operator("cyclic", n, 0)
+        for i in reversed(range(n + 1)):
+            if n:
+                operator("face", n, i)
+            if n < max_degree:
+                operator("degen", n, i)
+    free.release()
+    rep.require(z.name)
     return z
 
 
@@ -1357,12 +1363,8 @@ def burghelea_graded(g: GaloisExtension, low: int = 0, high: int = 3) -> GradedF
         for n in range(low, high + 1)
     ]
     rep = CheckReport(f"graded class folding for {ca.name}")
-    for i, n in enumerate(range(low, high + 1)):
-        rep.add(
-            f"degree {n}: direct dims match the folded class formula",
-            direct[i] == folded[i],
-            f"direct={direct[i]}, folded={folded[i]}",
-        )
+    rep.agree_by_degree(range(low, high + 1), (
+        "direct dims match the folded class formula", {"direct": direct, "folded": folded}))
     return GradedFolding(direct, folded, per_class, rep)
 
 

@@ -45,6 +45,16 @@ class CheckReport:
         first = next(iter(failures), _NO_FAILURE)
         return self.add(name, first is _NO_FAILURE, first)
 
+    def agree_by_degree(self, degrees: Iterable[int], *claims) -> None:
+        """Degree by degree, one check per claim (text, {label: dims,
+        label: dims}): "degree {deg}: {text}" passes when the two dims
+        lists agree at the degree's position, with the witness
+        "label=value, label=value"."""
+        for k, deg in enumerate(degrees):
+            for text, sides in claims:
+                (la, a), (lb, b) = sides.items()
+                self.add(f"degree {deg}: {text}", a[k] == b[k], f"{la}={a[k]}, {lb}={b[k]}")
+
     @property
     def ok(self) -> bool:
         return all(c.passed for c in self.checks)

@@ -32,9 +32,11 @@ from hopfcyclic.cyclic import (
     tsygan_bicomplex,
     verify_cyclic_identities,
 )
-from hopfcyclic.galois import galois_check, lambda_iso
+from hopfcyclic.cli import resolve_extension
+from hopfcyclic.galois import coinvariants, galois_check, lambda_iso, relative_cyclic
 from hopfcyclic.hopf import FiniteGroup, TensorIndex, conjugacy_data, group_algebra, group_subalgebra, separability_element, slot_map
 from hopfcyclic.linalg import QQ, LinAlgError, PrimeField, SparseMatrix, TruncationError, Vec, WellDefinednessError, homology_dims, total_complex, vec_add_at, vec_iadd_scaled
+from percolumn import per_column
 
 
 @pytest.fixture(scope="module")
@@ -126,7 +128,7 @@ def test_build_refuses_a_module_over_another_algebra_with_the_same_labels(ks3):
 def test_simplicial_only_objects_have_no_cyclic_operator(kz2):
     z = build_cyclic(kz2, adjoint(kz2), 2)
     assert not z.simplicial_only
-    simp = CyclicObject(QQ, 2, z.dim_fn, z.face_fn, z.degen_fn, None, name="S")
+    simp = CyclicObject(QQ, 2, z.dim_fn, z.slots, z.add, name="S", cyclic=False)
     assert simp.simplicial_only
     with pytest.raises(AttributeError):
         simp.simplicial_only = False
@@ -140,7 +142,7 @@ def test_simplicial_only_objects_have_no_cyclic_operator(kz2):
 
 def test_identity_suite_samples_by_the_degree_two_dimension():
     def obj(d2):
-        return CyclicObject(QQ, 2, lambda n: d2 if n == 2 else 10, None, None, None)
+        return CyclicObject(QQ, 2, lambda n: d2 if n == 2 else 10, None, None)
 
     assert _sample_columns(obj(256)) is None
     cols = _sample_columns(obj(257))
@@ -453,10 +455,9 @@ def test_boundaries_from_slot_faces_match_the_per_column_sums(case, field):
         z = build_aux_cyclic(h, 3)
     else:
         z = build_cyclic(h, adjoint(h) if coefficients == "ad" else coadjoint(h), 3)
-    plain = CyclicObject(z.field, z.top, z.dim_fn, z.face_fn, z.degen_fn, z.cyclic_fn)
-    assert plain.slot_faces is None
+    plain = per_column(z.field, z.top, z.dim_fn, z.face_fn, z.degen_fn, z.cyclic_fn)
     for n in range(1, 4):
-        assert len(z.slot_faces(n)) == (n + 1 if coefficients == "aux" else n)
+        assert len(z.slots("face", n)) == (n + 1 if coefficients == "aux" else n)
         assert z.boundary(n) == plain.boundary(n)
         assert z.norm_boundary(n) == plain.norm_boundary(n)
         assert list(z.boundary(n).cols) == list(plain.boundary(n).cols)
@@ -484,10 +485,10 @@ def test_batched_fan_matches_the_evaluators(name, coefficients, field, top):
                                (True, lambda c: cyclic_fn(n, c))):
             want = [reference(c) for c in range(z.dim(n))]
             cols = [{} for _ in want]
-            z.fan_add(cols, n, tau, field.one)
+            z.add(cols, "cyclic" if tau else "face", n, n, field.one)
             assert cols == want
             cols = [{k: -(three * v) for k, v in col.items()} for col in want]
-            z.fan_add(cols, n, tau, three)
+            z.add(cols, "cyclic" if tau else "face", n, n, three)
             assert not any(cols)
             if name == "h4" and n == 2 and not tau:
                 assert {} in want and any(len(col) > 1 for col in want)
@@ -518,6 +519,45 @@ def test_boundary_and_cyclic_call_no_per_column_fan_evaluator(case, request):
     assert calls == []
     hc_bicomplex(z, 0, 3)
     assert calls and all(kind == "face" and i < n for kind, n, i in calls)
+
+
+def _declared_objects(case):
+    """The objects of one builder, through degree 3."""
+    if case.startswith("rel-"):
+        ca, _ = resolve_extension(case[4:], QQ)
+        z = relative_cyclic(ca, coinvariants(ca), None, 3)
+        return [z.free, z]
+    name, coefficients, field = case.split("-")
+    h = _algebra(name, QQ if field == "q" else PrimeField(5))
+    if coefficients == "aux":
+        return [build_aux_cyclic(h, 3)]
+    return [build_cyclic(h, adjoint(h) if coefficients == "ad" else coadjoint(h), 3)]
+
+
+@pytest.mark.parametrize("case", [
+    "ks3-ad-q", "ks3-ad-f5", "h4-coad-q", "h4-aux-q",
+    "rel-s3_over_a3", "rel-twisted_klein",
+])
+def test_evaluators_are_the_columns_of_the_declared_operators(case):
+    """Each builder declares its slots and one adder, and nothing else:
+    through degree 3, at every column, the derived evaluator of every
+    face, degeneracy and cyclic operator equals the column of its matrix,
+    built beforehand through the declarations, and every degeneracy
+    declared as a slot equals ``slot_map`` of its (tensor, stride)."""
+    for z in _declared_objects(case):
+        for n in range(4):
+            ops = [(z.degen(n, i), lambda c, i=i: z.degen_fn(n, i, c)) for i in range(n + 1)]
+            ops += [(z.face(n, i), lambda c, i=i: z.face_fn(n, i, c)) for i in range(n + 1) if n]
+            if not z.simplicial_only:
+                ops.append((z.cyclic(n), lambda c: z.cyclic_fn(n, c)))
+            for matrix, fn in ops:
+                assert all(fn(c) == matrix.cols.get(c, {}) for c in range(z.dim(n)))
+            # every degeneracy is a slot, except on the quotient carriers
+            slots = z.slots("degen", n)
+            assert len(slots) == (0 if hasattr(z, "carrier") else n + 1)
+            for i, (t, stride) in enumerate(slots):
+                assert all(slot_map(t, stride, c) == z.degen(n, i).cols.get(c, {})
+                           for c in range(z.dim(n)))
 
 
 def test_homology_and_the_galois_comparison_leave_no_cyclic_garbage(
@@ -741,7 +781,7 @@ def _corrupted(z, kind):
             for _ in range(n):
                 v = z.apply_cyclic(n, v)
             return v
-    return CyclicObject(z.field, z.top, z.dim_fn, face, degen, cyc, name=kind)
+    return per_column(z.field, z.top, z.dim_fn, face, degen, cyc, name=kind)
 
 
 @pytest.mark.parametrize("algebra, kind, error, match, route", [

@@ -7,7 +7,6 @@ import pytest
 
 from hopfcyclic.crossed import CrossedModule, adjoint, one_dimensional, verify_crossed, verify_modular
 from hopfcyclic.cyclic import (
-    CyclicObject,
     aux_resolution_report,
     build_aux_cyclic,
     build_cyclic,
@@ -26,6 +25,7 @@ from hopfcyclic.galois import (
 from hopfcyclic.hopf import AlgebraData, FiniteGroup, HopfAlgebra, group_algebra, hopf_to_json, verify_hopf
 from hopfcyclic.linalg import QQ, SparseMatrix, vec_add_at
 from hopfcyclic.reporting import CheckReport
+from percolumn import per_column
 
 
 def failing(rep):
@@ -57,7 +57,7 @@ def perturbed(z, kind, n, i, col):
     else:
         def cyc(m, c, _t=cyc):
             return bump(_t(m, c)) if (m, c) == (n, col) else _t(m, c)
-    return CyclicObject(QQ, z.top, z.dim_fn, face, degen, cyc, name="bad")
+    return per_column(QQ, z.top, z.dim_fn, face, degen, cyc, name="bad")
 
 
 # (evaluator, degree, index, column bumped, failing checks); between them

@@ -1,13 +1,19 @@
-"""Every top-level import of a package module is used in that module, so
-code deleted from a module takes its imports with it.  ``__init__.py``
-only re-exports, and ``__future__`` imports switch compiler features."""
+"""Every top-level import of a package module, a test module or a script
+is used in that module, so code deleted from a module takes its imports
+with it.  ``__init__.py`` only re-exports, and ``__future__`` imports
+switch compiler features."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hopfcyclic"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "hopfcyclic"
+# package modules by file name, test modules and scripts by their path
+MODULES = {p.name: p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
+MODULES.update((p.relative_to(ROOT).as_posix(), p)
+               for p in [*(ROOT / "tests").glob("*.py"), *(ROOT / "scripts").glob("*.py")])
 
 
 def unused_imports(source: str) -> list:
@@ -23,10 +29,9 @@ def unused_imports(source: str) -> list:
     return [name for name in bound if name not in read]
 
 
-@pytest.mark.parametrize("module", sorted(
-    p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py"))
+@pytest.mark.parametrize("module", sorted(MODULES))
 def test_module_has_no_unused_top_level_import(module):
-    assert unused_imports((PACKAGE / module).read_text()) == []
+    assert unused_imports(MODULES[module].read_text()) == []
 
 
 def test_the_scan_finds_an_unused_import():
