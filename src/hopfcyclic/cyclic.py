@@ -281,14 +281,14 @@ class CyclicObject:
 
     # linear extensions of the evaluators, for identity checking
     def apply_face(self, n: int, i: int, vec: Vec) -> Vec:
-        return _extend(lambda c: self.face_fn(n, i, c), vec)
+        return _extend(self._evaluator("face", n, i), vec) if vec else {}
 
     def apply_degen(self, n: int, i: int, vec: Vec) -> Vec:
-        return _extend(lambda c: self.degen_fn(n, i, c), vec)
+        return _extend(self._evaluator("degen", n, i), vec) if vec else {}
 
     def apply_cyclic(self, n: int, vec: Vec) -> Vec:
         self._require_cyclic()
-        return _extend(lambda c: self.cyclic_fn(n, c), vec)
+        return _extend(self._evaluator("cyclic", n, 0), vec) if vec else {}
 
 
 def _extend(fn: Callable[[int], Vec], vec: Vec) -> Vec:

@@ -872,10 +872,12 @@ class QuotientSpace:
     does a merge with a killed component.  Relators with three or more
     entries are rewritten on the live roots and go to ``echelonize``.  The
     quotient basis consists of the live roots that are not pivot columns of
-    that residual echelon; ``project_vec`` contracts onto the roots and
-    reduces by the echelon, and ``section_vec`` embeds quotient basis
-    vectors as ambient unit vectors (a genuine section: project o section
-    = id).
+    that residual echelon.  While that echelon is empty, ``project_vec``
+    reads one table, coordinate -> free index of its root (-1 when the
+    class is killed), in one pass over the vector; otherwise it contracts
+    onto the roots and reduces by the echelon.  ``section_vec`` embeds
+    quotient basis vectors as ambient unit vectors (a genuine section:
+    project o section = id).
 
     ``free_cols`` is fixed by the relator span while every relator has at
     most two entries; longer ones reach ``echelonize``, whose pivots depend
@@ -912,19 +914,24 @@ class QuotientSpace:
 
         longer = []
         for rel in relators:
-            if len(rel) > 2:
+            if len(rel) == 2:
+                (i, a), (j, b) = rel.items()
+                a, b = coerce(a), coerce(b)
+                if not a:  # only b e_j is left
+                    i, a, b = j, b, a
+            elif len(rel) == 1:
+                ((i, a),) = rel.items()
+                a, b = coerce(a), None
+            else:
                 longer.append(rel)
                 continue
-            r = [(j, a) for j, x in rel.items() if (a := coerce(x))]
-            if not r:
+            if not a:
                 continue
-            i, a = r[0]
-            ri = find(i)
-            if len(r) == 1:
+            ri = i if parent[i] == i else find(i)
+            if not b:
                 killed.add(ri)
                 continue
-            j, b = r[1]
-            rj = find(j)
+            rj = j if parent[j] == j else find(j)
             u, w = a * factor[i], b * factor[j]  # u e_ri + w e_rj = 0
             if ri == rj:
                 if u + w:
@@ -957,25 +964,35 @@ class QuotientSpace:
             i for i, root in enumerate(parent)
             if root == i and i not in killed and i not in pivots
         ]
-        self._free_index = {c: k for k, c in enumerate(self.free_cols)}
+        self._free_index = idx = {c: k for k, c in enumerate(self.free_cols)}
+        # coordinate j -> the free index of its root, -1 when its class is
+        # killed; project_vec reads it while no residual row is left
+        self._table = None if self._ech.rows else [idx.get(r, -1) for r in parent]
 
     @property
     def dim(self) -> int:
         return len(self.free_cols)
 
     def project_vec(self, v: Vec) -> Vec:
-        parent, factor, killed = self._parent, self._factor, self._killed
+        table, factor = self._table, self._factor
         out: Vec = {}
+        if table is None:
+            parent, killed, idx = self._parent, self._killed, self._free_index
+            for j, x in v.items():
+                root = parent[j]
+                if root not in killed:
+                    vec_add_at(out, root, factor[j] * x)
+            return {idx[j]: val for j, val in self._ech.reduce(out).items()}
+        fraction = False
         for j, x in v.items():
-            root = parent[j]
-            if root not in killed:
-                vec_add_at(out, root, factor[j] * x)
-        if self._ech.rows:
-            out = self._ech.reduce(out)
-        elif self.field.characteristic == 0:
+            k = table[j]
+            if k >= 0:
+                w = factor[j] * x
+                fraction = fraction or type(w) is Fraction
+                vec_add_at(out, k, w)
+        if fraction:
             _ints_where_integral(out)
-        idx = self._free_index
-        return {idx[j]: val for j, val in out.items()}
+        return out
 
     def section_vec(self, k: int) -> Vec:
         return {self.free_cols[k]: self.field.one}
@@ -1016,7 +1033,10 @@ class QuotientSpace:
         op maps the source ambient space into this quotient's ambient space.
         Every vector of the source's ``_relator_basis`` must map into this
         quotient's relator span -- the well-definedness criterion, checked
-        on the projected images of op's columns; violations raise
+        on the projected images of op's columns, in the basis order: class
+        by class, a coordinate i with root r and factor c needs image(i) =
+        c image(r) and a killed root an empty image; only the residual
+        echelon rows are summed.  Violations raise
         WellDefinednessError("<what> does not preserve the relator span"),
         so `what` is a noun phrase.  With no relators here, this checks that
         op kills the source relators.
@@ -1027,14 +1047,24 @@ class QuotientSpace:
         empty: Vec = {}
         images = [self.project_vec(op.cols.get(j, empty))
                   for j in range(src.ambient_dim)]
-        for rvec in src._relator_basis():
+        message = f"{what} does not preserve the relator span"
+        one, killed = src.field.one, src._killed
+        for i, (root, c) in enumerate(zip(src._parent, src._factor)):
+            if root != i:
+                image = images[root]
+                if c != one:
+                    image = {k: c * x for k, x in image.items()}
+                ok = images[i] == image
+            else:
+                ok = not images[i] or i not in killed
+            if not ok:
+                raise WellDefinednessError(message)
+        for rvec in src._ech.rows:
             acc: Vec = {}
             for j, c in rvec.items():
                 vec_iadd_scaled(acc, images[j], c)
             if acc:
-                raise WellDefinednessError(
-                    f"{what} does not preserve the relator span"
-                )
+                raise WellDefinednessError(message)
         cols = {}
         for k, c in enumerate(src.free_cols):
             if images[c]:

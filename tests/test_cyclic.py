@@ -500,21 +500,18 @@ def test_batched_fan_matches_the_evaluators(name, coefficients, field, top):
 def test_boundary_and_cyclic_call_no_per_column_fan_evaluator(case, request):
     """boundary, norm_boundary and cyclic at degree 4, and the (b, B)
     bicomplex through total degree 3 with its d_0 tau_n = d_n check, never
-    call face_fn for the last face or cyclic_fn: they read fan_add."""
+    ask for an evaluator of the last face or of the cyclic operator (which
+    face_fn, cyclic_fn and the apply_* extensions read): they read fan_add."""
     h, m = _route_case(case, request)
     z = build_cyclic(h, m, 4)
     calls = []
-    face_fn, cyclic_fn = z.face_fn, z.cyclic_fn
+    evaluator = z._evaluator
 
-    def face(n, i, c):
-        calls.append(("face", n, i))
-        return face_fn(n, i, c)
+    def recorded(kind, n, i):
+        calls.append((kind, n, i))
+        return evaluator(kind, n, i)
 
-    def cyc(n, c):
-        calls.append(("cyclic", n))
-        return cyclic_fn(n, c)
-
-    z.face_fn, z.cyclic_fn = face, cyc
+    z._evaluator = recorded
     z.boundary(4), z.norm_boundary(4), z.cyclic(4)
     assert calls == []
     hc_bicomplex(z, 0, 3)
@@ -685,6 +682,46 @@ def test_cyclic_routes_agree_with_the_staircase_oracle(case, want, request):
     z = build_cyclic(h, m, 4)
     staircase = homology_dims(total_complex(tsygan_bicomplex(z, 3), 3), 0, 3)
     assert hc_bicomplex(z, 0, 3) == hc_connes(z, 0, 3) == staircase == want
+
+
+def _contract_reduce_reindex(target, source, op):
+    """op pushed from source to target the long way: contract each column
+    on the target's roots, reduce by its residual echelon, reindex."""
+    cols = {}
+    for k, c in enumerate(source.free_cols):
+        contracted: Vec = {}
+        for j, x in op.cols.get(c, {}).items():
+            root = target._parent[j]
+            if root not in target._killed:
+                vec_add_at(contracted, root, target._factor[j] * x)
+        col = {target._free_index[j]: w
+               for j, w in target._ech.reduce(contracted).items()}
+        if col:
+            cols[k] = col
+    return cols
+
+
+@pytest.mark.parametrize("case, residual", [("ks3-ad", False), ("h4-ad", True)])
+def test_quotient_boundaries_match_contract_reduce_reindex(case, residual, request):
+    """The lambda and normalized quotients of (kS3, ad) through degree 4
+    leave no residual row, so they project through the table; the lambda
+    quotients of (H4, ad) at degrees 1-3 keep some.  Either way each induced
+    boundary is the long-way push, column and entry order included."""
+    h, m = _route_case(case, request)
+    z = build_cyclic(h, m, 4)
+    lam, _ = cyclic.connes_data(z, 4)
+    norm, _ = cyclic._normalized(z, 4)
+    if residual:
+        assert all(lam[n]._ech.rows for n in (1, 2, 3))
+    else:
+        assert not any(q._ech.rows for q in lam + norm)
+    for kind, qs, on in (("lambda", lam, "the cyclic quotient"),
+                         ("normalized", norm, "normalized chains")):
+        for n in range(1, 5):
+            got = z.quotient_boundary(kind, n, on)
+            want = _contract_reduce_reindex(qs[n - 1], qs[n], z.boundary(n))
+            assert ([(k, list(v.items())) for k, v in got.cols.items()]
+                    == [(k, list(v.items())) for k, v in want.items()])
 
 
 @pytest.mark.parametrize("case, high, want", [

@@ -280,6 +280,84 @@ def test_two_term_quotients_project_like_the_reduce_path(case):
                            else Fraction if field is QQ else type(field.one))
 
 
+@st.composite
+def descent_cases(draw):
+    """A quotient by relators with 1, 2 and 4 entries, an operator I + E
+    (E maps into the relator span, so I + E descends) with optional noise
+    columns that may break descent, and whether the target is the quotient
+    itself or the relator-free space."""
+    field = draw(st.sampled_from([QQ, GF5]))
+    ncols = draw(st.integers(1, 6))
+    scalar = st.tuples(st.integers(-3, 3).filter(bool), st.integers(1, 3)).map(
+        lambda ab: field.coerce(Fraction(*ab)))
+    sizes = [size for size in (1, 2, 4) if size <= ncols]
+    relators = []
+    for size in draw(st.lists(st.sampled_from(sizes), max_size=6)):
+        cols = draw(st.lists(st.integers(0, ncols - 1), min_size=size,
+                             max_size=size, unique=True))
+        relators.append({j: draw(scalar) for j in cols})
+    cols = {j: {j: field.one} for j in range(ncols)}
+    for j in draw(st.lists(st.integers(0, ncols - 1), max_size=3)):
+        for r in relators:
+            vec_iadd_scaled(cols[j], r, field.from_int(draw(st.integers(-1, 1))))
+    for j, noise in draw(st.dictionaries(st.integers(0, ncols - 1),
+                                         st.dictionaries(st.integers(0, ncols - 1),
+                                                         scalar, max_size=2),
+                                         max_size=2)).items():
+        vec_iadd_scaled(cols[j], noise, field.one)
+    return field, ncols, relators, cols, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(descent_cases())
+# e1 = e0 / 2, and op sends e0 and e1 both to e2: the images agree, but
+# e1 - e0 / 2 maps to e2 / 2, which is not a relator
+@example((QQ, 3, [{0: 1, 1: -2}], {0: {2: 1}, 1: {2: 1}, 2: {2: 1}}, False))
+# e1 is killed, and op sends it to the live e0
+@example((QQ, 2, [{1: 1}], {0: {0: 1}, 1: {0: 1}}, False))
+# one residual row e0 + e1 + e2 + e3; op keeps e0 and kills the rest
+@example((GF5, 4, [{0: GF5.one, 1: GF5.one, 2: GF5.one, 3: GF5.one}],
+          {0: {0: GF5.one}}, False))
+def test_induced_matrix_raises_exactly_when_a_relator_leaves_the_span(case):
+    """``induced_matrix`` checks descent class by class; the reference
+    projects op applied to every vector of ``_relator_basis``."""
+    field, ncols, relators, cols, free_target = case
+    q = QuotientSpace(ncols, field, relators)
+    target = QuotientSpace(ncols, field, []) if free_target else q
+    op = SparseMatrix(ncols, ncols, field, {j: c for j, c in cols.items() if c})
+    leaves = any(target.project_vec(op.apply(r)) for r in q._relator_basis())
+    if leaves:
+        with pytest.raises(WellDefinednessError,
+                           match="^operator does not preserve the relator span$"):
+            target.induced_matrix(op, source=q)
+        return
+    m = target.induced_matrix(op, source=q)
+    want = {k: target.project_vec(op.column(c)) for k, c in enumerate(q.free_cols)}
+    assert m.cols == {k: v for k, v in want.items() if v}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(-10, 10)),
+             min_size=1, max_size=4, unique_by=lambda e: e[0]),
+    max_size=8))))
+# 5 coerces to zero over GF(5): {0: 5, 1: 1} kills e1
+@example((2, [[(0, 5), (1, 1)]]))
+def test_gf5_quotient_of_int_relators_matches_the_coerced_one(case):
+    """Over GF(5) an int entry of a relator is coerced, and one that is zero
+    mod 5 drops, as if the caller had coerced it first."""
+    ncols, entries = case
+    ints = [dict(r) for r in entries]
+    q = QuotientSpace(ncols, GF5, ints)
+    ref = QuotientSpace(ncols, GF5, [{j: GF5.coerce(x) for j, x in r.items()}
+                                     for r in ints])
+    assert q.free_cols == ref.free_cols
+    for j in range(ncols):
+        assert q.project_vec({j: GF5.one}) == ref.project_vec({j: GF5.one})
+    if ints == [{0: 5, 1: 1}]:
+        assert q.free_cols == [0] and q.project_vec({1: GF5.one}) == {}
+
+
 def full_scan_reduce(ech, v):
     """Reference reduce: visit every retired row in step order; the result
     in canonical form (coerce turns an integral Fraction into an int)."""
