@@ -43,7 +43,6 @@ from .crossed import (
     modular_pair_module,
     one_dimensional,
     trivial_module,
-    verify_crossed,
     verify_modular,
 )
 from .cyclic import (
@@ -568,7 +567,6 @@ def _cmd_verify(args, field, inputs, checks, tables) -> None:
         h, _ = resolve_hopf(doc["base"], field)
         m, _ = resolve_module(refs[0], h)
         inputs[f"crossed {_ref_label(refs[0])}"] = _sha(_canonical(doc))
-        checks += _check_entries(verify_crossed(m))
         checks += _check_entries(verify_modular(m))
     elif kind == "cyclic":
         h, hdoc = resolve_hopf(refs[0], field)

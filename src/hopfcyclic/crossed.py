@@ -5,8 +5,12 @@ separately.
 
 Index conventions: the action is a matrix H (x) M -> M, column (i, j) at flat
 index i * dim(M) + j; the coaction is M -> M (x) H with output (j', i') at
-flat index j' * dim(H) + i'.  Everything is verified by exact matrix
-identities built column by column from the Hopf algebra's scalar accessors.
+flat index j' * dim(H) + i'.  Every constructor reads the legs
+h_(2) (x) h_(3) y S(h_(1)) of the crossed compatibility from one kernel,
+``HopfAlgebra.crossed_legs``, and its output must pass ``verify_crossed``,
+the exact matrix identities; that certificate expands the legs on its own,
+from the scalar accessors, on purpose, so it does not share the kernel it
+checks.
 
 Sub- and quotient modules (induction, restriction, the stable part, the GH
 functor, the pieces of the coinvariants filtration, the coaction components)
@@ -33,7 +37,7 @@ from .linalg import (
     rank_kernel,
     vec_add_at,
 )
-from .hopf import HopfAlgebra, HopfSubalgebra, FiniteGroup, TensorIndex, algebra_generators, balancing_relators, conjugacy_data, group_subalgebra, mismatch_labels, op_cop
+from .hopf import HopfAlgebra, HopfSubalgebra, FiniteGroup, TensorIndex, algebra_generators, balancing_relators, conjugacy_data, group_subalgebra, mismatch_labels, op_cop, tensor_pairs
 from .reporting import CheckReport
 
 
@@ -86,11 +90,7 @@ class CrossedModule:
         return bilinear(self.action.cols, self.dim, hv, mv)
 
     def coact_pairs(self, j: int) -> list:
-        hd = self.h.dim
-        return [
-            ((idx // hd, idx % hd), c)
-            for idx, c in self.coaction.cols.get(j, {}).items()
-        ]
+        return tensor_pairs(self.coaction, j, self.h.dim)
 
 
 def action_tensor(mats: Sequence[SparseMatrix], dim: int, field) -> SparseMatrix:
@@ -143,7 +143,9 @@ def trivial_coaction(h: HopfAlgebra, dim: int) -> SparseMatrix:
 
 def verify_crossed(m: CrossedModule) -> CheckReport:
     """Module axioms, comodule axioms, and the crossed compatibility
-    rho(h . x) = sum h_(2) x_(0) (x) h_(3) x_(1) S(h_(1))."""
+    rho(h . x) = sum h_(2) x_(0) (x) h_(3) x_(1) S(h_(1)).  The legs are
+    expanded here, not read from ``HopfAlgebra.crossed_legs``, so a fault in
+    the kernel the constructors share shows up as a failed check."""
     rep = CheckReport(f"crossed axioms for {m.name}")
     h, f = m.h, m.field
     hd, md = h.dim, m.dim
@@ -218,14 +220,12 @@ def adjoint(h: HopfAlgebra) -> CrossedModule:
     d = h.dim
     cols = {}
     for i in range(d):
-        legs = h.sweedler(i, 2)
         for j in range(d):
             col: dict = {}
-            for (a, b), c in legs:
-                for s_idx, cs in h.antipode_of(a).items():
-                    for p1, c1 in h.mult_pairs(j, s_idx):
-                        for p2, c2 in h.mult_pairs(b, p1):
-                            vec_add_at(col, p2, c * cs * c1 * c2)
+            for (b, p), c in h.crossed_legs(i, j):
+                e = h.counit.get(b)
+                if e:
+                    vec_add_at(col, p, c * e)
             if col:
                 cols[i * d + j] = col
     action = SparseMatrix(d, d * d, h.field, cols)
@@ -241,10 +241,9 @@ def coadjoint(h: HopfAlgebra) -> CrossedModule:
     cols = {}
     for j in range(d):
         col: dict = {}
-        for (a, b, c3), c in h.sweedler(j, 3):
-            for s_idx, cs in h.antipode_of(a).items():
-                for p, cp in h.mult_pairs(c3, s_idx):
-                    vec_add_at(col, b * d + p, c * cs * cp)
+        for u, cu in h.unit.items():
+            for (b, p), c in h.crossed_legs(j, u):
+                vec_add_at(col, b * d + p, cu * c)
         if col:
             cols[j] = col
     coaction = SparseMatrix(d * d, d, h.field, cols)
@@ -258,6 +257,20 @@ def trivial_module(h: HopfAlgebra) -> CrossedModule:
     return one_dimensional(h, dict(h.counit), name=f"k_triv({h.name})")
 
 
+def _character(h: HopfAlgebra, values: Vec, noun: str) -> SparseMatrix:
+    """values, coerced into the field, as a 1 x dim H matrix, after checking
+    that they define an algebra character of H: multiplicative and 1 on the
+    unit.  Raises ValueError naming `noun` otherwise."""
+    f = h.field
+    values = {i: f.coerce(c) for i, c in values.items()}
+    chi = SparseMatrix(1, h.dim, f, {i: {0: v} for i, v in values.items() if v})
+    if chi @ h.mult != chi.kron(chi):
+        raise ValueError(f"{noun} is not multiplicative")
+    if chi.apply(h.unit).get(0, f.zero) != f.one:
+        raise ValueError(f"{noun} does not send the unit to 1")
+    return chi
+
+
 def one_dimensional(
     h: HopfAlgebra,
     character: Vec,
@@ -269,14 +282,7 @@ def one_dimensional(
     the crossed axioms are verified; modularity is *not* required (that is
     exactly what can fail for a grouplike-twisted coaction)."""
     f = h.field
-    chi = {i: f.coerce(c) for i, c in character.items() if f.coerce(c)}
-    chi_m = SparseMatrix(1, h.dim, f, {i: {0: v} for i, v in chi.items()})
-    if chi_m @ h.mult != chi_m.kron(chi_m):
-        raise ValueError("character is not multiplicative")
-    evs = sum((chi.get(i, f.zero) * c for i, c in h.unit.items()), f.zero)
-    if evs != f.one:
-        raise ValueError("character does not send the unit to 1")
-    action = SparseMatrix(1, h.dim, f, {i: {0: v} for i, v in chi.items()})
+    action = _character(h, character, "character")
     if coaction_grouplike is None:
         co_vec = dict(h.unit)
     else:
@@ -305,15 +311,10 @@ def modular_pair_module(
     f = h.field
     if not h.is_grouplike(sigma):
         raise ValueError("sigma must be a grouplike basis element")
-    if delta is None:
-        delta = dict(h.counit)
-    delta = {i: f.coerce(c) for i, c in delta.items() if f.coerce(c)}
+    # a character of H is one of H^{op,cop} too: its values commute
+    chi_m = _character(h, dict(h.counit) if delta is None else delta, "delta")
+    delta = {i: col[0] for i, col in chi_m.cols.items()}
     hoc = op_cop(h)
-    chi_m = SparseMatrix(1, hoc.dim, f, {i: {0: v} for i, v in delta.items()})
-    if chi_m @ hoc.mult != chi_m.kron(chi_m):
-        raise ValueError("delta is not an algebra character")
-    if sum((delta.get(i, f.zero) * c for i, c in hoc.unit.items()), f.zero) != f.one:
-        raise ValueError("delta does not send the unit to 1")
     coaction = SparseMatrix(hoc.dim, 1, f, {0: {sigma: f.one}})
     module = CrossedModule(
         hoc, 1, chi_m, coaction, ("m",), name=f"k(sigma={h.basis[sigma]})"
@@ -374,9 +375,6 @@ def from_yetter_drinfeld(
     if yd_coaction.nrows != hd * dim or yd_coaction.ncols != dim:
         raise ValueError("Yetter-Drinfeld coaction has wrong shape")
 
-    def yd_pairs(j):
-        return [((idx // dim, idx % dim), c) for idx, c in yd_coaction.cols.get(j, {}).items()]
-
     # verify the YD condition columnwise
     lhs_cols = {}
     rhs_cols = {}
@@ -388,13 +386,13 @@ def from_yetter_drinfeld(
             for k, cact in (
                 (k, c) for k, c in action.cols.get(i * dim + j, {}).items()
             ):
-                for (m1, m0), cco in yd_pairs(k):
+                for (m1, m0), cco in tensor_pairs(yd_coaction, k, dim):
                     vec_add_at(col, m1 * dim + m0, cact * cco)
             if col:
                 lhs_cols[i * dim + j] = col
             col = {}
             for (a, b, c3), cleg in legs:
-                for (m1, m0), cco in yd_pairs(j):
+                for (m1, m0), cco in tensor_pairs(yd_coaction, j, dim):
                     for p1, c1 in h.mult_pairs(a, m1):
                         for s_idx, cs in h.antipode_of(c3).items():
                             for p2, c2 in h.mult_pairs(p1, s_idx):
@@ -408,7 +406,7 @@ def from_yetter_drinfeld(
     cols = {}
     for j in range(dim):
         col: dict = {}
-        for (m1, m0), c in yd_pairs(j):
+        for (m1, m0), c in tensor_pairs(yd_coaction, j, dim):
             for s_idx, cs in h.antipode_of(m1).items():
                 vec_add_at(col, m0 * hd + s_idx, c * cs)
         if col:
@@ -468,25 +466,12 @@ def induce(sub: HopfSubalgebra, ambient: HopfAlgebra, n: CrossedModule) -> Cross
     # ambient coaction on H (x) N
     amb_cols = {}
     for ih in range(hd):
-        legs = h.sweedler(ih, 3)
         for jm in range(nd):
             col: dict = {}
-            for (a, b, c3), cleg in legs:
-                sa = h.antipode_of(a)
-                for (j0, j1), cco in n.coact_pairs(jm):
-                    inc = sub.inclusion.column(j1)
-                    for p1, c1 in (
-                        (p, ci * cp)
-                        for i1, ci in inc.items()
-                        for p, cp in h.mult_pairs(c3, i1)
-                    ):
-                        for s_idx, cs in sa.items():
-                            for p2, c2 in h.mult_pairs(p1, s_idx):
-                                vec_add_at(
-                                    col,
-                                    (b * nd + j0) * hd + p2,
-                                    cleg * cco * c1 * cs * c2,
-                                )
+            for (j0, j1), cco in n.coact_pairs(jm):
+                for i1, ci in sub.inclusion.cols.get(j1, {}).items():
+                    for (b, p), c in h.crossed_legs(ih, i1):
+                        vec_add_at(col, (b * nd + j0) * hd + p, cco * ci * c)
             if col:
                 amb_cols[ih * nd + jm] = col
     amb_co = SparseMatrix(hd * nd * hd, hd * nd, f, amb_cols)
@@ -531,22 +516,14 @@ def restrict(sub: HopfSubalgebra, ambient: HopfAlgebra, m: CrossedModule) -> Cro
     # action of each K basis element on M (x) K, then restricted
     mats = []
     for ik in range(kd):
-        legs = k.sweedler(ik, 3)
         amb_cols = {}
         for jm in range(md):
             for jk in range(kd):
                 col: dict = {}
-                for (a, b, c3), cleg in legs:
-                    for ib, cb in sub.inclusion.column(b).items():
+                for (b, p), c in k.crossed_legs(ik, jk):
+                    for ib, cb in sub.inclusion.cols.get(b, {}).items():
                         for jm2, cact in m.act_pairs(ib, jm):
-                            for sk, cs in k.antipode_of(a).items():
-                                for p1, c1 in k.mult_pairs(jk, sk):
-                                    for p2, c2 in k.mult_pairs(c3, p1):
-                                        vec_add_at(
-                                            col,
-                                            jm2 * kd + p2,
-                                            cleg * cb * cact * cs * c1 * c2,
-                                        )
+                            vec_add_at(col, jm2 * kd + p, c * cb * cact)
                 if col:
                     amb_cols[jm * kd + jk] = col
         amb = SparseMatrix(md * kd, md * kd, f, amb_cols)
@@ -715,16 +692,12 @@ def crossed_from_module(h: HopfAlgebra, dim: int, action: SparseMatrix,
     hd = h.dim
     cols = {}
     for i in range(hd):
-        legs = h.sweedler(i, 3)
         for jn in range(dim):
             for jx in range(hd):
                 col: dict = {}
-                for (a, b, c3), cleg in legs:
+                for (b, p), c in h.crossed_legs(i, jx):
                     for n2, cact in action.cols.get(b * dim + jn, {}).items():
-                        for sk, cs in h.antipode_of(a).items():
-                            for p1, c1 in h.mult_pairs(jx, sk):
-                                for p2, c2 in h.mult_pairs(c3, p1):
-                                    vec_add_at(col, n2 * hd + p2, cleg * cact * cs * c1 * c2)
+                        vec_add_at(col, n2 * hd + p, c * cact)
                 if col:
                     cols[i * (dim * hd) + jn * hd + jx] = col
     act = SparseMatrix(dim * hd, hd * dim * hd, f, cols)
@@ -772,10 +745,6 @@ def crossed_from_comodule(h: HopfAlgebra, dim: int, coaction: SparseMatrix,
     coaction maps N -> N (x) H with flat index (j, i) = j * dim(H) + i."""
     f = h.field
     hd = h.dim
-
-    def co_pairs(j):
-        return [((idx // hd, idx % hd), c) for idx, c in coaction.cols.get(j, {}).items()]
-
     act_cols = {}
     for i in range(hd):
         for jx in range(hd):
@@ -787,16 +756,11 @@ def crossed_from_comodule(h: HopfAlgebra, dim: int, coaction: SparseMatrix,
     act = SparseMatrix(hd * dim, hd * hd * dim, f, act_cols)
     co_cols = {}
     for jx in range(hd):
-        legs = h.sweedler(jx, 3)
         for jn in range(dim):
             col: dict = {}
-            for (a, b, c3), cleg in legs:
-                for (n0, n1), cco in co_pairs(jn):
-                    for p1, c1 in h.mult_pairs(c3, n1):
-                        for sk, cs in h.antipode_of(a).items():
-                            for p2, c2 in h.mult_pairs(p1, sk):
-                                vec_add_at(col, (b * dim + n0) * hd + p2,
-                                     cleg * cco * c1 * cs * c2)
+            for (n0, n1), cco in tensor_pairs(coaction, jn, hd):
+                for (b, p), c in h.crossed_legs(jx, n1):
+                    vec_add_at(col, (b * dim + n0) * hd + p, cco * c)
             if col:
                 co_cols[jx * dim + jn] = col
     coact = SparseMatrix(hd * dim * hd, hd * dim, f, co_cols)

@@ -524,10 +524,11 @@ def build_cyclic(
     Faces: slots 0..n-1 drop through the counit; the last face fans the last
     slot out across all slots through the antipode and acts on the module.
     Degeneracies comultiply a slot or append the unit.  The cyclic operator
-    uses the coaction; at degree zero it is m -> m_(1) . m_(0), which is the
-    identity exactly when the module is modular -- so non-modular
-    coefficients are refused unless `require_modular=False` is passed for
-    diagnostic runs (the identity suite then pinpoints the failure).
+    uses the coaction; at degree zero it is u(m) = m_(1) . m_(0), the
+    ``u_map`` that the modularity gate computes, and that is the identity
+    exactly when the module is modular -- so non-modular coefficients are
+    refused unless `require_modular=False` is passed for diagnostic runs
+    (the identity suite then pinpoints the failure).
 
     The counit faces and the degeneracies are declared to the object as
     slots: ``slot_map`` of the counit at each of the first n slot strides,
@@ -545,12 +546,12 @@ def build_cyclic(
     hd, md = h.dim, m.dim
     eps, unit = h.counit_matrix(), h.unit_matrix()
     verify_crossed(m).require(m.name)
-    if require_modular:
-        if u_map(m) != SparseMatrix.identity(md, f):
-            raise ValueError(
-                f"coefficients {m.name} are not modular (u != id); "
-                "pass require_modular=False for a diagnostic build"
-            )
+    u = u_map(m)  # tau_0
+    if require_modular and u != SparseMatrix.identity(md, f):
+        raise ValueError(
+            f"coefficients {m.name} are not modular (u != id); "
+            "pass require_modular=False for a diagnostic build"
+        )
 
     # a degree-n basis tuple is (h^0, ..., h^{n-1}, m): the module index last
     @lru_cache(maxsize=None)
@@ -609,11 +610,9 @@ def build_cyclic(
         begins with it."""
         if not c:
             return
-        if not n:  # only tau_0 = m -> m_(1) . m_(0) exists there
+        if not n:  # only tau_0 = u: m -> m_(1) . m_(0) exists there
             for col, acc in enumerate(cols):
-                for (m0, m1), cc in m.coact_pairs(col):
-                    for mj, ca in m.act_pairs(m1, m0):
-                        vec_add_at(acc, mj, c * cc * ca)
+                vec_iadd_scaled(acc, u.cols.get(col, {}), c)
             return
         strides, table = fans(n, kind == "cyclic")
         for tail, terms in enumerate(table):

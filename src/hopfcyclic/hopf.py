@@ -30,10 +30,13 @@ unit are this rule.
 
 Operators on tensor powers are assembled column by column, from `slot_map`
 and the Sweedler-style scalar accessors (`mult_pairs`, `sweedler`,
-`antipode_of`), or a whole slot operator at a time by `slot_add`, the
-batched form of `slot_map` that adds it to a list of columns in one pass;
-never by composing Kronecker products of the full structure tensors, so
-memory stays proportional to the number of nonzero entries of the result.
+`antipode_of`, the crossed legs h_(2) (x) h_(3) y S(h_(1)) of
+`HopfAlgebra.crossed_legs`, and `tensor_pairs`, which splits a column of a
+coproduct or coaction into its two legs), or a whole slot operator at a
+time by `slot_add`, the batched form of `slot_map` that adds it to a list
+of columns in one pass; never by composing Kronecker products of the full
+structure tensors, so memory stays proportional to the number of nonzero
+entries of the result.
 """
 
 from __future__ import annotations
@@ -305,6 +308,13 @@ class TensorIndex:
         return tuple(out)
 
 
+def tensor_pairs(t: SparseMatrix, j: int, inner: int) -> list:
+    """Column j of t, whose rows index A (x) B with dim B = inner, as
+    [((a, b), coeff)]: a coproduct, a coaction or a tensor-square element
+    split into its two legs."""
+    return [(divmod(idx, inner), c) for idx, c in t.cols.get(j, {}).items()]
+
+
 def slot_map(t: SparseMatrix, s: int, col: int) -> Vec:
     """Apply the structure tensor t to the adjacent slots of the flat index
     col whose lowest has stride s (see the index conventions above).  A
@@ -548,6 +558,7 @@ class HopfAlgebra(AlgebraData):
         self.counit = {i: field.coerce(v) for i, v in counit.items()}
         self.antipode = antipode
         self._sweedler_cache: dict = {}
+        self._legs_cache: dict = {}
         self._grouplike_cache: dict = {}
 
     def __repr__(self):
@@ -556,10 +567,7 @@ class HopfAlgebra(AlgebraData):
     # -- scalar accessors ----------------------------------------------------
 
     def comult_pairs(self, i: int) -> list:
-        d = self.dim
-        return [
-            ((idx // d, idx % d), c) for idx, c in self.comult.cols.get(i, {}).items()
-        ]
+        return tensor_pairs(self.comult, i, self.dim)
 
     def sweedler(self, i: int, parts: int) -> list:
         """Iterated comultiplication of e_i into `parts` tensor legs,
@@ -581,6 +589,23 @@ class HopfAlgebra(AlgebraData):
             out = list(acc.items())
         self._sweedler_cache[key] = out
         return out
+
+    def crossed_legs(self, i: int, j: int) -> list:
+        """sum h_(2) (x) h_(3) e_j S(h_(1)) for h = e_i, as [((b, p),
+        coeff)]: the legs of the crossed compatibility, shared by every
+        constructor of crossed modules."""
+        key = (i, j)
+        cached = self._legs_cache.get(key)
+        if cached is None:
+            acc: dict = {}
+            for (a, b, c3), cleg in self.sweedler(i, 3):
+                sa = self.antipode_of(a)
+                for p1, c1 in self.mult_pairs(c3, j):
+                    for s, cs in sa.items():
+                        for p2, c2 in self.mult_pairs(p1, s):
+                            vec_add_at(acc, (b, p2), cleg * c1 * cs * c2)
+            cached = self._legs_cache[key] = list(acc.items())
+        return cached
 
     def counit_of(self, i: int):
         return self.counit.get(i, self.field.zero)

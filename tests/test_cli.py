@@ -199,6 +199,14 @@ def test_verify_crossed_document():
     assert all(c["passed"] for c in rep["checks"])
 
 
+def test_verify_crossed_lists_each_check_once():
+    # the modularity report already holds the five crossed axioms
+    rc, rep = run_json(["verify", "crossed", json.dumps(dict(_MODULE, base="z2"))])
+    assert rc == 0
+    names = [c["name"] for c in rep["checks"]]
+    assert len(names) == len(set(names)) == 6
+
+
 def test_verify_galois_builtin():
     rc, rep = run_json(["verify", "galois", "kz4_over_kz2"])
     assert rc == 0

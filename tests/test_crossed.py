@@ -120,6 +120,17 @@ def test_non_character_rejected(kz2):
         one_dimensional(kz2, {0: QQ.coerce(1), 1: QQ.coerce(2)})
 
 
+@pytest.mark.parametrize("values, failure", [
+    ({0: 1, 1: 2}, "is not multiplicative"),  # chi(g)^2 = 4, chi(g^2) = 1
+    ({0: 0, 1: 0}, "does not send the unit to 1"),
+])
+def test_one_dimensional_and_modular_pair_check_the_character(kz2, values, failure):
+    with pytest.raises(ValueError, match=f"^character {failure}$"):
+        one_dimensional(kz2, values)
+    with pytest.raises(ValueError, match=f"^delta {failure}$"):
+        modular_pair_module(kz2, 0, values)
+
+
 def test_u_map_identity_on_adjoint(kz4):
     m = adjoint(kz4)
     assert u_map(m) == SparseMatrix.identity(4, QQ)

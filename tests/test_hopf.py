@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopfcyclic import hopf
 from hopfcyclic.hopf import (
     AlgebraData,
     FiniteGroup,
@@ -30,7 +31,7 @@ from hopfcyclic.hopf import (
 )
 from hopfcyclic.crossed import adjoint
 from hopfcyclic.galois import Bimodule, verify_bimodule
-from hopfcyclic.linalg import QQ, PrimeField, SparseMatrix, WellDefinednessError, vec_add_at, vec_iadd_scaled
+from hopfcyclic.linalg import QQ, PrimeField, SparseMatrix, WellDefinednessError, flip_matrix, vec_add_at, vec_iadd_scaled
 
 
 # -- groups -------------------------------------------------------------------
@@ -236,6 +237,27 @@ def test_grouplike_detection():
 def test_sweedler_group_algebra_is_diagonal():
     h = group_algebra(FiniteGroup.cyclic(3))
     assert h.sweedler(1, 3) == [((1, 1, 1), QQ.one)]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["q", "f5"])
+@pytest.mark.parametrize("name", ["h4", "ks3"])
+def test_crossed_legs_match_a_composite_of_the_structure_tensors(name, field):
+    # h (x) y -> h_(1) h_(2) h_(3) y -> h_(2) h_(3) y h_(1)
+    # -> h_(2) h_(3) y S(h_(1)) -> h_(2) (x) h_(3) y S(h_(1)), with no
+    # Sweedler accessor on the way
+    h = (hopf.sweedler_h4(field) if name == "h4"
+         else group_algebra(FiniteGroup.symmetric(3), field))
+    d = h.dim
+    idm = SparseMatrix.identity(d, field)
+    legs = (h.comult.kron(idm) @ h.comult).kron(idm)
+    rotate = flip_matrix(d, d ** 3, field)
+    antipode_last = idm.kron(idm).kron(idm).kron(h.antipode)
+    multiply = idm.kron(h.mult @ h.mult.kron(idm))
+    composite = multiply @ antipode_last @ rotate @ legs
+    for i in range(d):
+        for j in range(d):
+            got = {b * d + p: c for (b, p), c in h.crossed_legs(i, j)}
+            assert got == composite.column(i * d + j), (h.basis[i], h.basis[j])
 
 
 def test_op_cop_of_group_algebra():
