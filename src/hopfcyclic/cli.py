@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import json
 import sys
 import time
@@ -355,27 +354,25 @@ def resolve_algebra(ref, field):
 
 
 def _sign_character(g: FiniteGroup, field):
-    """The unique nontrivial {1,-1}-valued character, when it exists."""
-    found = []
-    for bits in itertools.product((1, -1), repeat=g.order - 1):
-        char = {g.identity: 1}
-        rest = [x for x in range(g.order) if x != g.identity]
-        char.update(dict(zip(rest, bits)))
-        if all(
-            char[g.mul(a, b)] == char[a] * char[b]
-            for a in range(g.order)
-            for b in range(g.order)
-        ):
-            if any(v == -1 for v in char.values()):
-                found.append(char)
-    if not found:
+    """The unique nontrivial {1,-1}-valued character, when it exists.  Every
+    such character kills the subgroup N generated by the squares, and G/N
+    is an elementary abelian 2-group, so there is exactly one when
+    [G : N] = 2: +1 on N and -1 off it."""
+    squares = {g.mul(x, x) for x in range(g.order)}
+    n, todo = {g.identity}, [g.identity]
+    while todo:
+        x = todo.pop()
+        for y in {g.mul(x, s) for s in squares} - n:
+            n.add(y)
+            todo.append(y)
+    if len(n) == g.order:
         raise InputError("the group has no sign character")
-    if len(found) > 1:
+    if 2 * len(n) < g.order:
         raise InputError(
             "the sign character is ambiguous for this group; "
             "provide the module as a document"
         )
-    return {i: field.coerce(c) for i, c in found[0].items()}
+    return {i: field.coerce(1 if i in n else -1) for i in range(g.order)}
 
 
 def resolve_module(ref: str, h):
@@ -385,7 +382,11 @@ def resolve_module(ref: str, h):
     elif ref == "coadjoint":
         m = coadjoint(h)
     elif ref == "trivial":
-        m = trivial_module(h)
+        try:
+            m = trivial_module(h)
+        except ValueError as exc:  # crossed exactly when S^2 = id
+            raise InputError(f"the trivial module is not crossed over {h.name}: "
+                             "it needs S^2 = id") from exc
     elif ref == "sign":
         g = getattr(h, "group", None)
         if g is None:

@@ -3,17 +3,19 @@ shape, determinism, and the error paths for broken inputs."""
 
 import copy
 import io
+import itertools
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfcyclic.cli import main, resolve_extension
+from hopfcyclic.cli import _GROUP_BUILDERS, InputError, _sign_character, main, resolve_extension
 from hopfcyclic.crossed import adjoint, crossed_to_json
 from hopfcyclic.hopf import FiniteGroup, group_algebra, hopf_to_json
 from hopfcyclic.linalg import QQ
@@ -711,6 +713,56 @@ def test_sign_character_resolution():
 
     rc, _, err = run(["hh", "z2xz2", "sign"])
     assert rc == 2 and "ambiguous" in err
+
+
+def _brute_force_sign_characters(g):
+    """Every nontrivial {1,-1}-valued character of g, found by trying all
+    2^(|G|-1) sign patterns: the oracle for small groups."""
+    rest = [x for x in range(g.order) if x != g.identity]
+    found = []
+    for bits in itertools.product((1, -1), repeat=g.order - 1):
+        char = {g.identity: 1, **dict(zip(rest, bits))}
+        if -1 in bits and all(char[g.mul(a, b)] == char[a] * char[b]
+                              for a in range(g.order) for b in range(g.order)):
+            found.append(char)
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(_GROUP_BUILDERS))
+def test_sign_character_matches_the_brute_force(name):
+    g = _GROUP_BUILDERS[name]()
+    assert g.order <= 8
+    found = _brute_force_sign_characters(g)
+    if len(found) == 1:
+        assert _sign_character(g, QQ) == found[0]
+    else:
+        with pytest.raises(InputError, match="ambiguous" if found else "no sign character"):
+            _sign_character(g, QQ)
+
+
+def test_sign_character_of_s4_is_the_parity():
+    """S4 has 2^23 sign patterns; the squares rule takes |G|^2 products."""
+    perms = sorted(itertools.permutations(range(4)))  # FiniteGroup.symmetric's order
+    g = FiniteGroup.symmetric(4)
+    start = time.perf_counter()
+    char = _sign_character(g, QQ)
+    assert time.perf_counter() - start < 0.1
+    parity = [(-1) ** sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4))
+              for p in perms]
+    assert char == dict(enumerate(parity))
+    assert sum(c == 1 for c in char.values()) == 12  # A4
+
+
+def test_trivial_module_needs_an_involutive_antipode():
+    """The counit action and the unit coaction are crossed exactly when
+    S^2 = id: refused over H4 as an input error, unchanged over kS3."""
+    rc, out, err = run(["hh", "h4", "trivial", "--max-degree", "2"])
+    assert rc == 2 and out == ""
+    assert err.startswith("input error: ") and len(err.splitlines()) == 1
+    assert "S^2 = id" in err
+    rc, rep = run_json(["hh", "s3", "trivial", "--field", "f5"])
+    assert rc == 0 and rep["status"] == "pass"
+    assert rep["tables"] == {"hh": [1, 0, 0, 0]}
 
 
 def test_bad_max_degree_rejected():

@@ -1081,6 +1081,16 @@ def test_bar_oracle_over_prime_fields():
     assert group_homology(FiniteGroup.cyclic(2), 1, triv, 0, 3, field=f2) == [1, 1, 1, 1]
 
 
+def test_bar_oracle_of_ks3_adjoint_over_gf3_through_degree_4():
+    """Burghelea's sum over the classes of S3 over GF(3): the centralizers
+    S3, Z/2 and Z/3 give [1, 0, 0, 1, 1], [1, 0, 0, 0, 0] and
+    [1, 1, 1, 1, 1], so Tor^{kS3}(k, ad) = [3, 1, 1, 2, 2]; the bar
+    boundary in degree 5 has 46 656 columns."""
+    f3 = PrimeField(3)
+    h = group_algebra(FiniteGroup.symmetric(3), f3)
+    assert tor_oracle(h, adjoint(h), 0, 4) == [3, 1, 1, 2, 2]
+
+
 def test_group_homology_free_module():
     z3 = FiniteGroup.cyclic(3)
     cols = {}

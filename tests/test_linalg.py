@@ -6,6 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hopfcyclic import cyclic
+from hopfcyclic.crossed import adjoint
+from hopfcyclic.hopf import FiniteGroup, group_algebra, sweedler_h4
 from hopfcyclic.linalg import (
     QQ,
     Bicomplex,
@@ -575,6 +578,60 @@ def test_bicomplex_rejects_commuting_square():
     vert = {(0, 1): one, (1, 1): one}
     with pytest.raises(LinAlgError):
         Bicomplex(cells, horiz, vert, QQ)
+
+
+@st.composite
+def random_complexes(draw):
+    """A random integer d_1, then each d_{n+1} a kernel basis of d_n times a
+    random integer matrix, so that d o d = 0 and the complex is accepted."""
+    field = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(3), GF5]))
+    entry = st.integers(-2, 2)
+    dims = [draw(st.integers(1, 6)), draw(st.integers(1, 8))]
+    diffs = [SparseMatrix.from_rows_dense(
+        [[draw(entry) for _ in range(dims[1])] for _ in range(dims[0])], field)]
+    for _ in range(draw(st.integers(1, 3))):
+        _, kernel = rank_kernel(diffs[-1])
+        dims.append(draw(st.integers(1, 8)))
+        cols = []
+        for _ in range(dims[-1]):
+            col: dict = {}
+            for v in kernel:
+                vec_iadd_scaled(col, v, field.from_int(draw(entry)))
+            cols.append(col)
+        diffs.append(SparseMatrix.from_columns(dims[-2], field, cols))
+    return ChainComplex(dims, diffs, field), draw(st.integers(0, len(diffs) - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_complexes())
+def test_compressed_ranks_match_the_plain_ranks(case):
+    c, low = case
+    plain = [0] + [rank(c.diff(n)) for n in range(1, c.top_degree + 1)] + [0]
+    top = c.top_degree - 1
+    assert homology_dims(c, low, top) == [
+        c.dims[n] - plain[n] - plain[n + 1] for n in range(low, top + 1)]
+    assert [c.boundary_rank(n) for n in range(1, c.top_degree + 1)] == plain[1:-1]
+
+
+@pytest.mark.parametrize("name", ["ks3", "h4"])
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["q", "f3"])
+def test_compressed_ranks_of_the_builtin_complexes(name, field):
+    """The unnormalized, normalized and bar complexes of (kS3, ad) and
+    (H4, ad) through degree 3, and over Q also the lambda, (b, B)-total and
+    staircase-total ones: every compressed rank is the plain one."""
+    h = sweedler_h4(field) if name == "h4" else group_algebra(FiniteGroup.symmetric(3), field)
+    m = adjoint(h)
+    z = cyclic.build_cyclic(h, m, 3)
+    norm, b = cyclic._normalized(z, 3)
+    complexes = [z.chain_complex(3), ChainComplex([q.dim for q in norm], b, field),
+                 cyclic.bar_complex(h, m.dim, m.action, 3)]
+    if not field.characteristic:
+        complexes += [cyclic.connes_data(z, 3)[1],
+                      total_complex(cyclic.mixed_bicomplex(z, 2), 2),
+                      total_complex(cyclic.tsygan_bicomplex(z, 2), 2)]
+    for c in complexes:
+        ranks = [c.boundary_rank(n) for n in range(1, c.top_degree + 1)]
+        assert ranks == [rank(c.diff(n)) for n in range(1, c.top_degree + 1)]
 
 
 def test_quasi_iso_identity_map():
