@@ -35,7 +35,7 @@ from functools import lru_cache, partial
 from typing import Callable, Iterable, Sequence
 
 from .crossed import CrossedModule, action_tensor, decompose_group_case, induce, quotient_coaction, trivial_coaction, u_map, verify_crossed
-from .hopf import CentralizerData, FiniteGroup, HopfAlgebra, HopfSubalgebra, TensorIndex, algebra_generators, augmentation_ideal_vectors, balancing_relators, conjugacy_data, group_algebra, quotient_by_normal, separability_element, slot_add, slot_map
+from .hopf import CentralizerData, FiniteGroup, HopfAlgebra, HopfSubalgebra, TensorIndex, algebra_generators, augmentation_ideal_vectors, balancing_relators, conjugacy_data, group_algebra, quotient_by_normal, separability_element, slot_add, slot_apply, slot_map
 from .linalg import (
     QQ,
     Bicomplex,
@@ -49,6 +49,7 @@ from .linalg import (
     solve_matrix,
     total_complex,
     vec_add_at,
+    vec_apply,
     vec_iadd_scaled,
 )
 from .reporting import CheckReport
@@ -80,10 +81,12 @@ class CyclicObject:
     columns: a declared slot through ``slot_add``, anything else through
     add.  The matrices, the boundaries and the d_0 tau_n = d_n check of
     ``mixed_bicomplex`` all go through it.  The per-column evaluators
-    face_fn, degen_fn and cyclic_fn, which the identity suite and
-    ``apply_*`` read, are derived from the same declarations: ``slot_map``
-    of a declared slot, or a column of the whole operator, built once
-    through ``_add`` and held until ``release`` (shared, read-only vectors).
+    face_fn, degen_fn and cyclic_fn, which the identity suite reads, are
+    derived from the same declarations: ``slot_map`` of a declared slot, or
+    a column of the whole operator, built once through ``_add`` and held
+    until ``release`` (shared, read-only vectors).  ``apply_*`` apply an
+    operator to a vector: a declared slot through ``slot_apply``, any
+    other through ``vec_apply`` on the columns its evaluator holds.
     """
 
     def __init__(
@@ -279,24 +282,23 @@ class CyclicObject:
             )
         return b
 
-    # linear extensions of the evaluators, for identity checking
+    def _apply(self, kind: str, n: int, i: int, vec: Vec) -> Vec:
+        """The operator (kind, n, i) applied to vec: ``apply_*`` dispatch here."""
+        slots = self.slots(kind, n)
+        if i < len(slots):
+            return slot_apply(*slots[i], vec)
+        return vec_apply(self._evaluator(kind, n, i), vec) if vec else {}
+
+    # linear extensions of the operators, for identity checking
     def apply_face(self, n: int, i: int, vec: Vec) -> Vec:
-        return _extend(self._evaluator("face", n, i), vec) if vec else {}
+        return self._apply("face", n, i, vec)
 
     def apply_degen(self, n: int, i: int, vec: Vec) -> Vec:
-        return _extend(self._evaluator("degen", n, i), vec) if vec else {}
+        return self._apply("degen", n, i, vec)
 
     def apply_cyclic(self, n: int, vec: Vec) -> Vec:
         self._require_cyclic()
-        return _extend(self._evaluator("cyclic", n, 0), vec) if vec else {}
-
-
-def _extend(fn: Callable[[int], Vec], vec: Vec) -> Vec:
-    """The linear extension to vec of fn, given on basis columns."""
-    out: Vec = {}
-    for c, v in vec.items():
-        vec_iadd_scaled(out, fn(c), v)
-    return out
+        return self._apply("cyclic", n, 0, vec)
 
 
 def rotation_add(cols: list, d: int, n: int, c) -> None:
@@ -481,7 +483,7 @@ def aux_resolution_report(z: CyclicObject, max_degree: int | None = None) -> Che
         for c in range(z.dim(n)):
             lhs = z.boundary(n + 1).apply(extra(n, c))
             rhs: Vec = {c: one}
-            back = _extend(lambda k: extra(n - 1, k), z.boundary(n).column(c))
+            back = vec_apply(partial(extra, n - 1), z.boundary(n).cols.get(c, {}))
             vec_iadd_scaled(rhs, back, -one)
             if lhs != rhs:
                 yield f"column {c}"
@@ -709,9 +711,9 @@ def _gate_characteristic(z: CyclicObject) -> None:
 def _coinvariant_relators(z: CyclicObject, n: int):
     """x - (-1)^n tau_n x for every basis vector x of degree n."""
     f, t = z.field, z.cyclic(n)
-    sign = f.one if n % 2 == 0 else -f.one
+    neg = -f.one if n % 2 == 0 else f.one  # -(-1)^n
     for c in range(z.dim(n)):
-        col = {k: -(sign * v) for k, v in t.column(c).items()}
+        col = {k: neg * v for k, v in t.cols.get(c, {}).items()}
         vec_add_at(col, c, f.one)
         if col:
             yield col

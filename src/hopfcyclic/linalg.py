@@ -44,7 +44,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class LinAlgError(ValueError):
@@ -246,17 +246,32 @@ def vec_add_at(v: Vec, key, val) -> None:
         del v[key]
 
 
+def vec_apply(column: Callable[[int], Vec | None], v: Vec) -> Vec:
+    """The sum of v[j] * column(j), column(j) a vector or None, accumulated
+    inline as a ``vec_iadd_scaled`` per j would: zero coefficients of v are
+    skipped and entries that cancel are deleted."""
+    out: Vec = {}
+    for j, c in v.items():
+        col = column(j)
+        if col and c:
+            for i, x in col.items():
+                w = out.get(i)
+                if w is None:
+                    out[i] = c * x
+                else:
+                    w = w + c * x
+                    if w:
+                        out[i] = w
+                    else:
+                        del out[i]
+    return out
+
+
 def bilinear(cols: dict, inner_dim: int, u: Vec, v: Vec) -> Vec:
     """The sum of u[i] v[j] cols[i*inner_dim + j]: a bilinear map given by
     the columns of its structure tensor, as for a product or an action."""
-    out: Vec = {}
-    for i, a in u.items():
-        base = i * inner_dim
-        for j, b in v.items():
-            col = cols.get(base + j)
-            if col:
-                vec_iadd_scaled(out, col, a * b)
-    return out
+    return vec_apply(cols.get, {i * inner_dim + j: a * b
+                                for i, a in u.items() for j, b in v.items()})
 
 
 def vec_scale(v: Vec, c) -> Vec:
@@ -397,13 +412,7 @@ class SparseMatrix:
     # -- arithmetic ----------------------------------------------------------
 
     def apply(self, v: Vec) -> Vec:
-        out: dict = {}
-        cols = self.cols
-        for j, c in v.items():
-            col = cols.get(j)
-            if col:
-                vec_iadd_scaled(out, col, c)
-        return out
+        return vec_apply(self.cols.get, v)
 
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.ncols != other.nrows:
@@ -411,8 +420,9 @@ class SparseMatrix:
                 f"shape mismatch: ({self.nrows},{self.ncols}) @ ({other.nrows},{other.ncols})"
             )
         cols = {}
+        column = self.cols.get
         for j, col in other.cols.items():
-            out = self.apply(col)
+            out = vec_apply(column, col)
             if out:
                 cols[j] = out
         return SparseMatrix(self.nrows, other.ncols, self.field, cols)
@@ -989,7 +999,13 @@ class QuotientSpace:
             if k >= 0:
                 w = factor[j] * x
                 fraction = fraction or type(w) is Fraction
-                vec_add_at(out, k, w)
+                cur = out.get(k)  # vec_add_at inlined: once per entry projected
+                if cur is not None:
+                    w = cur + w
+                if w:
+                    out[k] = w
+                elif cur is not None:
+                    del out[k]
         if fraction:
             _ints_where_integral(out)
         return out
@@ -1060,10 +1076,7 @@ class QuotientSpace:
             if not ok:
                 raise WellDefinednessError(message)
         for rvec in src._ech.rows:
-            acc: Vec = {}
-            for j, c in rvec.items():
-                vec_iadd_scaled(acc, images[j], c)
-            if acc:
+            if vec_apply(images.__getitem__, rvec):
                 raise WellDefinednessError(message)
         cols = {}
         for k, c in enumerate(src.free_cols):
@@ -1343,18 +1356,19 @@ def total_complex(b: Bicomplex, max_total_degree: int) -> ChainComplex:
     for n in range(1, max_total_degree + 2):
         src = layouts[n]
         tgt = layouts[n - 1]
-        entries = []
+        # the vertical and horizontal blocks of a cell land in different
+        # target cells, so the blocks go straight into the columns
+        cols: dict = {}
         for (p, q), off in src.items():
             for mp, cell_t in ((b.vert.get((p, q)), (p, q - 1)), (b.horiz.get((p, q)), (p - 1, q))):
                 if mp is None or cell_t not in tgt:
                     continue
                 toff = tgt[cell_t]
                 for j, col in mp.cols.items():
-                    for i, v in col.items():
-                        entries.append((toff + i, off + j, v))
-        diffs.append(
-            SparseMatrix.from_entries(dims[n - 1], dims[n], b.field, entries)
-        )
+                    block = {toff + i: v for i, v in col.items() if v}
+                    if block:
+                        cols.setdefault(off + j, {}).update(block)
+        diffs.append(SparseMatrix(dims[n - 1], dims[n], b.field, cols))
     return ChainComplex(dims, diffs, b.field)
 
 

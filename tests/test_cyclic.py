@@ -500,22 +500,29 @@ def test_batched_fan_matches_the_evaluators(name, coefficients, field, top):
 def test_boundary_and_cyclic_call_no_per_column_fan_evaluator(case, request):
     """boundary, norm_boundary and cyclic at degree 4, and the (b, B)
     bicomplex through total degree 3 with its d_0 tau_n = d_n check, never
-    ask for an evaluator of the last face or of the cyclic operator (which
-    face_fn, cyclic_fn and the apply_* extensions read): they read fan_add."""
+    ask for an evaluator (which face_fn, cyclic_fn and the apply_* extensions
+    of an operator that is not a slot read): they read fan_add.  The check
+    applies only the slot face d_0, through ``_apply``, the dispatch point
+    of the apply_* extensions."""
     h, m = _route_case(case, request)
     z = build_cyclic(h, m, 4)
-    calls = []
-    evaluator = z._evaluator
+    built, applied = [], []
+    evaluator, apply = z._evaluator, z._apply
 
-    def recorded(kind, n, i):
-        calls.append((kind, n, i))
+    def recorded_evaluator(kind, n, i):
+        built.append((kind, n, i))
         return evaluator(kind, n, i)
 
-    z._evaluator = recorded
+    def recorded_apply(kind, n, i, vec):
+        applied.append((kind, n, i))
+        return apply(kind, n, i, vec)
+
+    z._evaluator, z._apply = recorded_evaluator, recorded_apply
     z.boundary(4), z.norm_boundary(4), z.cyclic(4)
-    assert calls == []
+    assert built == applied == []
     hc_bicomplex(z, 0, 3)
-    assert calls and all(kind == "face" and i < n for kind, n, i in calls)
+    assert built == []
+    assert applied and all(kind == "face" and i < n for kind, n, i in applied)
 
 
 def _declared_objects(case):

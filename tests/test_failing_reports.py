@@ -22,7 +22,7 @@ from hopfcyclic.galois import (
     verify_algebra,
     verify_bimodule,
 )
-from hopfcyclic.hopf import AlgebraData, FiniteGroup, HopfAlgebra, group_algebra, hopf_to_json, verify_hopf
+from hopfcyclic.hopf import AlgebraData, FiniteGroup, HopfAlgebra, group_algebra, hopf_to_json, sweedler_h4, verify_hopf
 from hopfcyclic.linalg import QQ, SparseMatrix, vec_add_at
 from hopfcyclic.reporting import CheckReport
 from percolumn import per_column
@@ -134,6 +134,21 @@ def test_mutated_antipode_failures():
     assert failing(verify_hopf(bad)) == [
         ("left antipode identity", False, "(1)"),
         ("right antipode identity", False, "(1)"),
+    ]
+
+
+def test_primitive_x_in_h4_failures():
+    """H4 with comult(x) = x (x) 1 + 1 (x) x: x is then primitive but g is
+    grouplike and xg = -gx, so the comultiplication is not multiplicative."""
+    h = sweedler_h4()
+    cols = {j: dict(c) for j, c in h.comult.cols.items()}
+    cols[2] = {2 * 4 + 0: QQ.one, 0 * 4 + 2: QQ.one}
+    comult = SparseMatrix(16, 4, QQ, cols)
+    bad = HopfAlgebra(QQ, h.basis, h.mult, h.unit, comult, h.counit, h.antipode, "H")
+    assert failing(verify_hopf(bad)) == [
+        ("comultiplication is multiplicative", False, "(g,x)"),
+        ("left antipode identity", False, "(x)"),
+        ("right antipode identity", False, "(x)"),
     ]
 
 

@@ -1,12 +1,16 @@
 """Hopf algebra structure tensors, groups, subalgebras and quotients."""
 
+import functools
+import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hopfcyclic import hopf
+from hopfcyclic import crossed, cyclic, galois, hopf
+from hopfcyclic.cli import resolve_extension
 from hopfcyclic.hopf import (
     AlgebraData,
     FiniteGroup,
@@ -26,6 +30,7 @@ from hopfcyclic.hopf import (
     quotient_by_normal,
     separability_element,
     slot_add,
+    slot_apply,
     slot_map,
     verify_hopf,
 )
@@ -185,6 +190,60 @@ def test_slot_add_matches_slot_map_column_by_column(case, slot_cases):
                 assert all(v for acc in cols for v in acc.values())
 
 
+@functools.lru_cache(maxsize=None)
+def _kernel_tensors(label: str) -> tuple:
+    """(dim, {name: tensor}) for the counit, product, comultiplication and
+    unit of kS3 or H4 over Q or GF(5)."""
+    name, field = label.split("_")
+    field = QQ if field == "q" else PrimeField(5)
+    h = hopf.sweedler_h4(field) if name == "h4" else group_algebra(FiniteGroup.symmetric(3), field)
+    return h.dim, {"counit": h.counit_matrix(), "mult": h.mult, "comult": h.comult,
+                   "unit": h.unit_matrix()}
+
+
+@st.composite
+def slot_vectors(draw):
+    """(label, tensor name, slots before, slots after, vector) with small
+    coefficients, stored zeros among them (over Q as int or Fraction)."""
+    label = draw(st.sampled_from(["ks3_q", "ks3_f5", "h4_q", "h4_f5"]))
+    name = draw(st.sampled_from(["counit", "mult", "comult", "unit"]))
+    before = draw(st.integers(0, 2))
+    after = draw(st.integers(0, 2 - before))
+    d, tensors = _kernel_tensors(label)
+    t = tensors[name]
+    size = d ** (before + after) * t.ncols
+
+    def scalar():
+        k = draw(st.integers(-2, 2))
+        return Fraction(k) if t.field is QQ and draw(st.booleans()) else t.field.coerce(k)
+
+    return label, name, before, after, {
+        col: scalar() for col in draw(st.lists(st.integers(0, size - 1), max_size=8))}
+
+
+@settings(max_examples=300, deadline=None)
+@given(slot_vectors())
+# a stored zero coefficient adds nothing, not a zero entry
+@example(("ks3_q", "mult", 0, 0, {0: Fraction(0, 1)}))
+# eps(e) - eps((12)) cancels to the empty vector
+@example(("ks3_q", "counit", 1, 0, {0: 1, 1: -1}))
+def test_slot_apply_matches_slot_map_and_slot_add(case):
+    """slot_apply(t, s, v) is the sum of v[k] slot_map(t, s, k), entry order
+    included, and its columns are the columns slot_add adds, on the
+    structure tensors of kS3 and H4 over Q and GF(5) at every stride among
+    up to two further slots."""
+    label, name, before, after, v = case
+    d, tensors = _kernel_tensors(label)
+    t, stride = tensors[name], d ** after
+    want: dict = {}
+    for k, c in v.items():
+        vec_iadd_scaled(want, slot_map(t, stride, k), c)
+    assert list(slot_apply(t, stride, v).items()) == list(want.items())
+    cols = [{} for _ in range(d ** (before + after) * t.ncols)]
+    slot_add(cols, t, stride, t.field.one)
+    assert all(slot_apply(t, stride, {k: t.field.one}) == col for k, col in enumerate(cols))
+
+
 # -- Hopf axioms --------------------------------------------------------------
 
 
@@ -203,6 +262,20 @@ def test_group_algebras_satisfy_axioms(group):
     h = group_algebra(group)
     rep = verify_hopf(h)
     assert rep.ok, rep.failures
+
+
+def test_group_algebra_of_s4_checks_its_axioms_in_bounded_memory():
+    """verify_hopf composes (m (x) m)(1 (x) flip (x) 1)(comult (x) comult)
+    pair by pair: for kS4 (d = 24) no d^4-column Kronecker product is built,
+    which took a 292 MB peak."""
+    tracemalloc.start()
+    try:
+        h = group_algebra(FiniteGroup.symmetric(4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h.dim == 24
+    assert peak < 32 * 2**20
 
 
 def test_broken_antipode_reported_with_witness():
@@ -258,6 +331,51 @@ def test_crossed_legs_match_a_composite_of_the_structure_tensors(name, field):
         for j in range(d):
             got = {b * d + p: c for (b, p), c in h.crossed_legs(i, j)}
             assert got == composite.column(i * d + j), (h.basis[i], h.basis[j])
+
+
+def _balancing_relators_per_entry(tix, junctions):
+    """balancing_relators with one vec_add_at per table entry: the
+    reference for its precomputed (offset, coefficient) tables."""
+    strides = tix.strides
+    for idx, t in enumerate(itertools.product(*map(range, tix.dims))):
+        for p, ptab, q, qtab in junctions:
+            r: dict = {}
+            base, s = idx - t[p] * strides[p], strides[p]
+            for k, c in ptab[t[p]].items():
+                vec_add_at(r, base + k * s, c)
+            base, s = idx - t[q] * strides[q], strides[q]
+            for k, c in qtab[t[q]].items():
+                vec_add_at(r, base + k * s, -c)
+            if r:
+                yield r
+
+
+def test_balancing_relators_match_the_per_entry_reference(monkeypatch):
+    """Every caller's relator stream -- the relative carriers of the three
+    Galois builtins through degree 3, both balanced squares of the Galois
+    check, the separability square, induction and the semisimple reduction
+    -- is the per-entry reference's, relator and entry order included."""
+    calls = []
+    for mod in (hopf, galois, crossed, cyclic):
+        def recorded(tix, junctions, where=mod.__name__):
+            calls.append((where, tix, junctions))
+            return balancing_relators(tix, junctions)
+        monkeypatch.setattr(mod, "balancing_relators", recorded)
+    for ref in ("s3_over_a3", "kz4_over_kz2", "twisted_klein"):
+        ca, _ = resolve_extension(ref, QQ)
+        galois.galois_check(ca)
+        galois.relative_cyclic(ca, galois.coinvariants(ca), None, 3)
+    ks3 = group_algebra(FiniteGroup.symmetric(3))
+    a3 = group_subalgebra(ks3, [i for i in range(6) if ks3.group.element_order(i) != 2])
+    cyclic.semisimple_reduction(ks3, a3, adjoint(ks3), 0, 1)
+    kz4 = group_algebra(FiniteGroup.cyclic(4))
+    z2 = group_subalgebra(kz4, [0, 2])
+    crossed.induce(z2, kz4, adjoint(z2.sub))
+    assert {where for where, _, _ in calls} == {
+        "hopfcyclic.hopf", "hopfcyclic.galois", "hopfcyclic.crossed", "hopfcyclic.cyclic"}
+    for _, tix, junctions in calls:
+        want = [list(r.items()) for r in _balancing_relators_per_entry(tix, junctions)]
+        assert [list(r.items()) for r in balancing_relators(tix, junctions)] == want
 
 
 def test_op_cop_of_group_algebra():

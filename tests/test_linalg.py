@@ -149,6 +149,52 @@ def test_invert_round_trip():
         invert(dense([[1, 2], [2, 4]]))
 
 
+def _apply_reference(cols: dict, v: dict) -> dict:
+    """sum v[j] cols[j] as one vec_iadd_scaled per entry of v: the loop
+    that SparseMatrix.apply accumulates inline."""
+    out: dict = {}
+    for j, c in v.items():
+        col = cols.get(j)
+        if col:
+            vec_iadd_scaled(out, col, c)
+    return out
+
+
+@st.composite
+def apply_cases(draw):
+    """(field, nrows, ncols, columns, vector) over Q or GF(5), with small
+    entries so that sums cancel, stored zero entries in both, and over Q
+    the same values as int or as Fraction."""
+    field = draw(st.sampled_from([QQ, GF5]))
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+
+    def scalar():
+        k = draw(st.integers(-2, 2))
+        return Fraction(k) if field is QQ and draw(st.booleans()) else field.coerce(k)
+
+    cols = {j: {i: scalar() for i in draw(st.sets(st.integers(0, nrows - 1)))}
+            for j in draw(st.sets(st.integers(0, ncols - 1)))}
+    v = {j: scalar() for j in draw(st.sets(st.integers(0, ncols - 1)))}
+    return field, nrows, ncols, cols, v
+
+
+@settings(max_examples=300, deadline=None)
+@given(apply_cases())
+# a stored zero coefficient adds nothing, not a zero entry
+@example((QQ, 1, 1, {0: {0: 1}}, {0: Fraction(0, 1)}))
+# e0 - e0 cancels to the empty vector
+@example((GF5, 1, 2, {0: {0: GF5.one}, 1: {0: GF5.coerce(4)}}, {0: GF5.one, 1: GF5.one}))
+def test_apply_matches_the_per_entry_loop(case):
+    """SparseMatrix.apply, and @ column by column, give the vector the
+    vec_iadd_scaled loop gives, entry order included."""
+    field, nrows, ncols, cols, v = case
+    m = SparseMatrix(nrows, ncols, field, cols)
+    want = _apply_reference(cols, v)
+    assert list(m.apply(v).items()) == list(want.items())
+    prod = m @ SparseMatrix(ncols, 1, field, {0: v})
+    assert prod.cols == ({0: want} if want else {})
+
+
 def test_matmul_and_kron_shapes():
     a = dense([[1, 2], [0, 1]])
     b = dense([[1], [3]])
@@ -569,6 +615,50 @@ def test_total_complex_of_anticommuting_square():
     assert homology_dims(tot, 0, 1) == [0, 0]
     with pytest.raises(TruncationError):
         total_complex(b, 2)
+
+
+def _total_complex_from_entries(b: Bicomplex, top: int) -> tuple:
+    """(dims, diffs) of the total complex through degree top + 1, every
+    block entry gathered and passed to SparseMatrix.from_entries: the
+    assembly that total_complex writes straight into columns."""
+    layouts, dims = [], []
+    for n in range(top + 2):
+        offs, o = {}, 0
+        for cell in sorted(c for c in b.cells if sum(c) == n):
+            offs[cell], o = o, o + b.cells[cell]
+        layouts.append(offs)
+        dims.append(o)
+    diffs = []
+    for n in range(1, top + 2):
+        tgt, entries = layouts[n - 1], []
+        for (p, q), off in layouts[n].items():
+            for mp, cell_t in ((b.vert.get((p, q)), (p, q - 1)), (b.horiz.get((p, q)), (p - 1, q))):
+                if mp is not None and cell_t in tgt:
+                    entries += [(tgt[cell_t] + i, off + j, v)
+                                for j, col in mp.cols.items() for i, v in col.items()]
+        diffs.append(SparseMatrix.from_entries(dims[n - 1], dims[n], b.field, entries))
+    return dims, diffs
+
+
+@pytest.mark.parametrize("name", ["ks3", "h4"])
+def test_total_complex_matches_the_from_entries_assembly(name):
+    """The (b, B) and staircase total complexes of (kS3, ad) and (H4, ad)
+    over Q are the from_entries assembly, column and entry order and the
+    scalar types (int, or Fraction only off the integers) included."""
+    h = sweedler_h4() if name == "h4" else group_algebra(FiniteGroup.symmetric(3))
+    z = cyclic.build_cyclic(h, adjoint(h), 4)
+
+    def entries(m):
+        return [(j, [(i, type(v), v) for i, v in col.items()]) for j, col in m.cols.items()]
+
+    for b in (cyclic.mixed_bicomplex(z, 3), cyclic.tsygan_bicomplex(z, 3)):
+        tot = total_complex(b, 3)
+        dims, diffs = _total_complex_from_entries(b, 3)
+        assert tot.dims == dims
+        for n, want in enumerate(diffs, start=1):
+            got = tot.diff(n)
+            assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
+            assert entries(got) == entries(want)
 
 
 def test_bicomplex_rejects_commuting_square():
