@@ -12,9 +12,8 @@ the exact matrix identities; that certificate expands the legs on its own,
 from the scalar accessors, on purpose, so it does not share the kernel it
 checks.
 
-Sub- and quotient modules (induction, restriction, the stable part, the GH
-functor, the pieces of the coinvariants filtration, the coaction components)
-are built through one path: ``Subspace.induced_matrix`` or
+Sub- and quotient modules (induction, the pieces of the coinvariants
+filtration, the coaction components) are built through one path: ``Subspace.induced_matrix`` or
 ``QuotientSpace.induced_matrix`` restricts or pushes each element's action,
 ``action_tensor`` stacks the matrices, and ``sub_coaction`` or
 ``quotient_coaction`` restricts or descends the coaction.
@@ -487,63 +486,6 @@ def induce(sub: HopfSubalgebra, ambient: HopfAlgebra, n: CrossedModule) -> Cross
     return out
 
 
-def restrict(sub: HopfSubalgebra, ambient: HopfAlgebra, m: CrossedModule) -> CrossedModule:
-    """Cotensor restriction: the subspace of M (x) K on which the two
-    natural K-coactions agree, with K acting by
-    k . (m [] x) = iota(k_(2)) m [] k_(3) x S(k_(1)).
-    """
-    h = ambient
-    k = sub.sub
-    f = h.field
-    hd, kd, md = h.dim, k.dim, m.dim
-
-    # rho_M (x) id_K  -  id_M (x) (iota (x) id) Delta_K : M(x)K -> M(x)H(x)K
-    cols = {}
-    for jm in range(md):
-        for jk in range(kd):
-            col: dict = {}
-            for (j0, i1), c in m.coact_pairs(jm):
-                vec_add_at(col, (j0 * hd + i1) * kd + jk, c)
-            for (a, b), c in k.sweedler(jk, 2):
-                for ia, ca in sub.inclusion.column(a).items():
-                    vec_add_at(col, (jm * hd + ia) * kd + b, -(c * ca))
-            if col:
-                cols[jm * kd + jk] = col
-    eq = SparseMatrix(md * hd * kd, md * kd, f, cols)
-    _, kernel = rank_kernel(eq)
-    carrier = Subspace(md * kd, f, kernel)
-
-    # action of each K basis element on M (x) K, then restricted
-    mats = []
-    for ik in range(kd):
-        amb_cols = {}
-        for jm in range(md):
-            for jk in range(kd):
-                col: dict = {}
-                for (b, p), c in k.crossed_legs(ik, jk):
-                    for ib, cb in sub.inclusion.cols.get(b, {}).items():
-                        for jm2, cact in m.act_pairs(ib, jm):
-                            vec_add_at(col, jm2 * kd + p, c * cb * cact)
-                if col:
-                    amb_cols[jm * kd + jk] = col
-        amb = SparseMatrix(md * kd, md * kd, f, amb_cols)
-        mats.append(carrier.induced_matrix(
-            amb, "restriction action does not preserve the cotensor"))
-    action = action_tensor(mats, carrier.dim, f)
-
-    # coaction: id_M (x) Delta_K (M (x) K -> M (x) K (x) K) on the cotensor
-    coaction = sub_coaction(
-        carrier, SparseMatrix.identity(md, f).kron(k.comult), kd,
-        "restriction coaction does not preserve the cotensor",
-    )
-    out = CrossedModule(
-        k, carrier.dim, action, coaction, name=f"Res({m.name})"
-    )
-    verify_crossed(out).require(out.name)
-    out.carrier = carrier
-    return out
-
-
 # ---------------------------------------------------------------------------
 # decomposition over group algebras
 # ---------------------------------------------------------------------------
@@ -677,116 +619,6 @@ def decompose_group_case(m: CrossedModule) -> GroupDecomposition:
     rep.add("modularity criterion agrees with u = id", modular == umod, nontrivial)
     return GroupDecomposition(components, conj.transversal, modules, induced, iso,
                               modular, rep)
-
-
-# ---------------------------------------------------------------------------
-# the two canonical functors into crossed modules
-# ---------------------------------------------------------------------------
-
-
-def crossed_from_module(h: HopfAlgebra, dim: int, action: SparseMatrix,
-                        name: str = "G'(N)") -> CrossedModule:
-    """N (x) H with h . (n (x) x) = h_(2) n (x) h_(3) x S(h_(1)) and the
-    comultiplication on the second leg; the crossed envelope of a module."""
-    f = h.field
-    hd = h.dim
-    cols = {}
-    for i in range(hd):
-        for jn in range(dim):
-            for jx in range(hd):
-                col: dict = {}
-                for (b, p), c in h.crossed_legs(i, jx):
-                    for n2, cact in action.cols.get(b * dim + jn, {}).items():
-                        vec_add_at(col, n2 * hd + p, c * cact)
-                if col:
-                    cols[i * (dim * hd) + jn * hd + jx] = col
-    act = SparseMatrix(dim * hd, hd * dim * hd, f, cols)
-    idn = SparseMatrix.identity(dim, f)
-    coact = idn.kron(h.comult)
-    m = CrossedModule(h, dim * hd, act, coact, name=name)
-    verify_crossed(m).require(m.name)
-    return m
-
-
-def stable_part(m: CrossedModule) -> tuple[CrossedModule, SparseMatrix]:
-    """The largest subspace on which u = id, as a crossed module, with its
-    inclusion; applied to the crossed envelope this is the left adjoint-style
-    construction of a modular module from a plain module."""
-    f = m.field
-    u = u_map(m)
-    diff = u - SparseMatrix.identity(m.dim, f)
-    _, kernel = rank_kernel(diff)
-    sub = Subspace(m.dim, f, kernel)
-    # action and coaction must preserve the stable part
-    action = action_tensor(
-        [sub.induced_matrix(m.act_matrix(i), "stable part is not action-stable")
-         for i in range(m.h.dim)],
-        sub.dim, f,
-    )
-    coaction = sub_coaction(sub, m.coaction, m.h.dim, "stable part is not coaction-stable")
-    out = CrossedModule(m.h, sub.dim, action, coaction, name=f"stab({m.name})")
-    verify_modular(out).require(out.name)
-    return out, sub.basis_matrix()
-
-
-def hg_functor(h: HopfAlgebra, dim: int, action: SparseMatrix) -> CrossedModule:
-    """Modular crossed module assigned to a plain module: the u-stable part
-    of the crossed envelope."""
-    env = crossed_from_module(h, dim, action)
-    out, _ = stable_part(env)
-    out.name = "HG(N)"
-    return out
-
-
-def crossed_from_comodule(h: HopfAlgebra, dim: int, coaction: SparseMatrix,
-                          name: str = "G''(N)") -> CrossedModule:
-    """H (x) N with left multiplication on the first leg and coaction
-    rho(x (x) m) = sum (x_(2) (x) m_(0)) (x) x_(3) m_(1) S(x_(1)).
-    coaction maps N -> N (x) H with flat index (j, i) = j * dim(H) + i."""
-    f = h.field
-    hd = h.dim
-    act_cols = {}
-    for i in range(hd):
-        for jx in range(hd):
-            prod = h.mult_pairs(i, jx)
-            for jn in range(dim):
-                col = {p * dim + jn: c for p, c in prod}
-                if col:
-                    act_cols[i * (hd * dim) + jx * dim + jn] = col
-    act = SparseMatrix(hd * dim, hd * hd * dim, f, act_cols)
-    co_cols = {}
-    for jx in range(hd):
-        for jn in range(dim):
-            col: dict = {}
-            for (n0, n1), cco in tensor_pairs(coaction, jn, hd):
-                for (b, p), c in h.crossed_legs(jx, n1):
-                    vec_add_at(col, (b * dim + n0) * hd + p, cco * c)
-            if col:
-                co_cols[jx * dim + jn] = col
-    coact = SparseMatrix(hd * dim * hd, hd * dim, f, co_cols)
-    m = CrossedModule(h, hd * dim, act, coact, name=name)
-    verify_crossed(m).require(m.name)
-    return m
-
-
-def gh_functor(h: HopfAlgebra, dim: int, coaction: SparseMatrix) -> CrossedModule:
-    """Modular crossed module assigned to a plain comodule: the u-coinvariant
-    quotient of the crossed envelope of the comodule."""
-    env = crossed_from_comodule(h, dim, coaction)
-    f = env.field
-    u = u_map(env)
-    diff = u - SparseMatrix.identity(env.dim, f)
-    q = QuotientSpace(env.dim, f, [diff.column(j) for j in range(env.dim)])
-    action = action_tensor(
-        [q.induced_matrix(env.act_matrix(i), what=f"action of {h.basis[i]}")
-         for i in range(h.dim)],
-        q.dim, f,
-    )
-    coact = quotient_coaction(q, env.coaction, SparseMatrix.identity(h.dim, f),
-                              "the coaction on the u-coinvariants")
-    out = CrossedModule(h, q.dim, action, coact, name="GH(N)")
-    verify_modular(out).require(out.name)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -436,12 +436,11 @@ def _sample_columns(z: CyclicObject):
 def build_aux_cyclic(h: HopfAlgebra, max_degree: int) -> CyclicObject:
     """Cyclic object with carrier H^{(x)(n+1)} in degree n: faces drop a slot
     through the counit, degeneracies comultiply a slot, the cyclic operator
-    rotates the last slot to the front.  Carries the extra degeneracy
-    (insert the unit in front) used to contract the boundary.  Slots are
-    addressed by their strides, as in ``build_cyclic``."""
+    rotates the last slot to the front.  Slots are addressed by their
+    strides, as in ``build_cyclic``."""
     f = h.field
     hd = h.dim
-    eps, unit = h.counit_matrix(), h.unit_matrix()
+    eps = h.counit_matrix()
 
     def dim_fn(n):
         return hd ** (n + 1)
@@ -452,61 +451,14 @@ def build_aux_cyclic(h: HopfAlgebra, max_degree: int) -> CyclicObject:
         t = {"face": eps, "degen": h.comult}.get(kind)
         return tuple((t, hd ** (n - i)) for i in range(n + 1)) if t else ()
 
-    def extra_degen_fn(n, col):
-        return slot_map(unit, hd ** (n + 1), col)
-
     def rotate(cols, kind, n, i, c):  # tau_n, the one operator not a slot
         rotation_add(cols, hd, n, c)
 
     z = CyclicObject(f, max_degree, dim_fn, slots, rotate, name=f"Z~({h.name})")
-    z.hopf = h
-    z.extra_degen_fn = extra_degen_fn
     rep = verify_cyclic_identities(z, min(max_degree, 2))
     z.release()
     rep.require(z.name)
     return z
-
-
-def aux_resolution_report(z: CyclicObject, max_degree: int | None = None) -> CheckReport:
-    """The extra degeneracy contracts the boundary:
-    b_{n+1} s = id - s b_n for n >= 1, and b_1 s = id - unit*counit-augmentation
-    at degree 0; consequently homology is one-dimensional in degree 0 and
-    vanishes above (also verified directly within the truncation)."""
-    extra = getattr(z, "extra_degen_fn", None)
-    if extra is None:
-        raise ValueError("this cyclic object carries no extra degeneracy")
-    d_top = (z.top if max_degree is None else max_degree)
-    rep = CheckReport(f"resolution contraction for {z.name}")
-    one = z.field.one
-
-    def contraction_failures(n):
-        for c in range(z.dim(n)):
-            lhs = z.boundary(n + 1).apply(extra(n, c))
-            rhs: Vec = {c: one}
-            back = vec_apply(partial(extra, n - 1), z.boundary(n).cols.get(c, {}))
-            vec_iadd_scaled(rhs, back, -one)
-            if lhs != rhs:
-                yield f"column {c}"
-
-    for n in range(1, d_top):
-        rep.check(f"contraction identity at degree {n}", contraction_failures(n))
-
-    # at degree 0 the homotopy misses the augmentation idempotent:
-    # b_1(s(x)) = x - counit(x) * unit
-    h = z.hopf
-
-    def augmented_failures():
-        for c in range(z.dim(0)):
-            rhs = {c: one}
-            eps = h.counit_of(c)
-            if eps:
-                for u, cu in h.unit.items():
-                    vec_add_at(rhs, u, -(eps * cu))
-            if z.boundary(1).apply(extra(0, c)) != rhs:
-                yield f"column {c}"
-
-    rep.check("contraction identity at degree 0 (augmented)", augmented_failures())
-    return rep
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,7 @@ homology then folds over conjugacy classes into group homology of
 centralizer quotients acting on graded commutator quotients.  Crossed
 products and twisted group algebras are built and verified as strongly
 graded algebras.  Separable base changes collapse relative objects by a
-quasi-isomorphism, and H-colinear traces A -> M induce morphisms of cyclic
-objects through the same slot products.
+quasi-isomorphism.
 
 The balanced quotients (A (x)_B A, its cyclic form and the relative
 carriers) take their relators from ``hopf.balancing_relators``, one list
@@ -929,15 +928,15 @@ def relative_cyclic(ca: AlgebraData, base: BaseData, m: Bimodule | None = None,
 # ---------------------------------------------------------------------------
 
 
-def _slot_matrix(ca: ComoduleAlgebra, bim: Bimodule, n: int, module_map,
-                 target_mdim: int) -> SparseMatrix:
+def _slot_matrix(ca: ComoduleAlgebra, bim: Bimodule, n: int,
+                 qm: QuotientSpace) -> SparseMatrix:
     """Transport matrix on the free carrier M (x) A^{(x)n}.
 
     Slot l of the source is coacted l+1 times; slot j of the target collects
     the j-th coaction legs of source slots j..n multiplied in H, while the
     zeroth legs multiply into the module through the bimodule's right
-    action.  `module_map` sends the accumulated module vector to coordinates
-    of the target coefficients (a quotient projection, or a trace).
+    action.  The accumulated module vector is projected to coordinates of
+    the target coefficients, the quotient `qm` of the module.
     """
     h = ca.h
     f = ca.field
@@ -969,7 +968,7 @@ def _slot_matrix(ca: ComoduleAlgebra, bim: Bimodule, n: int, module_map,
                     break
             if not mv:
                 continue
-            mq = module_map(mv)
+            mq = qm.project_vec(mv)
             if not mq:
                 continue
             slot_vecs = []
@@ -991,10 +990,10 @@ def _slot_matrix(ca: ComoduleAlgebra, bim: Bimodule, n: int, module_map,
                 ]
             for p, c in partial:
                 for k, ck in mq.items():
-                    vec_add_at(col, p * target_mdim + k, c * ck)
+                    vec_add_at(col, p * qm.dim + k, c * ck)
         if col:
             cols[idx] = col
-    return SparseMatrix(hd**n * target_mdim, tix.size, f, cols)
+    return SparseMatrix(hd**n * qm.dim, tix.size, f, cols)
 
 
 def _kappa_chain_matrix(g: GaloisExtension, z: CyclicObject, bim: Bimodule,
@@ -1120,7 +1119,7 @@ def lambda_iso(g: GaloisExtension, m: Bimodule | None = None,
     rep = CheckReport(f"slot-product comparison for {z.name}")
     mats: dict = {}
     for n in range(max_degree + 1):
-        amb = _slot_matrix(ca, bim, n, qm.project_vec, qm.dim)
+        amb = _slot_matrix(ca, bim, n, qm)
         lam = mats[n] = QuotientSpace(amb.nrows, f, []).induced_matrix(
             amb, source=z.carrier(n), what=f"the comparison map at degree {n}"
         )
@@ -1360,65 +1359,3 @@ def burghelea_graded(g: GaloisExtension, low: int = 0, high: int = 3) -> GradedF
         "direct dims match the folded class formula", {"direct": direct, "folded": folded}))
     return GradedFolding(direct, folded, per_class, rep)
 
-
-# ---------------------------------------------------------------------------
-# traces
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class TraceComparison:
-    """A trace-induced morphism of cyclic objects."""
-
-    source: CyclicObject
-    target: CyclicObject
-    matrices: dict
-    report: CheckReport
-
-
-def trace_map(ca: ComoduleAlgebra, m: CrossedModule, tr: SparseMatrix,
-              max_degree: int = 3) -> TraceComparison:
-    """An H-colinear map tr: A -> M with tr(a x) = a_(1) . tr(x a_(0))
-    induces a morphism from the cyclic object of A to the Hopf-algebra
-    object with coefficients M by slot products with the trace applied to
-    the product of zeroth coaction legs.  The axioms and the degreewise
-    commutation with every operator are verified exactly."""
-    h = m.h
-    if h is not ca.h:
-        raise ValueError("the module and the algebra are over different Hopf algebras")
-    f = ca.field
-    one = f.one
-    if tr.nrows != m.dim or tr.ncols != ca.dim:
-        raise ValueError("trace matrix has wrong shape")
-    rep = CheckReport(f"trace from {ca.name} to {m.name}")
-    rep.add(
-        "the trace is a comodule map",
-        m.coaction @ tr == tr.kron(SparseMatrix.identity(h.dim, f)) @ ca.coaction,
-    )
-
-    def untwisted():
-        for a, x in itertools.product(range(ca.dim), repeat=2):
-            lhs = tr.apply(ca.product_vec({a: one}, {x: one}))
-            rhs: Vec = {}
-            for (a0, a1), c in ca.coact_pairs(a):
-                w = tr.apply(ca.product_vec({x: one}, {a0: one}))
-                if w:
-                    vec_iadd_scaled(rhs, m.act_vec({a1: one}, w), c)
-            if lhs != rhs:
-                yield f"(a={ca.basis[a]}, x={ca.basis[x]})"
-
-    rep.check("the trace twists products through the coaction", untwisted())
-    rep.require()
-
-    top = _comparison_top(max_degree, False)
-    src = relative_cyclic(ca, unit_base(ca), None, top)
-    tgt = build_cyclic(h, m, top)
-    bim = src.bimodule
-    mats: dict = {}
-    for n in range(max_degree + 1):
-        mats[n] = _slot_matrix(ca, bim, n, tr.apply, m.dim) @ src.carrier(
-            n
-        ).section_matrix()
-    _check_commutation(rep, src, tgt, mats, max_degree, cyclic=True)
-    rep.require()
-    return TraceComparison(src, tgt, mats, rep)

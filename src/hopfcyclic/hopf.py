@@ -801,9 +801,22 @@ def hopf_subalgebra(h: HopfAlgebra, k: HopfAlgebra, inclusion: SparseMatrix) -> 
 
 def group_subalgebra(h: HopfAlgebra, elements: Sequence[int]) -> HopfSubalgebra:
     """The group algebra of a subgroup of a group algebra's group, embedded
-    by sending each subgroup element to the matching basis vector."""
+    by sending each subgroup element to the matching basis vector.  Raises
+    ValueError for an index outside the group, a repeat, or a product that
+    leaves the set, which it names."""
     g: FiniteGroup = h.group
-    pos = {a: k for k, a in enumerate(elements)}
+    pos: dict = {}
+    for a in elements:
+        if a not in range(g.order):
+            raise ValueError(f"subgroup element {a} is not in range({g.order})")
+        if a in pos:
+            raise ValueError(f"subgroup element {a} is repeated")
+        pos[a] = len(pos)
+    for a in elements:
+        for b in elements:
+            if g.mul(a, b) not in pos:
+                raise ValueError(f"subgroup elements are not closed: {a} * {b} = "
+                                 f"{g.mul(a, b)} is not among them")
     table = [[pos[g.mul(a, b)] for b in elements] for a in elements]
     sub_group = FiniteGroup(table, [g.labels[a] for a in elements])
     sub = group_algebra(sub_group, h.field, name=f"k[sub of {g.order}]")

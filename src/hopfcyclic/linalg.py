@@ -795,15 +795,6 @@ def solve(a: SparseMatrix, b: Vec):
     return None if x is None else x.column(0)
 
 
-def invert(m: SparseMatrix) -> SparseMatrix:
-    if m.nrows != m.ncols:
-        raise LinAlgError("only square matrices can be inverted")
-    x = solve_matrix(m, SparseMatrix.identity(m.nrows, m.field))
-    if x is None or rank(m) != m.ncols:
-        raise LinAlgError("matrix is singular")
-    return x
-
-
 # ---------------------------------------------------------------------------
 # subspaces and quotients
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from hopfcyclic.cyclic import (
     CyclicObject,
     _sample_columns,
     CharacteristicError,
-    aux_resolution_report,
     bar_complex,
     build_aux_cyclic,
     build_cyclic,
@@ -91,13 +90,6 @@ def test_aux_homology_z3(kz3):
     z = build_aux_cyclic(kz3, 5)
     assert hochschild(z, 0, 4) == [1, 0, 0, 0, 0]
     assert hc_connes(z, 0, 4) == [1, 0, 1, 0, 1]
-
-
-def test_aux_contraction(kz2, kz3):
-    for h in (kz2, kz3):
-        z = build_aux_cyclic(h, 4)
-        rep = aux_resolution_report(z)
-        assert rep.ok, rep.lines()
 
 
 def test_aux_identity_suite(kz2):
@@ -292,7 +284,7 @@ def test_counit_faces_match_slot_dropping(algebra, sweedler_h4, ks3):
                 [(t[:n] + (u,) + t[n:], c) for u, c in h.unit.items()]))
             assert z.degen(n, i) == want
     # the coefficient-free object: counit faces, comultiplying
-    # degeneracies, rotation, and the unit inserted in front
+    # degeneracies and rotation
     aux = build_aux_cyclic(h, 3)
     eps = h.counit_of
     for n in range(4):
@@ -305,9 +297,6 @@ def test_counit_faces_match_slot_dropping(algebra, sweedler_h4, ks3):
                 assert aux.degen(n, i) == slot_matrix(here, carrier(n + 2, False), lambda t: [
                     (t[:i] + ab + t[i + 1:], c) for ab, c in h.comult_pairs(t[i])])
         assert aux.cyclic(n) == slot_matrix(here, here, lambda t: [(t[-1:] + t[:-1], h.field.one)])
-        assert all(aux.extra_degen_fn(n, col) == {
-            carrier(n + 2, False).flatten((u,) + here.unflatten(col)): c
-            for u, c in h.unit.items()} for col in range(here.size))
 
 
 def _slot_by_slot_evaluators(h, m):

@@ -7,8 +7,6 @@ import pytest
 
 from hopfcyclic.crossed import CrossedModule, adjoint, one_dimensional, verify_crossed, verify_modular
 from hopfcyclic.cyclic import (
-    aux_resolution_report,
-    build_aux_cyclic,
     build_cyclic,
     sbi_check,
     verify_cyclic_identities,
@@ -103,26 +101,6 @@ _CYCLIC_CASES = [
 def test_corrupted_cyclic_object_failures(kz3_adjoint, kind, n, i, col, expected):
     z = perturbed(kz3_adjoint, kind, n, i, col)
     assert failing(verify_cyclic_identities(z, 2)) == expected
-
-
-@pytest.mark.parametrize("n, col, expected", [
-    (0, 1, [
-        ("contraction identity at degree 1", False, "column 1"),
-        ("contraction identity at degree 0 (augmented)", False, "column 1"),
-    ]),
-    (1, 2, [
-        ("contraction identity at degree 1", False, "column 2"),
-        ("contraction identity at degree 2", False, "column 2"),
-    ]),
-    (2, 5, [("contraction identity at degree 2", False, "column 5")]),
-])
-def test_corrupted_contraction_failures(n, col, expected):
-    kz2 = group_algebra(FiniteGroup.cyclic(2), QQ)
-    z = build_aux_cyclic(kz2, 3)
-    extra = z.extra_degen_fn
-    z.extra_degen_fn = (
-        lambda m, c: bump(extra(m, c), 1) if (m, c) == (n, col) else extra(m, c))
-    assert failing(aux_resolution_report(z)) == expected
 
 
 def test_mutated_antipode_failures():

@@ -27,7 +27,6 @@ from hopfcyclic.galois import (
     relative_cyclic,
     separable_base_change,
     strongly_graded,
-    trace_map,
     twisted_group_algebra,
     um_actions,
     unit_base,
@@ -795,20 +794,8 @@ def test_folding_requires_a_group_grading(kz3):
 
 
 # ---------------------------------------------------------------------------
-# traces
+# the truncation of the comparison
 # ---------------------------------------------------------------------------
-
-
-def test_identity_trace_matches_the_comparison(kz3):
-    ca = comodule_from_hopf(kz3)
-    tc = trace_map(ca, adjoint(kz3), SparseMatrix.identity(3, QQ), max_degree=2)
-    assert tc.report.ok
-    g = galois_check(ca)
-    lc = lambda_iso(g, max_degree=2)
-    assert all(tc.matrices[n] == lc.matrices[n] for n in range(3))
-    # the trace computes no cyclic homology, so it stops at degree 2;
-    # the comparison over Q does, and builds degree 3 for it
-    assert tc.source.top == 2 and lc.relative.top == 3
 
 
 @pytest.mark.parametrize("max_degree", [2, 3])
@@ -821,16 +808,3 @@ def test_lambda_iso_builds_past_max_degree_only_for_cyclic_homology(field, extra
     assert lc.report.ok
     assert (lc.hc_relative is None) == (extra == 0)
     assert lc.relative.top == lc.hopf_side.top == max_degree + extra
-
-
-def test_zero_trace_induces_the_zero_morphism(kz2):
-    ca = comodule_from_hopf(kz2)
-    tc = trace_map(ca, adjoint(kz2), SparseMatrix.zero(2, 2, QQ), max_degree=2)
-    assert tc.report.ok
-    assert all(not tc.matrices[n].cols for n in range(3))
-
-
-def test_non_colinear_trace_is_rejected(kz2):
-    swap = SparseMatrix(2, 2, QQ, {0: {1: QQ.one}, 1: {0: QQ.one}})
-    with pytest.raises(ValueError, match="comodule map"):
-        trace_map(comodule_from_hopf(kz2), adjoint(kz2), swap, max_degree=1)

@@ -416,6 +416,20 @@ def test_non_normal_subalgebra_rejected():
         quotient_by_normal(h, sub)
 
 
+@pytest.mark.parametrize("elements, message", [
+    ([0, 1, 2], r"not closed: 1 \* 2 = 4 is not among them"),
+    ([0, 3], r"not closed: 3 \* 3 = 4 is not among them"),
+    ([0, 9], r"element 9 is not in range\(6\)"),
+    ([0, -1], r"element -1 is not in range\(6\)"),
+    ([0, 1, 2, 3, 4, 5, 5], "element 5 is repeated"),
+], ids=["not-closed", "not-closed-order-3", "too-large", "negative", "repeat"])
+def test_group_subalgebra_rejects_a_bad_element_list(elements, message):
+    ks3 = group_algebra(FiniteGroup.symmetric(3))
+    with pytest.raises(ValueError, match=message):
+        group_subalgebra(ks3, elements)
+    assert group_subalgebra(ks3, range(6)).sub.dim == 6
+
+
 def test_non_multiplicative_embedding_names_the_first_failing_check():
     # g -> g is a coalgebra map kZ2 -> kZ4 but g^2 = 1 goes to g^2 != 1
     k = group_algebra(FiniteGroup.cyclic(2), name="kZ2")

@@ -1,12 +1,14 @@
 """Every top-level import of a package module, a test module or a script
 is used in that module, so code deleted from a module takes its imports
-with it.  ``__init__.py`` only re-exports, and ``__future__`` imports
-switch compiler features."""
+with it.  ``__init__.py`` only re-exports, exactly the names of
+``__all__``, and ``__future__`` imports switch compiler features."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import hopfcyclic
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "hopfcyclic"
@@ -39,3 +41,14 @@ def test_the_scan_finds_an_unused_import():
               "import os.path\nfrom itertools import product, chain as ch\n"
               "def f():\n    return ch(os.path.sep)\n")
     assert unused_imports(source) == ["product"]
+
+
+def test_the_export_list_is_what_the_package_imports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = [a.asname or a.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for a in node.names]
+    assert sorted(hopfcyclic.__all__) == sorted(imported)
+    assert len(set(imported)) == len(imported)
+    namespace: dict = {}
+    exec("from hopfcyclic import *", namespace)
+    assert all(namespace[name] is getattr(hopfcyclic, name) for name in hopfcyclic.__all__)

@@ -24,7 +24,6 @@ from hopfcyclic.linalg import (
     flip_matrix,
     homology_dims,
     int_det,
-    invert,
     mat_mul_int,
     quasi_iso_check,
     rank,
@@ -139,14 +138,6 @@ def test_solve_consistency(rows, col_seed):
 def test_solve_inconsistent_returns_none():
     m = dense([[1, 0], [1, 0]])
     assert solve(m, {0: Fraction(1), 1: Fraction(2)}) is None
-
-
-def test_invert_round_trip():
-    m = dense([[2, 1], [1, 1]])
-    inv = invert(m)
-    assert m @ inv == SparseMatrix.identity(2, QQ)
-    with pytest.raises(LinAlgError):
-        invert(dense([[1, 2], [2, 4]]))
 
 
 def _apply_reference(cols: dict, v: dict) -> dict:
