@@ -79,14 +79,20 @@ class CyclicObject:
 
     ``_add`` is the one place that applies an operator to a whole list of
     columns: a declared slot through ``slot_add``, anything else through
-    add.  The matrices, the boundaries and the d_0 tau_n = d_n check of
-    ``mixed_bicomplex`` all go through it.  The per-column evaluators
-    face_fn, degen_fn and cyclic_fn, which the identity suite reads, are
-    derived from the same declarations: ``slot_map`` of a declared slot, or
-    a column of the whole operator, built once through ``_add`` and held
-    until ``release`` (shared, read-only vectors).  ``apply_*`` apply an
-    operator to a vector: a declared slot through ``slot_apply``, any
-    other through ``vec_apply`` on the columns its evaluator holds.
+    add.  The matrices, the boundaries, the lambda relators of
+    ``connes_data`` (tau_n added to the relator columns, with no matrix of
+    tau_n), the degenerate relators of ``hochschild`` (streamed from
+    transient ``columns`` lists, with no degeneracy matrix) and the
+    d_0 tau_n = d_n check of ``mixed_bicomplex`` all go through it.  The
+    per-column evaluators face_fn, degen_fn and cyclic_fn, which the
+    identity suite reads, are derived from the same declarations:
+    ``slot_map`` of a declared slot, or a column of the whole operator,
+    built once through ``_add`` and held until ``release`` (shared,
+    read-only vectors).  ``apply_*`` apply an operator to a vector: a
+    declared slot through ``slot_apply``, any other through ``vec_apply``
+    on the columns its evaluator holds; the callable is resolved once per
+    operator and dropped with the evaluator, at a ``columns`` hand-over
+    and at ``release``.
     """
 
     def __init__(
@@ -115,6 +121,7 @@ class CyclicObject:
         self._quot: dict = {}
         self._qbnd: dict = {}
         self._evaluators: dict = {}
+        self._appliers: dict = {}
         self._held: dict = {}
 
     def __repr__(self):
@@ -166,11 +173,13 @@ class CyclicObject:
             self._add(cols, kind, n, i, self.field.one)
         else:
             del self._evaluators[kind, n, i]
+            self._appliers.pop((kind, n, i), None)
         return cols
 
     def release(self) -> None:
         """Drop the whole operators the evaluators hold."""
         self._evaluators.clear()
+        self._appliers.clear()
         self._held.clear()
 
     def _evaluator(self, kind: str, n: int, i: int) -> Callable[[int], Vec]:
@@ -283,11 +292,22 @@ class CyclicObject:
         return b
 
     def _apply(self, kind: str, n: int, i: int, vec: Vec) -> Vec:
-        """The operator (kind, n, i) applied to vec: ``apply_*`` dispatch here."""
-        slots = self.slots(kind, n)
-        if i < len(slots):
-            return slot_apply(*slots[i], vec)
-        return vec_apply(self._evaluator(kind, n, i), vec) if vec else {}
+        """The operator (kind, n, i) applied to vec: ``apply_*`` dispatch
+        here.  The callable, ``slot_apply`` of a declared slot or
+        ``vec_apply`` over the evaluator, is resolved once per operator and
+        dropped with the evaluators; a zero vec builds nothing."""
+        if not vec:
+            return {}
+        key = (kind, n, i)
+        fn = self._appliers.get(key)
+        if fn is None:
+            slots = self.slots(kind, n)
+            if i < len(slots):
+                fn = partial(slot_apply, *slots[i])
+            else:
+                fn = partial(vec_apply, self._evaluator(kind, n, i))
+            self._appliers[key] = fn
+        return fn(vec)
 
     # linear extensions of the operators, for identity checking
     def apply_face(self, n: int, i: int, vec: Vec) -> Vec:
@@ -617,9 +637,11 @@ def build_cyclic(
 
 def _normalized(z: CyclicObject, top: int) -> tuple:
     """The quotients of degrees 0..top by the images of the degeneracies,
-    and the boundaries b-bar at degrees 1..top on them, cached on z."""
+    and the boundaries b-bar at degrees 1..top on them, cached on z.  The
+    relators stream from one transient ``columns`` list per degeneracy, so
+    no degeneracy matrix is built or held."""
     norm = [z.quotient("normalized", n, (
-        col for i in range(n) for _, col in z.degen(n - 1, i).columns()
+        col for i in range(n) for col in z.columns("degen", n - 1, i) if col
     )) for n in range(top + 1)]
     return norm, [z.quotient_boundary("normalized", n, "normalized chains")
                   for n in range(1, top + 1)]
@@ -661,19 +683,25 @@ def _gate_characteristic(z: CyclicObject) -> None:
 
 
 def _coinvariant_relators(z: CyclicObject, n: int):
-    """x - (-1)^n tau_n x for every basis vector x of degree n."""
-    f, t = z.field, z.cyclic(n)
-    neg = -f.one if n % 2 == 0 else f.one  # -(-1)^n
-    for c in range(z.dim(n)):
-        col = {k: neg * v for k, v in t.cols.get(c, {}).items()}
-        vec_add_at(col, c, f.one)
+    """x - (-1)^n tau_n x for every basis vector x of degree n: -(-1)^n
+    tau_n is added to empty columns in one ``_add`` pass, then x to each,
+    and each column is handed over as it is yielded, so no matrix of tau_n
+    is built or held."""
+    one = z.field.one
+    cols: list = [{} for _ in range(z.dim(n))]
+    z._add(cols, "cyclic", n, 0, -one if n % 2 == 0 else one)
+    for c, col in enumerate(cols):
+        cols[c] = None
+        vec_add_at(col, c, one)
         if col:
             yield col
 
 
 def connes_data(z: CyclicObject, top: int):
     """Cyclic-coinvariant quotients and the induced complex through `top`;
-    the quotients and boundaries are cached on z per degree."""
+    the quotients and boundaries are cached on z per degree.  The relators
+    add tau_n to their own columns (``_coinvariant_relators``), so no
+    matrix of tau_n is built or left on z."""
     _gate_characteristic(z)
     if top > z.top:
         raise TruncationError(
@@ -749,8 +777,10 @@ def mixed_bicomplex(z: CyclicObject, max_total: int) -> Bicomplex:
     the cyclic operator tau_n, s = tau_{n+1} s_n is the extra degeneracy
     and N_n is the sum of the powers of t_n.  Both are pushed to the
     normalized carriers by ``QuotientSpace.induced_matrix``, which checks
-    that they descend; ``Bicomplex`` checks B^2 = 0 and bB + Bb = 0, and
-    the total complex checks that its boundary squares to zero.  Last,
+    that they descend; ``Bicomplex`` checks b^2 = 0, B^2 = 0 and
+    bB + Bb = 0 once, as the d o d = 0 check of the total complex that it
+    builds and ``total_complex`` returns.  The extra degeneracy's s_n is
+    a transient matrix, not cached on z.  Last,
     d_0 tau_n = d_n is checked at every column of every degree
     1..max_total + 1: B is built from tau and the degeneracies alone, so a
     tau that breaks that identity can pass every check above and give wrong
@@ -776,7 +806,7 @@ def mixed_bicomplex(z: CyclicObject, max_total: int) -> Bicomplex:
             power = t @ power
             total = total + power
         one_minus_t = SparseMatrix.identity(z.dim(n + 1), f) - _signed_cyclic(z, n + 1)
-        extra = z.cyclic(n + 1) @ z.degen(n, n)
+        extra = z.cyclic(n + 1) @ z._matrix(z.columns("degen", n, n), z.dim(n + 1))
         big_b[n] = norm[n + 1].induced_matrix(
             one_minus_t @ extra @ total, source=norm[n],
             what=f"B at degree {n} on normalized chains",
@@ -792,12 +822,15 @@ def mixed_bicomplex(z: CyclicObject, max_total: int) -> Bicomplex:
                 vert[(p, q)] = b[n - 1]
             if p >= 1 and n >= 0:
                 horiz[(p, q)] = big_b[n]
-    bic = Bicomplex(cells, horiz, vert, f)
+    # the d_0 tau_n = d_n check runs before Bicomplex builds its total
+    # complex, so that its transient lists are gone by then, and is
+    # required after it, so that a failing square still raises first
     rep = CheckReport(f"cyclic operator of {z.name or 'cyclic object'}")
     for n in range(1, reach + 1):
         if not rep.check(f"d_0 t_n = d_n at degree {n}", _last_face_failures(z, n)):
             break
     z.release()
+    bic = Bicomplex(cells, horiz, vert, f)
     rep.require("the (b, B) bicomplex")
     return bic
 

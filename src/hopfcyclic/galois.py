@@ -66,7 +66,7 @@ from .cyclic import (
     sbi_check,
     verify_cyclic_identities,
 )
-from .hopf import AlgebraData, FiniteGroup, HopfAlgebra, TensorIndex, algebra_generators, balancing_relators, conjugacy_data, group_algebra, mismatch_labels, separability_element, slot_map, tensor_pairs
+from .hopf import AlgebraData, FiniteGroup, HopfAlgebra, TensorIndex, algebra_generators, balancing_relators, conjugacy_data, group_algebra, mismatch_labels, separability_element, slot_add, tensor_pairs
 from .linalg import (
     QQ,
     QuasiIsoReport,
@@ -849,11 +849,11 @@ def relative_cyclic(ca: AlgebraData, base: BaseData, m: Bimodule | None = None,
         if kind == "cyclic":
             rotation_add(cols, ad, n, c)
             return
-        # the last slot a acts on the module from the left: move it in front
-        s = ad ** (n - 1)
-        for col, acc in enumerate(cols):
-            rest, a = divmod(col, ad)
-            vec_iadd_scaled(acc, slot_map(bim.left, s, a * md * s + rest), c)
+        # the last slot a acts on the module from the left: with a moved in
+        # front, the columns in the order of their rotated index are the
+        # ones ending in 0, then in 1, ..., and the face is one slot_add
+        slot_add([acc for a in range(ad) for acc in cols[a::ad]],
+                 bim.left, ad ** (n - 1), c)
 
     coeff = ca.name if m is None else bim.name
     free = CyclicObject(f, max_degree, lambda n: index(n).size, slots, free_add,

@@ -1286,6 +1286,15 @@ class Bicomplex:
     cells maps (p, q) -> dimension; horiz[(p, q)] : (p, q) -> (p-1, q) and
     vert[(p, q)] : (p, q) -> (p, q-1).  Construction verifies h o h = 0,
     v o v = 0 and h o v + v o h = 0 wherever all participating cells exist.
+
+    Each equation is multiplied once.  With T the last diagonal through
+    which every cell exists, the cells with p + q <= T are checked by the
+    d o d = 0 check of the total complex through degree T, whose blocks out
+    of cell (p, q) are h o h, v o v and h v + v h; that complex is built
+    here and kept for ``total_complex``.  The cells above T are checked one
+    by one, in cell order.  When the total complex fails its check, every
+    cell is checked one by one instead, so the first failing cell raises
+    with its own message.
     """
 
     def __init__(self, cells: dict, horiz: dict, vert: dict, field: Field):
@@ -1299,22 +1308,37 @@ class Bicomplex:
         for (p, q), m in self.vert.items():
             if m.ncols != self.cells[(p, q)] or m.nrows != self.cells[(p, q - 1)]:
                 raise LinAlgError(f"vertical map at {(p, q)} has wrong shape")
+        top = 0
+        while all((p, top - p) in self.cells for p in range(top + 1)):
+            top += 1
+        top -= 1  # the last complete diagonal, -1 without cell (0, 0)
+        self._total = None
+        if top >= 0:
+            try:
+                self._total = _total_complex(self, top)
+            except LinAlgError:
+                top = -1  # search every cell for the one that fails
         for (p, q) in self.cells:
-            h1 = self.horiz.get((p, q))
-            h2 = self.horiz.get((p - 1, q))
-            if h1 is not None and h2 is not None and not (h2 @ h1).is_zero():
-                raise LinAlgError(f"horizontal squared nonzero at {(p, q)}")
-            v1 = self.vert.get((p, q))
-            v2 = self.vert.get((p, q - 1))
-            if v1 is not None and v2 is not None and not (v2 @ v1).is_zero():
-                raise LinAlgError(f"vertical squared nonzero at {(p, q)}")
-            hv = (
-                self.horiz.get((p, q - 1)),
-                self.vert.get((p - 1, q)),
-            )
-            if v1 is not None and h1 is not None and hv[0] is not None and hv[1] is not None:
-                if not (hv[0] @ v1 + hv[1] @ h1).is_zero():
-                    raise LinAlgError(f"square at {(p, q)} does not anticommute")
+            if p + q > top:
+                self._check_cell(p, q)
+
+    def _check_cell(self, p: int, q: int) -> None:
+        """h o h = 0, v o v = 0 and h v + v h = 0 out of cell (p, q)."""
+        h1 = self.horiz.get((p, q))
+        h2 = self.horiz.get((p - 1, q))
+        if h1 is not None and h2 is not None and not (h2 @ h1).is_zero():
+            raise LinAlgError(f"horizontal squared nonzero at {(p, q)}")
+        v1 = self.vert.get((p, q))
+        v2 = self.vert.get((p, q - 1))
+        if v1 is not None and v2 is not None and not (v2 @ v1).is_zero():
+            raise LinAlgError(f"vertical squared nonzero at {(p, q)}")
+        hv = (
+            self.horiz.get((p, q - 1)),
+            self.vert.get((p - 1, q)),
+        )
+        if v1 is not None and h1 is not None and hv[0] is not None and hv[1] is not None:
+            if not (hv[0] @ v1 + hv[1] @ h1).is_zero():
+                raise LinAlgError(f"square at {(p, q)} does not anticommute")
 
 
 def total_complex(b: Bicomplex, max_total_degree: int) -> ChainComplex:
@@ -1323,11 +1347,21 @@ def total_complex(b: Bicomplex, max_total_degree: int) -> ChainComplex:
     The output complex runs through degree max_total_degree + 1 so that
     homology is certifiable through max_total_degree; every cell on the
     diagonals p + q <= max_total_degree + 1 must be populated (zero
-    dimensions are fine), otherwise the truncation is insufficient.
+    dimensions are fine), otherwise the truncation is insufficient.  When
+    these are exactly the complete diagonals of b, this is the complex that
+    ``Bicomplex`` built and certified, and nothing is multiplied again.
     """
+    tot = b._total
+    if tot is not None and tot.top_degree == max_total_degree + 1:
+        return tot
+    return _total_complex(b, max_total_degree + 1)
+
+
+def _total_complex(b: Bicomplex, top: int) -> ChainComplex:
+    """The total complex of b through degree top, its d o d checked."""
     layouts = []
     dims = []
-    for n in range(max_total_degree + 2):
+    for n in range(top + 1):
         cells = sorted((p, q) for (p, q) in b.cells if p + q == n)
         missing = [
             (p, n - p) for p in range(n + 1) if (p, n - p) not in b.cells
@@ -1344,7 +1378,7 @@ def total_complex(b: Bicomplex, max_total_degree: int) -> ChainComplex:
         layouts.append(offs)
         dims.append(o)
     diffs = []
-    for n in range(1, max_total_degree + 2):
+    for n in range(1, top + 1):
         src = layouts[n]
         tgt = layouts[n - 1]
         # the vertical and horizontal blocks of a cell land in different

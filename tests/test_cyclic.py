@@ -1,6 +1,7 @@
 """Cyclic objects, their identity suites, and the homology routes."""
 
 import gc
+import sys
 from functools import lru_cache
 
 import pytest
@@ -792,6 +793,137 @@ def test_bicomplex_route_works_on_normalized_chains(ks3, monkeypatch):
     monkeypatch.setattr(CyclicObject, "norm_boundary", refused)
     assert hc_bicomplex(z, 0, 3) == [3, 0, 3, 0]
     assert totals == [[6, 30, 156, 780, 3906]]
+
+
+def _entries(vectors):
+    """Each vector as its (index, scalar type, scalar) entries, in order."""
+    return [[(k, type(v), v) for k, v in vec.items()] for vec in vectors]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["q", "f3"])
+@pytest.mark.parametrize("name, coefficients", [
+    ("ks3", "ad"), ("h4", "ad"), ("h4", "coad"),
+])
+def test_lambda_relators_are_the_cyclic_operator_formula(name, coefficients, field):
+    """The lambda relators of degrees 0-4 are e_c - (-1)^n tau_n e_c for
+    every column c with a nonzero relator, read from the matrix z.cyclic(n):
+    entry order and scalar types included."""
+    h = _algebra(name, field)
+    z = build_cyclic(h, adjoint(h) if coefficients == "ad" else coadjoint(h), 4)
+    one = field.one
+    for n in range(5):
+        got = list(cyclic._coinvariant_relators(z, n))
+        neg = -one if n % 2 == 0 else one
+        want = []
+        for c in range(z.dim(n)):
+            col = {k: neg * v for k, v in z.cyclic(n).cols.get(c, {}).items()}
+            vec_add_at(col, c, one)
+            if col:
+                want.append(col)
+        assert _entries(got) == _entries(want)
+
+
+def test_connes_data_holds_no_cyclic_operator_matrix(ks3):
+    z = build_cyclic(ks3, adjoint(ks3), 4)
+    cyclic.connes_data(z, 4)
+    assert z._cyc == {} and z._held == {} and z._appliers == {}
+    assert hc_connes(z, 0, 3) == [3, 0, 3, 0]
+
+
+def _count_matmul(monkeypatch) -> list:
+    calls = []
+    matmul = SparseMatrix.__matmul__
+
+    def counted(a, b):
+        calls.append((a.nrows, a.ncols, b.ncols))
+        return matmul(a, b)
+
+    monkeypatch.setattr(SparseMatrix, "__matmul__", counted)
+    return calls
+
+
+def test_total_complex_multiplies_nothing_again(ks3, monkeypatch):
+    """total_complex(b, k) is the complex that Bicomplex certified when the
+    cells of b reach total degree k + 1 exactly; a shorter one is built and
+    checked again."""
+    z = build_cyclic(ks3, adjoint(ks3), 4)
+    for b in (cyclic.mixed_bicomplex(z, 3), tsygan_bicomplex(z, 3)):
+        calls = _count_matmul(monkeypatch)
+        tot = total_complex(b, 3)
+        assert calls == []
+        monkeypatch.undo()
+        assert tot.top_degree == 4
+        assert homology_dims(tot, 0, 3) == [3, 0, 3, 0]
+        calls = _count_matmul(monkeypatch)
+        short = total_complex(b, 2)
+        assert len(calls) == 2  # d o d at degrees 2 and 3
+        monkeypatch.undo()
+        assert short.dims == tot.dims[:4]
+        assert [short.diff(n) for n in (1, 2, 3)] == [tot.diff(n) for n in (1, 2, 3)]
+
+
+def test_bicomplex_with_a_nonzero_block_that_no_cell_check_reads():
+    """d o d out of cell (1, 1) is v(0, 1) h(1, 1), with no v(1, 1) or
+    h(1, 0): no cell check reads it, so the bicomplex is built, and its
+    total complex fails its own check, as it did before it was certified
+    at construction."""
+    one = SparseMatrix.identity(1, QQ)
+    cells = {(p, q): 1 for p in range(3) for q in range(3) if p + q <= 2}
+    b = linalg.Bicomplex(cells, {(1, 1): one}, {(0, 1): one}, QQ)
+    with pytest.raises(LinAlgError, match="^boundary squared is nonzero at degree 2$"):
+        total_complex(b, 1)
+    assert total_complex(b, 0).dims == [1, 2]
+
+
+@pytest.mark.parametrize("name", ["ks3", "h4"])
+def test_hochschild_holds_no_degeneracy_matrix(name):
+    """The normalized relators stream from transient degeneracy columns:
+    after hochschild no degeneracy matrix is cached, and every normalized
+    quotient keeps the free columns of the degeneracy-matrix stream."""
+    h = _algebra(name, QQ)
+    z = build_cyclic(h, adjoint(h), 4)
+    assert hochschild(z, 0, 3) == ([3, 0, 0, 0] if name == "ks3" else [2, 1, 1, 1])
+    assert z._degen == {}
+    ref = build_cyclic(h, adjoint(h), 4)
+    for n in range(5):
+        q = linalg.QuotientSpace(ref.dim(n), QQ, (
+            col for i in range(n) for _, col in ref.degen(n - 1, i).columns()))
+        assert z._quot["normalized", n].free_cols == q.free_cols
+
+
+def test_apply_after_hand_over_and_release_reads_fresh_columns(sweedler_h4):
+    """apply_* resolves each operator once; that memo goes with the held
+    columns, at a ``columns`` hand-over and at ``release``, so no memo
+    entry keeps a dropped list alive and the next call builds it anew."""
+    h = sweedler_h4
+    z = build_cyclic(h, coadjoint(h), 3)
+    fresh = build_cyclic(h, coadjoint(h), 3)
+    one = QQ.one
+    v = {0: one, 5: 2 * one, 17: -one, 40: one}
+    cases = [("cyclic", 2, 0, lambda w: z.apply_cyclic(2, w)),
+             ("face", 2, 2, lambda w: z.apply_face(2, 2, w))]
+    for kind, n, i, apply in cases:
+        want = linalg.vec_apply(fresh.columns(kind, n, i).__getitem__, v)
+        assert apply(v) == want
+        held = z._held[kind, n, i]
+        cols = z.columns(kind, n, i)
+        assert cols is held and (kind, n, i) not in z._appliers
+        del held
+        assert sys.getrefcount(cols) == 2
+        assert apply(v) == want
+        held = z._held[kind, n, i]
+        z.release()
+        assert sys.getrefcount(held) == 2 and z._appliers == {}
+        assert apply(v) == want
+    assert z.apply_face(2, 0, v) == _slot_face_by_columns(z, 2, 0, v)
+
+
+def _slot_face_by_columns(z, n, i, v):
+    """The slot face (n, i) applied to v through ``slot_map``, column by column."""
+    out: Vec = {}
+    for c, x in v.items():
+        vec_iadd_scaled(out, slot_map(*z.slots("face", n)[i], c), x)
+    return out
 
 
 def _corrupted(z, kind):

@@ -34,7 +34,7 @@ from hopfcyclic.galois import (
     verify_bimodule,
     verify_comodule_algebra,
 )
-from hopfcyclic.hopf import FiniteGroup, group_algebra
+from hopfcyclic.hopf import FiniteGroup, group_algebra, slot_map
 from hopfcyclic.linalg import QQ, PrimeField, QuotientSpace, SparseMatrix, WellDefinednessError, canonical_vec, homology_dims
 
 
@@ -388,6 +388,30 @@ def test_relative_object_pushes_each_operator_through_induced_matrix_once(
                 z.face(n, i)
     assert len(whats) == len(set(whats))
     assert set(whats) == set(in_truncation) | {f"degeneracy {i} at degree 2" for i in range(3)}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["q", "f3"])
+@pytest.mark.parametrize("extension", ["s3_over_a3", "twisted_klein"])
+def test_free_last_face_is_the_left_action_on_the_rotated_slot(extension, field):
+    """The free object's last face, added in one batched pass, is column by
+    column the slot_map formula: the left action on the last slot moved in
+    front, added with vec_iadd_scaled, entry order and scalar types
+    included, through degree 3 and for a scalar other than one."""
+    ca, _ = resolve_extension(extension, field)
+    free = relative_cyclic(ca, coinvariants(ca), None, max_degree=1).free
+    left, ad, md = regular_bimodule(ca).left, ca.dim, ca.dim
+    for n in (1, 2, 3):
+        s = ad ** (n - 1)
+        for c in (field.one, field.from_int(-2)):
+            got = [{} for _ in range(free.dim(n))]
+            free.add(got, "face", n, n, c)
+            want = []
+            for col in range(free.dim(n)):
+                rest, a = divmod(col, ad)
+                want.append(linalg.vec_iadd_scaled(
+                    {}, slot_map(left, s, a * md * s + rest), c))
+            assert ([[(k, type(v), v) for k, v in vec.items()] for vec in got]
+                    == [[(k, type(v), v) for k, v in vec.items()] for vec in want])
 
 
 def test_relative_object_defers_operators_its_identities_do_not_compose(kz2, monkeypatch):

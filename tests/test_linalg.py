@@ -383,6 +383,7 @@ def test_induced_matrix_raises_exactly_when_a_relator_leaves_the_span(case):
     max_size=8))))
 # 5 coerces to zero over GF(5): {0: 5, 1: 1} kills e1
 @example((2, [[(0, 5), (1, 1)]]))
+@example((3, [[(0, 5), (1, 1)]]))
 def test_gf5_quotient_of_int_relators_matches_the_coerced_one(case):
     """Over GF(5) an int entry of a relator is coerced, and one that is zero
     mod 5 drops, as if the caller had coerced it first."""
@@ -394,8 +395,9 @@ def test_gf5_quotient_of_int_relators_matches_the_coerced_one(case):
     assert q.free_cols == ref.free_cols
     for j in range(ncols):
         assert q.project_vec({j: GF5.one}) == ref.project_vec({j: GF5.one})
-    if ints == [{0: 5, 1: 1}]:
-        assert q.free_cols == [0] and q.project_vec({1: GF5.one}) == {}
+    if ints == [{0: 5, 1: 1}]:  # kills e1 and leaves every other column free
+        assert q.free_cols == [j for j in range(ncols) if j != 1]
+        assert q.project_vec({1: GF5.one}) == {}
 
 
 def full_scan_reduce(ech, v):
